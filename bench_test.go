@@ -1,15 +1,16 @@
 // Benchmarks regenerating every figure and quantitative claim of the
-// paper (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for recorded outcomes). Each benchmark runs the corresponding
-// experiment from internal/sim and reports the headline quantity as a
-// custom metric; the full table is printed once per `go test -bench` run.
+// paper (EXPERIMENTS.md indexes the experiments). Each benchmark runs
+// the corresponding registry experiment and reports the headline
+// quantity as a custom metric; the full table is printed once per
+// `go test -bench` run.
 //
-// Paper-scale runs (n up to 5·10⁵) are driven by cmd/figure1 and
-// cmd/sweep; the bench sizes here are chosen so a full -bench=. pass
-// completes in minutes on one core.
+// Paper-scale runs (n up to 5·10⁵) are driven by cmd/sweep, e.g.
+// `sweep -exp fig1 -scale 64`; the bench sizes here are chosen so a
+// full -bench=. pass completes in minutes on one core.
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -32,22 +33,29 @@ func printTable(key string, t *sim.Table) {
 
 func benchCfg() sim.ExpConfig { return sim.ExpConfig{Seed: 2012, Trials: 3, Scale: 1} }
 
+// runRows runs the named registry experiment and returns its rows at
+// their concrete type R, with the rendered table.
+func runRows[R any](b *testing.B, name string, cfg sim.ExpConfig) (R, *sim.Table) {
+	b.Helper()
+	res, err := sim.RunExperiment(context.Background(), name, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, ok := res.Rows.(R)
+	if !ok {
+		b.Fatalf("%s rows are %T, not %T", name, res.Rows, rows)
+	}
+	return rows, res.Table
+}
+
 // BenchmarkFigure1 regenerates the paper's only figure: normalised
 // vertex cover time of the uniform-rule E-process on d-regular graphs,
 // d ∈ {3,4,5,6,7}. The headline metrics are the final normalised cover
 // times, flat (Θ(1)) for even d and growing like ln n for odd d.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := sim.Figure1(sim.Figure1Config{
-			Degrees: []int{3, 4, 5, 6, 7},
-			Ns:      []int{500, 1000, 2000, 4000},
-			Trials:  3,
-			Seed:    2012,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("figure1", sim.Figure1Table(series))
+		series, table := runRows[[]sim.Figure1Series](b, "fig1", benchCfg())
+		printTable("fig1", table)
 		for _, s := range series {
 			last := s.Points[len(s.Points)-1]
 			b.ReportMetric(last.Normalized, fmt.Sprintf("CV/n_d%d", s.Degree))
@@ -59,10 +67,7 @@ func BenchmarkFigure1(b *testing.B) {
 // the Theorem 1 bound O(n + n log n/(ℓ(1−λmax))) on 4-regular graphs.
 func BenchmarkTheorem1VertexCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpTheorem1(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.Theorem1Row](b, "thm1", benchCfg())
 		printTable("thm1", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.Normalized, "CV/n")
@@ -74,10 +79,7 @@ func BenchmarkTheorem1VertexCover(b *testing.B) {
 // SRW obeys (n/4)·log(n/2); the E-process beats it by Ω(min(log n, ℓ)).
 func BenchmarkRadzikLowerBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpRadzikSpeedup(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.SpeedupRow](b, "radzik", benchCfg())
 		printTable("radzik", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.SRW/last.RadzikLB, "SRW/RadzikLB")
@@ -89,10 +91,7 @@ func BenchmarkRadzikLowerBound(b *testing.B) {
 // on r ∈ {4,6} random regular graphs; Corollary 2 predicts linear.
 func BenchmarkCorollary2Linearity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, table, err := sim.ExpCorollary2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		results, table := runRows[[]sim.Corollary2Result](b, "cor2", benchCfg())
 		printTable("cor2", table)
 		for _, r := range results {
 			linear := 0.0
@@ -109,10 +108,7 @@ func BenchmarkCorollary2Linearity(b *testing.B) {
 // m ≤ C_E(E-process) ≤ m + C_V(SRW).
 func BenchmarkEdgeCoverSandwich(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpEdgeSandwich(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.SandwichRow](b, "eq3", benchCfg())
 		printTable("eq3", table)
 		holds := 1.0
 		for _, r := range rows {
@@ -128,10 +124,7 @@ func BenchmarkEdgeCoverSandwich(b *testing.B) {
 // Theorem 3 girth-parameterised bound.
 func BenchmarkTheorem3EdgeCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpTheorem3(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.EdgeCoverRow](b, "thm3", benchCfg())
 		printTable("thm3", table)
 		for _, r := range rows {
 			if r.Ratio > 0 {
@@ -144,10 +137,7 @@ func BenchmarkTheorem3EdgeCover(b *testing.B) {
 // BenchmarkCorollary4EdgeCover: C_E = O(ω·n) on random 4-regular.
 func BenchmarkCorollary4EdgeCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpCorollary4(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.Corollary4Row](b, "cor4", benchCfg())
 		printTable("cor4", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.PerN, "CE/n")
@@ -159,10 +149,7 @@ func BenchmarkCorollary4EdgeCover(b *testing.B) {
 // Θ(n log² n) for the SRW on H_r.
 func BenchmarkHypercubeEdgeCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpHypercube(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.HypercubeRow](b, "hcube", benchCfg())
 		printTable("hcube", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.PerNLogN, "E/(n·ln_n)")
@@ -175,10 +162,7 @@ func BenchmarkHypercubeEdgeCover(b *testing.B) {
 // predicts ≈ n/8 centres, even degrees exactly 0.
 func BenchmarkOddDegreeStars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpOddStars(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.StarRow](b, "star", benchCfg())
 		printTable("star", table)
 		for _, r := range rows {
 			if r.Degree == 3 {
@@ -194,10 +178,7 @@ func BenchmarkOddDegreeStars(b *testing.B) {
 // adversarial rules included.
 func BenchmarkRuleIndependence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpRuleIndependence(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.RuleRow](b, "rulea", benchCfg())
 		printTable("rulea", table)
 		worst := 0.0
 		for _, r := range rows {
@@ -212,10 +193,7 @@ func BenchmarkRuleIndependence(b *testing.B) {
 // BenchmarkRandomRegularProperties verifies (P1) and (P2) numerically.
 func BenchmarkRandomRegularProperties(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpRandomRegularProperties(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.PropertyRow](b, "p1p2", benchCfg())
 		printTable("p1p2", table)
 		for _, r := range rows {
 			p1 := 0.0
@@ -231,10 +209,7 @@ func BenchmarkRandomRegularProperties(b *testing.B) {
 // BenchmarkGreedyRandomWalk: Orenshtein–Shinkar eq. (2) edge cover.
 func BenchmarkGreedyRandomWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpGreedyWalk(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.GreedyRow](b, "grw", benchCfg())
 		printTable("grw", table)
 		for _, r := range rows {
 			b.ReportMetric(r.Ratio, fmt.Sprintf("ratio_d%d", r.Degree))
@@ -242,15 +217,12 @@ func BenchmarkGreedyRandomWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEdgeVsVertex: the DESIGN.md ablation — preferring
+// BenchmarkAblationEdgeVsVertex: the ablation — preferring
 // unvisited edges (the paper's process) vs unvisited vertices (the
 // intro's folklore heuristic) vs the plain SRW.
 func BenchmarkAblationEdgeVsVertex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpEdgeVsVertexPreference(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.AblationRow](b, "ablation", benchCfg())
 		printTable("ablation", table)
 		// Headline: the largest even-degree point.
 		last := rows[len(rows)-1]
@@ -264,10 +236,7 @@ func BenchmarkAblationEdgeVsVertex(b *testing.B) {
 // from SRW (bias 0) to the paper's E-process (bias 1).
 func BenchmarkBiasSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpBiasSweep(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.BiasRow](b, "bias", benchCfg())
 		printTable("bias", table)
 		for _, r := range rows {
 			b.ReportMetric(r.Normalized, fmt.Sprintf("CV/n_bias%.2g", r.Bias))
@@ -279,10 +248,7 @@ func BenchmarkBiasSweep(b *testing.B) {
 // are O(C_V(SRW)), bounding the E-process edge cover by m + C_V(SRW).
 func BenchmarkBlanketTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpBlanketTime(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.BlanketRow](b, "eq4", benchCfg())
 		printTable("eq4", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.BlanketVsC, "tbl/CV")
@@ -294,10 +260,7 @@ func BenchmarkBlanketTime(b *testing.B) {
 // powers the Theorem 1 proof.
 func BenchmarkLemma13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpLemma13(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.Lemma13Row](b, "lemma13", benchCfg())
 		printTable("lemma13", table)
 		for _, r := range rows {
 			b.ReportMetric(r.Measured, fmt.Sprintf("miss_S%d", r.SetSize))
@@ -310,10 +273,7 @@ func BenchmarkLemma13(b *testing.B) {
 // odd.
 func BenchmarkPhaseStructure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpPhaseStructure(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.PhaseRow](b, "phases", benchCfg())
 		printTable("phases", table)
 		for _, r := range rows {
 			b.ReportMetric(r.FirstFrac, fmt.Sprintf("first/m_d%d", r.Degree))
@@ -326,10 +286,8 @@ func BenchmarkPhaseStructure(b *testing.B) {
 // even degree sequences (d ∈ {4,6,8}) still cover in Θ(n).
 func BenchmarkDegreeSequence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, growth, err := sim.ExpDegreeSequence(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		bundle, table := runRows[sim.DegSeqResult](b, "degseq", benchCfg())
+		rows, growth := bundle.Rows, bundle.Growth
 		printTable("degseq", table)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.Normalized, "CV/n")
@@ -346,10 +304,7 @@ func BenchmarkDegreeSequence(b *testing.B) {
 // of the experiment index).
 func BenchmarkProcessComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, table, err := sim.ExpProcessComparison(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, table := runRows[[]sim.CompareRow](b, "compare", benchCfg())
 		printTable("compare", table)
 		// Headline: E-process vs SRW vertex cover on the expander.
 		var srw, ep float64

@@ -836,16 +836,22 @@ func main() {
 
 	coverBench := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(
-				sim.Config{Seed: 1, Trials: *trials},
-				func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomRegularSW(r, *coverN, *d) },
-				func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
-					return walk.NewEProcess(g, r, nil, start)
-				},
-			)
+			plan := sim.SweepPlan{
+				Config: sim.Config{Seed: 1, Trials: *trials},
+				Points: []sim.PointSpec{{
+					Key:   "cover",
+					Salt:  sim.Salt(1),
+					Graph: func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomRegularSW(r, *coverN, *d) },
+					Arms: []sim.Arm{sim.CoverArm("cover", func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
+						return walk.NewEProcess(g, r, nil, start)
+					})},
+				}},
+			}
+			points, err := plan.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := points[0].Arms[0]
 			report.Cover = CoverResult{
 				N:               *coverN,
 				Degree:          *d,

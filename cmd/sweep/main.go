@@ -7,7 +7,15 @@
 //	sweep -exp thm1,radzik -scale 4 # selected experiments, larger n
 //	sweep -list                     # list experiment names
 //	sweep -exp all -json out/       # also dump one JSON Result per experiment
+//	sweep -exp all -report r.md     # also write every table as one markdown report
 //	sweep -exp all -v               # progress (units done/total) on stderr
+//	sweep -exp fig1 -scale 64 -rng mt19937  # Figure 1 at the paper's n, on its generator
+//
+// The -report document is a pure function of the flags and the
+// registry, so a resumed or merged run writes the same bytes as an
+// uninterrupted one. -rng selects the generator family (xoshiro,
+// mt19937 — the Mersenne Twister of the paper's Python experiments —
+// or splitmix); like -seed it changes every result.
 //
 // Within one process, every experiment is a point-level sweep: all
 // (point, trial) units share one worker pool (-workers), and results
@@ -59,6 +67,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -160,39 +169,47 @@ func selectExperiments(expList string) ([]sim.Experiment, error) {
 	return selected, nil
 }
 
-// cliFlags are the flag combinations validate checks, separated from
-// run so the CLI tests can pin the usage-error surface directly.
+// cliFlags are the flag values validate checks, separated from run so
+// the CLI tests can pin the usage-error surface directly.
 type cliFlags struct {
-	shard, ckDir, merge, jsonDir string
-	resume                       bool
+	shard, ckDir, merge, jsonDir, report, rng string
+	trials                                    int
+	resume                                    bool
 }
 
-// validate rejects inconsistent flag combinations fast, with usage
-// errors (exit 2), and returns the parsed shard spec. Failing before
-// any experiment runs matters for fleets: a misparsed shard spec or a
-// resume pointed at nothing would otherwise burn machine-hours or
-// silently journal to a fresh directory.
-func (f cliFlags) validate() (shardSpec, error) {
+// validate rejects bad flag values and inconsistent combinations fast,
+// with usage errors (exit 2), and returns the parsed shard spec and RNG
+// kind. Failing before any experiment runs matters for fleets: a
+// misparsed shard spec or a resume pointed at nothing would otherwise
+// burn machine-hours or silently journal to a fresh directory.
+func (f cliFlags) validate() (shardSpec, rng.Kind, error) {
 	var spec shardSpec
 	var err error
 	if f.shard != "" {
 		if spec, err = parseShard(f.shard); err != nil {
-			return spec, usageError{err}
+			return spec, 0, usageError{err}
 		}
 	}
+	kind, err := rng.ParseKind(f.rng)
+	if err != nil {
+		return spec, 0, usageError{err}
+	}
+	if f.trials < 0 {
+		return spec, 0, usagef("-trials %d is negative", f.trials)
+	}
 	if f.resume && f.ckDir == "" {
-		return spec, usagef("-resume needs -checkpoint to name the journal directory")
+		return spec, 0, usagef("-resume needs -checkpoint to name the journal directory")
 	}
 	if f.merge != "" && (f.shard != "" || f.ckDir != "") {
-		return spec, usagef("-merge reads finished shard journals; it cannot be combined with -shard or -checkpoint")
+		return spec, 0, usagef("-merge reads finished shard journals; it cannot be combined with -shard or -checkpoint")
 	}
 	if spec.points && f.ckDir == "" {
-		return spec, usagef("-shard i/m@points needs -checkpoint: the journal is the shard's only output")
+		return spec, 0, usagef("-shard i/m@points needs -checkpoint: the journal is the shard's only output")
 	}
-	if spec.points && f.jsonDir != "" {
-		return spec, usagef("-shard i/m@points journals units only and writes no Results; use `-merge ... -json %s` after all shards finish", f.jsonDir)
+	if spec.points && (f.jsonDir != "" || f.report != "") {
+		return spec, 0, usagef("-shard i/m@points journals units only and writes no Results; use -json or -report with -merge after all shards finish")
 	}
-	return spec, nil
+	return spec, kind, nil
 }
 
 // progressOpts returns RunOptions that report (units done / total) for
@@ -204,14 +221,24 @@ func progressOpts(name string, verbose bool) sim.RunOptions {
 	return sim.StderrProgress(name)
 }
 
-// printResult writes one experiment's table, notes and optional JSON
-// dump — the shared output path of plain, resumed and merged runs.
-func printResult(res *sim.Result, jsonDir string) error {
+// printResult writes one experiment's table, notes, optional JSON dump
+// and, when md is non-nil, its markdown report section — the shared
+// output path of plain, resumed and merged runs.
+func printResult(res *sim.Result, jsonDir string, md *strings.Builder) error {
 	if err := res.Table.WriteText(os.Stdout); err != nil {
 		return err
 	}
 	for _, note := range res.Notes {
 		fmt.Println(note)
+	}
+	if md != nil {
+		md.WriteString(res.Report().Markdown())
+		if len(res.Notes) > 0 {
+			for _, note := range res.Notes {
+				fmt.Fprintf(md, "- %s\n", note)
+			}
+			md.WriteString("\n")
+		}
 	}
 	if jsonDir != "" {
 		if err := res.WriteFile(filepath.Join(jsonDir, res.Name+".json")); err != nil {
@@ -234,6 +261,8 @@ func run() error {
 		merge   = flag.String("merge", "", "comma-separated -checkpoint dirs of point-level shards; stitch their journals into the canonical tables without re-running walks")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		jsonDir = flag.String("json", "", "also write one JSON Result per experiment into this directory")
+		report  = flag.String("report", "", "also write every table and note as one markdown report to this file")
+		rngName = flag.String("rng", "xoshiro", "generator family: xoshiro, mt19937 (the paper's Mersenne Twister) or splitmix")
 		verbose = flag.Bool("v", false, "report sweep progress (units done/total) on stderr")
 	)
 	flag.Parse()
@@ -249,7 +278,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	spec, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir, resume: *resume}.validate()
+	spec, kind, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir,
+		report: *report, rng: *rngName, trials: *trials, resume: *resume}.validate()
 	if err != nil {
 		return err
 	}
@@ -266,35 +296,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := sim.ExpConfig{Seed: *seed, Trials: *trials, Scale: *scale, Workers: *workers}
-
-	// Merge mode: stitch the per-experiment journals of finished
-	// point-level shards into the canonical output.
-	if *merge != "" {
-		var parents []string
-		for _, d := range strings.Split(*merge, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				parents = append(parents, d)
-			}
-		}
-		for i, e := range selected {
-			if i > 0 {
-				fmt.Println()
-			}
-			dirs := make([]string, len(parents))
-			for j, p := range parents {
-				dirs[j] = filepath.Join(p, e.Name)
-			}
-			res, err := sim.MergeShards(ctx, e, cfg, dirs, progressOpts(e.Name, *verbose))
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.Name, err)
-			}
-			if err := printResult(res, *jsonDir); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	cfg := sim.ExpConfig{Seed: *seed, Trials: *trials, Scale: *scale, Workers: *workers, Kind: kind}
 
 	// Point-level sharding: run each selected experiment's shard of the
 	// (point, trial) unit space and journal it; no tables are printed —
@@ -315,21 +317,46 @@ func run() error {
 	if *shard != "" {
 		selected = shardSelect(selected, spec.Index, spec.Count)
 	}
+	// Merge mode stitches the per-experiment journals of finished
+	// point-level shards into the canonical output.
+	var mergeParents []string
+	for _, d := range strings.Split(*merge, ",") {
+		if d = strings.TrimSpace(d); d != "" {
+			mergeParents = append(mergeParents, d)
+		}
+	}
+	var md *strings.Builder
+	if *report != "" {
+		md = &strings.Builder{}
+		md.WriteString("# Paper reproduction report\n\n")
+	}
 	for i, e := range selected {
 		if i > 0 {
 			fmt.Println()
 		}
 		opts := progressOpts(e.Name, *verbose)
-		if *ckDir != "" {
-			opts.Checkpoint = &sim.Checkpoint{Dir: filepath.Join(*ckDir, e.Name), Resume: *resume}
+		var res *sim.Result
+		if *merge != "" {
+			dirs := make([]string, len(mergeParents))
+			for j, p := range mergeParents {
+				dirs[j] = filepath.Join(p, e.Name)
+			}
+			res, err = sim.MergeShards(ctx, e, cfg, dirs, opts)
+		} else {
+			if *ckDir != "" {
+				opts.Checkpoint = &sim.Checkpoint{Dir: filepath.Join(*ckDir, e.Name), Resume: *resume}
+			}
+			res, err = e.Run(ctx, cfg, opts)
 		}
-		res, err := e.Run(ctx, cfg, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := printResult(res, *jsonDir); err != nil {
+		if err := printResult(res, *jsonDir, md); err != nil {
 			return err
 		}
+	}
+	if md != nil {
+		return os.WriteFile(*report, []byte(md.String()), 0o644)
 	}
 	return nil
 }

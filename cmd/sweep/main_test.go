@@ -141,10 +141,13 @@ func TestValidateRejectsInconsistentFlags(t *testing.T) {
 		{"malformed shard spec", cliFlags{shard: "2/1"}, "shard"},
 		{"point shard without checkpoint", cliFlags{shard: "0/2@points"}, "needs -checkpoint"},
 		{"point shard with json", cliFlags{shard: "0/2@points", ckDir: "ck", jsonDir: "out"}, "no Results"},
+		{"point shard with report", cliFlags{shard: "0/2@points", ckDir: "ck", report: "r.md"}, "no Results"},
+		{"negative trials", cliFlags{trials: -1}, "-trials -1"},
+		{"unknown rng", cliFlags{rng: "mt"}, "unknown RNG kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.f.validate()
+			_, _, err := tc.f.validate()
 			if err == nil {
 				t.Fatalf("validate(%+v) accepted inconsistent flags", tc.f)
 			}
@@ -166,8 +169,11 @@ func TestValidateRejectsInconsistentFlags(t *testing.T) {
 		{shard: "1/3", jsonDir: "out"},
 		{shard: "1/3@points", ckDir: "ck"},
 		{merge: "a,b", jsonDir: "out"},
+		{merge: "a,b", report: "r.md"},
+		{shard: "1/3", report: "r.md"},
+		{rng: "mt19937", trials: 3},
 	} {
-		if _, err := f.validate(); err != nil {
+		if _, _, err := f.validate(); err != nil {
 			t.Errorf("validate(%+v) = %v, want nil", f, err)
 		}
 	}

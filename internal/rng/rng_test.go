@@ -264,3 +264,18 @@ func TestStateInlineUpdateMatches(t *testing.T) {
 		t.Fatalf("after write-back: Uint64 yields %#x, want %#x", got, want)
 	}
 }
+
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"": KindXoshiro, "xoshiro": KindXoshiro, "mt19937": KindMT19937, "splitmix": KindSplitMix,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"mt", "lcg", "Xoshiro"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted an unknown name", name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package rng
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Kind selects which generator family a Stream produces.
 type Kind int
@@ -11,6 +14,26 @@ const (
 	KindMT19937
 	KindSplitMix
 )
+
+// kindNames spells each Kind as the command-line flags and the HTTP API
+// accept it; the empty name selects the default.
+var kindNames = map[string]Kind{
+	"":         KindXoshiro,
+	"xoshiro":  KindXoshiro,
+	"mt19937":  KindMT19937,
+	"splitmix": KindSplitMix,
+}
+
+// ParseKind maps a generator family name ("xoshiro", "mt19937" for the
+// paper's Mersenne Twister, or "splitmix"; "" means xoshiro) onto its
+// Kind, rejecting unknown names.
+func ParseKind(name string) (Kind, error) {
+	k, ok := kindNames[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown RNG kind %q (want xoshiro, mt19937 or splitmix)", name)
+	}
+	return k, nil
+}
 
 // Stream derives statistically independent child generators from a single
 // master seed. Each call to Next returns a fresh generator whose seed is

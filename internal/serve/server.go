@@ -202,17 +202,9 @@ type RunRequest struct {
 	MaxSteps int64 `json:"max_steps,omitempty"`
 }
 
-// defaultSeed mirrors the batch CLIs (cmd/sweep, cmd/paperrun), so a
+// defaultSeed mirrors the batch CLIs (cmd/sweep, cmd/sweepd), so a
 // bare `curl /v1/run?exp=thm1` reproduces `sweep -exp thm1`.
 const defaultSeed = 2012
-
-// kindNames maps the request's RNG family names onto rng kinds.
-var kindNames = map[string]rng.Kind{
-	"":         rng.KindXoshiro,
-	"xoshiro":  rng.KindXoshiro,
-	"mt19937":  rng.KindMT19937,
-	"splitmix": rng.KindSplitMix,
-}
 
 // parseRunRequest extracts a RunRequest from either encoding.
 func parseRunRequest(r *http.Request) (*RunRequest, error) {
@@ -259,9 +251,9 @@ func (s *Server) resolve(req *RunRequest) (sim.Experiment, sim.ExpConfig, error)
 	if !ok {
 		return zero, sim.ExpConfig{}, fmt.Errorf("%w %q (GET /v1/experiments lists the registry)", errNotFound, req.Exp)
 	}
-	kind, ok := kindNames[req.Kind]
-	if !ok {
-		return zero, sim.ExpConfig{}, fmt.Errorf("unknown RNG kind %q (want xoshiro, mt19937 or splitmix)", req.Kind)
+	kind, err := rng.ParseKind(req.Kind)
+	if err != nil {
+		return zero, sim.ExpConfig{}, err
 	}
 	switch {
 	case req.Trials < 0 || req.Trials > s.opts.MaxTrials:

@@ -94,10 +94,7 @@ func TestChurnScheduleRepairRestores(t *testing.T) {
 // and coverage drops below 1 — uncensored full cover at every α would
 // mean the churn never bit.
 func TestPcfCoverExperiment(t *testing.T) {
-	rows, table, err := ExpPcfCover(ExpConfig{Seed: 1, Trials: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, table := runRows[[]PcfCoverRow](t, "pcfcover", ExpConfig{Seed: 1, Trials: 3})
 	if table == nil || len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -125,10 +122,7 @@ func TestPcfCoverExperiment(t *testing.T) {
 // cover times), and the p = 0 dynamic arm — identical engine, zero
 // churn — must land near it.
 func TestChurnCoverExperiment(t *testing.T) {
-	rows, table, err := ExpChurnCover(ExpConfig{Seed: 1, Trials: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, table := runRows[[]ChurnCoverRow](t, "churncover", ExpConfig{Seed: 1, Trials: 3})
 	if table == nil || len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -12,12 +12,13 @@
 // execute one under a context, returning a uniform Result: the typed
 // rows, the rendered *Table, optional notes, and a reproduction stamp
 // (seed, trials, scale) with a stable JSON encoding (WriteJSON /
-// ReadResult). The thin ExpXxx functions are compatibility wrappers
-// delegating to the registry; cmd/sweep and cmd/paperrun drive their
-// -list, selection, sharding and JSON output entirely from Registry(),
-// and package repro re-exports the harness as repro.Experiments /
-// repro.RunExperiment. The generated index lives in EXPERIMENTS.md;
-// `go run ./cmd/sweep -list` prints the live registry.
+// ReadResult). This is the only way to run an experiment: cmd/sweep
+// drives its -list, selection, sharding, JSON and markdown report
+// entirely from Registry(), cmd/sweepd and cmd/reprod run registry
+// entries too, and package repro re-exports the harness as
+// repro.Experiments / repro.RunExperiment. The generated index lives
+// in EXPERIMENTS.md; `go run ./cmd/sweep -list` prints the live
+// registry.
 //
 // # Sweep model
 //
@@ -64,8 +65,7 @@
 //     Checkpoint; MergeShards validates and stitches the shard journals
 //     back into the canonical Result, byte-identical to an unsharded
 //     run. cmd/sweep surfaces all of this as -shard i/m@points,
-//     -checkpoint, -resume and -merge (cmd/paperrun: -checkpoint,
-//     -resume).
+//     -checkpoint, -resume and -merge.
 //   - ShardCoverage reports how many units of one block a journal
 //     holds, validating it first. It is the primitive under the
 //     distributed coordinator (internal/dist, cmd/sweepd), which leases

@@ -14,9 +14,9 @@ import (
 	"repro/internal/walk"
 )
 
-// ExpConfig parameterises the per-claim experiments of DESIGN.md §3.
-// Scale multiplies the base problem sizes: 1 is CI-friendly, larger
-// values approach the paper's ranges.
+// ExpConfig parameterises every registry experiment (EXPERIMENTS.md
+// lists them). Scale multiplies the base problem sizes: 1 is
+// CI-friendly, larger values approach the paper's ranges.
 type ExpConfig struct {
 	Seed    uint64
 	Trials  int // default 5 (the paper's per-point count)
@@ -121,6 +121,9 @@ type Theorem1Row struct {
 	Ratio      float64 // measured / bound — must stay O(1) as n grows
 }
 
+// theorem1Plan measures the E-process vertex cover time on random
+// even-degree regular graphs against the Theorem 1 bound O(n + n log n
+// / (ℓ(1−λmax))).
 func theorem1Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Theorem1Row, *Table, error)) {
 	deg := 4
 	base := []int{200, 400, 800}
@@ -176,14 +179,6 @@ func theorem1Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Theorem1Row
 	return plan, finish
 }
 
-// ExpTheorem1 measures the E-process vertex cover time on random
-// even-degree regular graphs against the Theorem 1 bound
-// O(n + n log n / (ℓ(1−λmax))). It delegates to the "thm1" registry
-// entry.
-func ExpTheorem1(cfg ExpConfig) ([]Theorem1Row, *Table, error) {
-	return runTyped[[]Theorem1Row]("thm1", cfg)
-}
-
 // --- RADZIK: lower bound + speedup ---------------------------------------
 
 // SpeedupRow compares SRW and E-process cover on the same family.
@@ -196,6 +191,9 @@ type SpeedupRow struct {
 	FeigeLB  float64 // n·ln n
 }
 
+// radzikPlan measures the SRW-vs-E-process speedup on random 4-regular
+// graphs and checks both against Radzik's and Feige's lower bounds
+// (which constrain the SRW but not the E-process).
 func radzikPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]SpeedupRow, *Table, error)) {
 	deg := 4
 	base := []int{200, 400, 800}
@@ -236,14 +234,6 @@ func radzikPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]SpeedupRow, *
 	return plan, finish
 }
 
-// ExpRadzikSpeedup measures the SRW-vs-E-process speedup on random
-// 4-regular graphs and checks both against Radzik's and Feige's lower
-// bounds (which constrain the SRW but not the E-process). It delegates
-// to the "radzik" registry entry.
-func ExpRadzikSpeedup(cfg ExpConfig) ([]SpeedupRow, *Table, error) {
-	return runTyped[[]SpeedupRow]("radzik", cfg)
-}
-
 // --- COR2: Θ(n) linearity for r ≥ 4 even ---------------------------------
 
 // Corollary2Result holds the growth classification per degree.
@@ -255,6 +245,8 @@ type Corollary2Result struct {
 	Verdict string
 }
 
+// corollary2Plan sweeps n for even degrees and classifies the E-process
+// vertex cover growth; Corollary 2 predicts "linear".
 func corollary2Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Corollary2Result, *Table, error)) {
 	base := []int{200, 400, 800, 1600}
 	degs := []int{4, 6}
@@ -307,13 +299,6 @@ func corollary2Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Corollary
 	return plan, finish
 }
 
-// ExpCorollary2 sweeps n for even degrees and classifies the E-process
-// vertex cover growth; Corollary 2 predicts "linear". It delegates to
-// the "cor2" registry entry.
-func ExpCorollary2(cfg ExpConfig) ([]Corollary2Result, *Table, error) {
-	return runTyped[[]Corollary2Result]("cor2", cfg)
-}
-
 // --- EQ3: edge cover sandwich ---------------------------------------------
 
 // SandwichRow verifies m ≤ C_E(E) ≤ m + C_V(SRW).
@@ -325,6 +310,8 @@ type SandwichRow struct {
 	Holds     bool
 }
 
+// edgeSandwichPlan measures the eq. (3) sandwich on random 4-regular
+// graphs.
 func edgeSandwichPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]SandwichRow, *Table, error)) {
 	base := []int{200, 400, 800}
 	deg := 4
@@ -367,12 +354,6 @@ func edgeSandwichPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Sandwic
 	return plan, finish
 }
 
-// ExpEdgeSandwich measures the eq. (3) sandwich on random 4-regular
-// graphs. It delegates to the "eq3" registry entry.
-func ExpEdgeSandwich(cfg ExpConfig) ([]SandwichRow, *Table, error) {
-	return runTyped[[]SandwichRow]("eq3", cfg)
-}
-
 // --- THM3/COR4: edge cover on girth-parameterised families ---------------
 
 // EdgeCoverRow is one family point of the THM3 experiment.
@@ -386,6 +367,10 @@ type EdgeCoverRow struct {
 	Ratio    float64
 }
 
+// theorem3Plan measures E-process edge cover against the Theorem 3
+// bound on even-degree families with different girths: circulants
+// (girth 4), a Margulis expander (girth 3–4), and random 4-regular
+// graphs.
 func theorem3Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]EdgeCoverRow, *Table, error)) {
 	type family struct {
 		name  string
@@ -447,14 +432,6 @@ func theorem3Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]EdgeCoverRo
 	return plan, finish
 }
 
-// ExpTheorem3 measures E-process edge cover against the Theorem 3 bound
-// on even-degree families with different girths: circulants (girth 4),
-// a Margulis expander (girth 3–4), and random 4-regular graphs. It
-// delegates to the "thm3" registry entry.
-func ExpTheorem3(cfg ExpConfig) ([]EdgeCoverRow, *Table, error) {
-	return runTyped[[]EdgeCoverRow]("thm3", cfg)
-}
-
 // Corollary4Row is one n-point of the COR4 experiment.
 type Corollary4Row struct {
 	N          int
@@ -464,6 +441,9 @@ type Corollary4Row struct {
 	PerNLogLog float64 // C_E / (n·log log n), a concrete slowly-growing ω
 }
 
+// corollary4Plan sweeps n on random 4-regular graphs and reports the
+// normalised edge cover time; Corollary 4 predicts C_E = O(ω·n) for any
+// ω → ∞.
 func corollary4Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Corollary4Row, *Table, error)) {
 	base := []int{200, 400, 800, 1600}
 	plan := &SweepPlan{Config: cfg.config()}
@@ -500,11 +480,4 @@ func corollary4Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Corollary
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpCorollary4 sweeps n on random 4-regular graphs and reports the
-// normalised edge cover time; Corollary 4 predicts C_E = O(ω·n) for any
-// ω → ∞. It delegates to the "cor4" registry entry.
-func ExpCorollary4(cfg ExpConfig) ([]Corollary4Row, *Table, error) {
-	return runTyped[[]Corollary4Row]("cor4", cfg)
 }

@@ -27,6 +27,9 @@ func vprocessArmV(name string) Arm {
 	})
 }
 
+// edgeVsVertexPlan runs the ablation over odd and even degrees and n
+// values; the E-process's even-degree guarantee (Θ(n)) is the
+// differentiator the paper proves.
 func edgeVsVertexPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]AblationRow, *Table, error)) {
 	base := []int{250, 500, 1000}
 	degs := []int{3, 4}
@@ -71,13 +74,6 @@ func edgeVsVertexPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Ablatio
 	return plan, finish
 }
 
-// ExpEdgeVsVertexPreference runs the ablation over odd and even degrees
-// and n values; the E-process's even-degree guarantee (Θ(n)) is the
-// differentiator the paper proves.
-func ExpEdgeVsVertexPreference(cfg ExpConfig) ([]AblationRow, *Table, error) {
-	return runTyped[[]AblationRow]("ablation", cfg)
-}
-
 // GrowthByProcess classifies cover-time growth for each process on
 // even-degree graphs; only the E-process is guaranteed linear.
 type GrowthByProcess struct {
@@ -85,6 +81,8 @@ type GrowthByProcess struct {
 	Growth  stats.Growth
 }
 
+// ablationGrowthPlan classifies the growth of the three processes on
+// 4-regular graphs over an n sweep.
 func ablationGrowthPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GrowthByProcess, *Table, error)) {
 	base := []int{200, 400, 800, 1600}
 	procNames := []string{"srw", "vprocess", "eprocess"}
@@ -129,12 +127,6 @@ func ablationGrowthPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Growt
 		return out, t, nil
 	}
 	return plan, finish
-}
-
-// ExpAblationGrowth classifies the growth of the three processes on
-// 4-regular graphs over an n sweep.
-func ExpAblationGrowth(cfg ExpConfig) ([]GrowthByProcess, *Table, error) {
-	return runTyped[[]GrowthByProcess]("growth", cfg)
 }
 
 func init() {

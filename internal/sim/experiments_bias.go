@@ -17,6 +17,11 @@ type BiasRow struct {
 	Normalized float64 // vertex cover / n
 }
 
+// biasSweepPlan sweeps the unvisited-edge preference strength from 0
+// (plain SRW) to 1 (the paper's E-process) on a random 4-regular graph.
+// The paper analyses only bias = 1; the sweep shows how the linear
+// cover time emerges as the preference becomes strict — the constant
+// improves smoothly but the Θ(n) plateau only appears near bias 1.
 func biasSweepPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BiasRow, *Table, error)) {
 	n := 500 * cfg.Scale
 	biases := []float64{0, 0.25, 0.5, 0.75, 0.9, 1}
@@ -55,15 +60,6 @@ func biasSweepPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BiasRow, *
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpBiasSweep sweeps the unvisited-edge preference strength from 0
-// (plain SRW) to 1 (the paper's E-process) on a random 4-regular graph.
-// The paper analyses only bias = 1; the sweep shows how the linear
-// cover time emerges as the preference becomes strict — the constant
-// improves smoothly but the Θ(n) plateau only appears near bias 1.
-func ExpBiasSweep(cfg ExpConfig) ([]BiasRow, *Table, error) {
-	return runTyped[[]BiasRow]("bias", cfg)
 }
 
 func init() {

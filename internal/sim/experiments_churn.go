@@ -11,8 +11,8 @@ import (
 // Dynamic-topology experiments: the E-process on graphs that churn
 // under it.
 //
-// The paper's guarantees are for static graphs, so these are the
-// robustness probes DESIGN.md's "beyond the theorems" section asks for:
+// The paper's guarantees are for static graphs, so these are robustness
+// probes beyond the theorems:
 //
 //   - PCFCOVER: percolation with constant freezing. Each step an edge
 //     fails permanently with probability α. At α = 0 this is exactly
@@ -135,12 +135,6 @@ func pcfCoverPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]PcfCoverRow
 	return plan, finish
 }
 
-// ExpPcfCover runs the freezing-percolation cover experiment. It
-// delegates to the "pcfcover" registry entry.
-func ExpPcfCover(cfg ExpConfig) ([]PcfCoverRow, *Table, error) {
-	return runTyped[[]PcfCoverRow]("pcfcover", cfg)
-}
-
 // --- CHURNCOVER: failure/repair churn vs the static baseline ---------------
 
 // ChurnCoverRow is one churn-rate point of the CHURNCOVER experiment.
@@ -199,10 +193,4 @@ func churnCoverPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]ChurnCove
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpChurnCover runs the failure/repair churn comparison. It delegates
-// to the "churncover" registry entry.
-func ExpChurnCover(cfg ExpConfig) ([]ChurnCoverRow, *Table, error) {
-	return runTyped[[]ChurnCoverRow]("churncover", cfg)
 }

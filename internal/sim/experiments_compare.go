@@ -26,6 +26,8 @@ type HypercubeRow struct {
 	GRWBound   float64 // eq. (2) upper bound (loose here: O(n log² n))
 }
 
+// hypercubePlan contrasts E-process and SRW edge cover on H_r: the
+// paper argues Θ(n log n) vs Θ(n log² n), beating the eq. (2) bound.
 func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeRow, *Table, error)) {
 	dims := []int{6, 8, 10}
 	if cfg.Scale >= 4 {
@@ -74,12 +76,6 @@ func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeR
 	return plan, finish
 }
 
-// ExpHypercube contrasts E-process and SRW edge cover on H_r: the paper
-// argues Θ(n log n) vs Θ(n log² n), beating the eq. (2) bound.
-func ExpHypercube(cfg ExpConfig) ([]HypercubeRow, *Table, error) {
-	return runTyped[[]HypercubeRow]("hcube", cfg)
-}
-
 // --- STAR: Section 5 isolated blue stars on odd-degree graphs -------------
 
 // StarRow is one (degree, n) census of the STAR experiment.
@@ -91,6 +87,8 @@ type StarRow struct {
 	NOver8      float64 // the paper's n/8 prediction (r=3 only)
 }
 
+// oddStarsPlan runs the Section 5 star census: 3-regular graphs should
+// produce ≈ n/8 isolated blue stars; even degrees exactly 0.
 func oddStarsPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]StarRow, *Table, error)) {
 	n := 400 * cfg.Scale
 	degs := []int{3, 4}
@@ -139,12 +137,6 @@ func oddStarsPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]StarRow, *T
 	return plan, finish
 }
 
-// ExpOddStars runs the Section 5 star census: 3-regular graphs should
-// produce ≈ n/8 isolated blue stars; even degrees exactly 0.
-func ExpOddStars(cfg ExpConfig) ([]StarRow, *Table, error) {
-	return runTyped[[]StarRow]("star", cfg)
-}
-
 // --- RULEA: rule independence ---------------------------------------------
 
 // RuleRow is one rule's cover time in the RULEA experiment.
@@ -155,6 +147,9 @@ type RuleRow struct {
 	Normalized float64
 }
 
+// ruleIndependencePlan runs the E-process under every implemented rule
+// A on the same graph family; Theorem 1 predicts all normalised cover
+// times stay O(1) on even-degree expanders, adversarial rules included.
 func ruleIndependencePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]RuleRow, *Table, error)) {
 	n := 500 * cfg.Scale
 	// Rules are built fresh per trial: stateful rules (RoundRobin) carry
@@ -202,13 +197,6 @@ func ruleIndependencePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Rul
 	return plan, finish
 }
 
-// ExpRuleIndependence runs the E-process under every implemented rule A
-// on the same graph family; Theorem 1 predicts all normalised cover
-// times stay O(1) on even-degree expanders, adversarial rules included.
-func ExpRuleIndependence(cfg ExpConfig) ([]RuleRow, *Table, error) {
-	return runTyped[[]RuleRow]("rulea", cfg)
-}
-
 // --- P1P2: random regular structural properties ---------------------------
 
 // PropertyRow is one degree's (P1)/(P2) verification.
@@ -222,6 +210,8 @@ type PropertyRow struct {
 	ShortCycles int // census size at the horizon
 }
 
+// randomRegularPropertiesPlan verifies (P1) and (P2) numerically on
+// sampled random regular graphs.
 func randomRegularPropertiesPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]PropertyRow, *Table, error)) {
 	n := 400 * cfg.Scale
 	const eps = 0.35 // (P1) allows any constant ε > 0; finite-n slack
@@ -281,12 +271,6 @@ func randomRegularPropertiesPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult)
 	return plan, finish
 }
 
-// ExpRandomRegularProperties verifies (P1) and (P2) numerically on
-// sampled random regular graphs.
-func ExpRandomRegularProperties(cfg ExpConfig) ([]PropertyRow, *Table, error) {
-	return runTyped[[]PropertyRow]("p1p2", cfg)
-}
-
 // --- GRW: Orenshtein–Shinkar greedy random walk ---------------------------
 
 // GreedyRow is one degree point of the GRW experiment.
@@ -298,6 +282,8 @@ type GreedyRow struct {
 	Ratio    float64
 }
 
+// greedyWalkPlan measures GRW edge cover against the eq. (2) bound,
+// including an r = Θ(log n) family where the bound is Θ(m).
 func greedyWalkPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GreedyRow, *Table, error)) {
 	n := 256 * cfg.Scale
 	lgN := 0
@@ -350,12 +336,6 @@ func greedyWalkPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GreedyRow
 	return plan, finish
 }
 
-// ExpGreedyWalk measures GRW edge cover against the eq. (2) bound,
-// including an r = Θ(log n) family where the bound is Θ(m).
-func ExpGreedyWalk(cfg ExpConfig) ([]GreedyRow, *Table, error) {
-	return runTyped[[]GreedyRow]("grw", cfg)
-}
-
 // --- RWC / ROTOR / FAIR: comparison processes -----------------------------
 
 // CompareRow is one process's cover time in the comparison experiments.
@@ -367,6 +347,10 @@ type CompareRow struct {
 	Edge    float64
 }
 
+// processComparisonPlan runs SRW, E-process, RWC(2), RWC(3), the
+// rotor-router and the locally fair walks on a torus and a random
+// geometric graph (the Avin–Krishnamachari setting) plus a random
+// 4-regular expander.
 func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]CompareRow, *Table, error)) {
 	side := 20 * cfg.Scale
 	nRGG := 300 * cfg.Scale
@@ -429,14 +413,6 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpProcessComparison runs SRW, E-process, RWC(2), RWC(3), the
-// rotor-router and the locally fair walks on a torus and a random
-// geometric graph (the Avin–Krishnamachari setting) plus a random
-// 4-regular expander.
-func ExpProcessComparison(cfg ExpConfig) ([]CompareRow, *Table, error) {
-	return runTyped[[]CompareRow]("compare", cfg)
 }
 
 func init() {

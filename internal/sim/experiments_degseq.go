@@ -17,6 +17,11 @@ type DegSeqRow struct {
 	Normalized float64
 }
 
+// degreeSequencePlan measures the E-process on the second family of the
+// paper's Corollary 2 discussion: fixed degree sequence random graphs
+// with all degrees even, finite and at least 4 (here a 50/30/20 mixture
+// of degrees 4, 6 and 8). The Θ(n) conclusion must survive the loss of
+// regularity.
 func degreeSequencePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]DegSeqRow, *Table, stats.Growth, error)) {
 	base := []int{200, 400, 800, 1600}
 	mix := "50% d=4, 30% d=6, 20% d=8"
@@ -100,17 +105,4 @@ func init() {
 				return &Result{Rows: DegSeqResult{Rows: rows, Growth: growth}, Table: t}, nil
 			}, nil
 		}})
-}
-
-// ExpDegreeSequence measures the E-process on the second family of the
-// paper's Corollary 2 discussion: fixed degree sequence random graphs
-// with all degrees even, finite and at least 4 (here a 50/30/20 mixture
-// of degrees 4, 6 and 8). The Θ(n) conclusion must survive the loss of
-// regularity. It delegates to the "degseq" registry entry.
-func ExpDegreeSequence(cfg ExpConfig) ([]DegSeqRow, *Table, stats.Growth, error) {
-	bundle, t, err := runTyped[DegSeqResult]("degseq", cfg)
-	if err != nil {
-		return nil, nil, stats.Growth{}, err
-	}
-	return bundle.Rows, t, bundle.Growth, nil
 }

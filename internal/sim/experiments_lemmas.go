@@ -23,6 +23,10 @@ type BlanketRow struct {
 	BlanketVsC float64 // t_bl / C_V(SRW): Ding–Lee–Peres says O(1)
 }
 
+// blanketTimePlan measures the quantities in the paper's eq. (4)
+// argument: the blanket time t_bl(δ) and the all-vertices-r-times time
+// T(r) are both O(C_V(SRW)), which bounds the E-process edge cover by
+// O(m + C_V(SRW)).
 func blanketTimePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BlanketRow, *Table, error)) {
 	deg := 4
 	base := []int{200, 400}
@@ -81,14 +85,6 @@ func blanketTimePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BlanketR
 	return plan, finish
 }
 
-// ExpBlanketTime measures the quantities in the paper's eq. (4)
-// argument: the blanket time t_bl(δ) and the all-vertices-r-times time
-// T(r) are both O(C_V(SRW)), which bounds the E-process edge cover by
-// O(m + C_V(SRW)).
-func ExpBlanketTime(cfg ExpConfig) ([]BlanketRow, *Table, error) {
-	return runTyped[[]BlanketRow]("eq4", cfg)
-}
-
 // Lemma13Row compares the measured probability that a vertex set S
 // stays unvisited up to step t with Lemma 13's exponential bound.
 type Lemma13Row struct {
@@ -99,6 +95,11 @@ type Lemma13Row struct {
 	Bound    float64 // exp(−t·d(S)·gap/(14m)), 1 if hypotheses unmet
 }
 
+// lemma13Plan verifies the engine of the paper's main proof: for a set
+// S with d(S) ≤ m/(6·log n) and t ≥ 7m/(d(S)·gap), the probability a
+// random walk misses S for t steps is at most exp(−t·d(S)·gap/(14m)). S
+// is taken as a BFS ball around a fixed vertex, matching the connected
+// blue fragments of Lemma 15.
 func lemma13Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Lemma13Row, *Table, error)) {
 	// The walk count below derives from cfg.Trials; default here so the
 	// builder is safe even if a caller skips withDefaults.
@@ -206,15 +207,6 @@ func lemma13Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Lemma13Row, 
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpLemma13 verifies the engine of the paper's main proof: for a set
-// S with d(S) ≤ m/(6·log n) and t ≥ 7m/(d(S)·gap), the probability a
-// random walk misses S for t steps is at most
-// exp(−t·d(S)·gap/(14m)). S is taken as a BFS ball around a fixed
-// vertex, matching the connected blue fragments of Lemma 15.
-func ExpLemma13(cfg ExpConfig) ([]Lemma13Row, *Table, error) {
-	return runTyped[[]Lemma13Row]("lemma13", cfg)
 }
 
 func init() {

@@ -19,6 +19,11 @@ type PhaseRow struct {
 	LongestTail float64 // mean length of the longest non-first phase / m
 }
 
+// phaseStructurePlan measures the blue-phase decomposition the proofs
+// build on: on even-degree graphs the first blue phase is a macroscopic
+// Euler-like sweep and the residue fragments into short phases; on odd
+// degrees phases terminate early (no parity guarantee), so the count is
+// much larger and the first phase smaller.
 func phaseStructurePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]PhaseRow, *Table, error)) {
 	n := 500 * cfg.Scale
 	degs := []int{3, 4, 6}
@@ -96,15 +101,6 @@ func phaseStructurePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Phase
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpPhaseStructure measures the blue-phase decomposition the proofs
-// build on: on even-degree graphs the first blue phase is a macroscopic
-// Euler-like sweep and the residue fragments into short phases; on odd
-// degrees phases terminate early (no parity guarantee), so the count is
-// much larger and the first phase smaller.
-func ExpPhaseStructure(cfg ExpConfig) ([]PhaseRow, *Table, error) {
-	return runTyped[[]PhaseRow]("phases", cfg)
 }
 
 func init() {

@@ -99,9 +99,3 @@ func scaleCoverPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]ScaleCove
 	}
 	return plan, finish
 }
-
-// ExpScaleCover runs the large-n cover-scaling workload. It delegates
-// to the "scalecover" registry entry.
-func ExpScaleCover(cfg ExpConfig) ([]ScaleCoverRow, *Table, error) {
-	return runTyped[[]ScaleCoverRow]("scalecover", cfg)
-}

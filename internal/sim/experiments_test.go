@@ -2,14 +2,31 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 )
 
-// The experiment functions are exercised end-to-end at trials=2 and the
+// The registry experiments are exercised end-to-end at trials=2 and the
 // smallest scale; the benches and CLIs run the real sizes. These tests
 // assert structural sanity, not asymptotics (which need larger n).
 
 func expCfg() ExpConfig { return ExpConfig{Seed: 123, Trials: 2, Scale: 1} }
+
+// runRows runs the named registry experiment and returns its rows at
+// their concrete type R, with the rendered table.
+func runRows[R any](t testing.TB, name string, cfg ExpConfig) (R, *Table) {
+	t.Helper()
+	res, err := RunExperiment(context.Background(), name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, ok := res.Rows.(R)
+	if !ok {
+		t.Fatalf("%s rows are %T, not %T", name, res.Rows, rows)
+	}
+	return rows, res.Table
+}
 
 func renderOK(t *testing.T, tb *Table) {
 	t.Helper()
@@ -23,10 +40,7 @@ func renderOK(t *testing.T, tb *Table) {
 }
 
 func TestExpTheorem1(t *testing.T) {
-	rows, tb, err := ExpTheorem1(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Theorem1Row](t, "thm1", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -48,10 +62,7 @@ func TestExpTheorem1(t *testing.T) {
 }
 
 func TestExpRadzikSpeedup(t *testing.T) {
-	rows, tb, err := ExpRadzikSpeedup(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]SpeedupRow](t, "radzik", expCfg())
 	for _, r := range rows {
 		if r.Speedup <= 0 {
 			t.Errorf("n=%d: speedup %v", r.N, r.Speedup)
@@ -69,10 +80,7 @@ func TestExpRadzikSpeedup(t *testing.T) {
 }
 
 func TestExpCorollary2(t *testing.T) {
-	res, tb, err := ExpCorollary2(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tb := runRows[[]Corollary2Result](t, "cor2", expCfg())
 	if len(res) != 2 {
 		t.Fatalf("degrees = %d", len(res))
 	}
@@ -88,10 +96,7 @@ func TestExpCorollary2(t *testing.T) {
 }
 
 func TestExpEdgeSandwich(t *testing.T) {
-	rows, tb, err := ExpEdgeSandwich(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]SandwichRow](t, "eq3", expCfg())
 	for _, r := range rows {
 		if !r.Holds {
 			t.Errorf("n=%d: sandwich violated: C_E=%v not in [%v, %v·1.25]", r.N, r.EdgeCover, r.Lo, r.Hi)
@@ -104,10 +109,7 @@ func TestExpEdgeSandwich(t *testing.T) {
 }
 
 func TestExpTheorem3(t *testing.T) {
-	rows, tb, err := ExpTheorem3(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]EdgeCoverRow](t, "thm3", expCfg())
 	if len(rows) != 4 {
 		t.Fatalf("families = %d", len(rows))
 	}
@@ -126,10 +128,7 @@ func TestExpTheorem3(t *testing.T) {
 }
 
 func TestExpCorollary4(t *testing.T) {
-	rows, tb, err := ExpCorollary4(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Corollary4Row](t, "cor4", expCfg())
 	for _, r := range rows {
 		if r.PerN < 2 {
 			t.Errorf("n=%d: C_E/n = %v below m/n = 2", r.N, r.PerN)
@@ -139,10 +138,7 @@ func TestExpCorollary4(t *testing.T) {
 }
 
 func TestExpHypercube(t *testing.T) {
-	rows, tb, err := ExpHypercube(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]HypercubeRow](t, "hcube", expCfg())
 	for _, r := range rows {
 		if r.EProcess >= r.SRW {
 			t.Errorf("H%d: E-process edge cover (%v) not below SRW (%v)", r.R, r.EProcess, r.SRW)
@@ -155,10 +151,7 @@ func TestExpHypercube(t *testing.T) {
 }
 
 func TestExpOddStars(t *testing.T) {
-	rows, tb, err := ExpOddStars(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]StarRow](t, "star", expCfg())
 	var r3, r4 StarRow
 	for _, r := range rows {
 		switch r.Degree {
@@ -178,10 +171,7 @@ func TestExpOddStars(t *testing.T) {
 }
 
 func TestExpRuleIndependence(t *testing.T) {
-	rows, tb, err := ExpRuleIndependence(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]RuleRow](t, "rulea", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rules = %d, want 6", len(rows))
 	}
@@ -197,10 +187,7 @@ func TestExpRuleIndependence(t *testing.T) {
 }
 
 func TestExpRandomRegularProperties(t *testing.T) {
-	rows, tb, err := ExpRandomRegularProperties(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]PropertyRow](t, "p1p2", expCfg())
 	for _, r := range rows {
 		if !r.P1Holds {
 			t.Errorf("deg %d: (P1) failed: λ2(adj)=%v > %v", r.Degree, r.Lambda2Adj, r.AlonBound)
@@ -213,10 +200,7 @@ func TestExpRandomRegularProperties(t *testing.T) {
 }
 
 func TestExpGreedyWalk(t *testing.T) {
-	rows, tb, err := ExpGreedyWalk(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]GreedyRow](t, "grw", expCfg())
 	if len(rows) < 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -229,10 +213,7 @@ func TestExpGreedyWalk(t *testing.T) {
 }
 
 func TestExpProcessComparison(t *testing.T) {
-	rows, tb, err := ExpProcessComparison(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]CompareRow](t, "compare", expCfg())
 	if len(rows) != 21 { // 3 families × 7 processes
 		t.Fatalf("rows = %d, want 21", len(rows))
 	}
@@ -249,10 +230,7 @@ func TestExpProcessComparison(t *testing.T) {
 }
 
 func TestExpEdgeVsVertexPreference(t *testing.T) {
-	rows, tb, err := ExpEdgeVsVertexPreference(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]AblationRow](t, "ablation", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -272,10 +250,7 @@ func TestExpEdgeVsVertexPreference(t *testing.T) {
 }
 
 func TestExpAblationGrowth(t *testing.T) {
-	rows, tb, err := ExpAblationGrowth(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]GrowthByProcess](t, "growth", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("processes = %d", len(rows))
 	}
@@ -288,10 +263,7 @@ func TestExpAblationGrowth(t *testing.T) {
 }
 
 func TestExpBiasSweep(t *testing.T) {
-	rows, tb, err := ExpBiasSweep(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]BiasRow](t, "bias", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -306,10 +278,7 @@ func TestExpBiasSweep(t *testing.T) {
 }
 
 func TestExpBlanketTime(t *testing.T) {
-	rows, tb, err := ExpBlanketTime(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]BlanketRow](t, "eq4", expCfg())
 	for _, r := range rows {
 		if r.Blanket < r.SRWCover*0.5 {
 			t.Errorf("n=%d: blanket time %v implausibly below cover %v", r.N, r.Blanket, r.SRWCover)
@@ -325,10 +294,7 @@ func TestExpBlanketTime(t *testing.T) {
 }
 
 func TestExpLemma13(t *testing.T) {
-	rows, tb, err := ExpLemma13(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Lemma13Row](t, "lemma13", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -343,10 +309,7 @@ func TestExpLemma13(t *testing.T) {
 }
 
 func TestExpPhaseStructure(t *testing.T) {
-	rows, tb, err := ExpPhaseStructure(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]PhaseRow](t, "phases", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -376,10 +339,8 @@ func TestExpPhaseStructure(t *testing.T) {
 }
 
 func TestExpDegreeSequence(t *testing.T) {
-	rows, tb, growth, err := ExpDegreeSequence(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bundle, tb := runRows[DegSeqResult](t, "degseq", expCfg())
+	rows, growth := bundle.Rows, bundle.Growth
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -392,4 +353,16 @@ func TestExpDegreeSequence(t *testing.T) {
 		t.Error("no growth verdict")
 	}
 	renderOK(t, tb)
+}
+
+// Every experiment honours ExpConfig.MaxSteps, fig1 included: a budget
+// far below any cover time fails the run with an error naming the
+// censored point.
+func TestStepBudgetReachesEveryPoint(t *testing.T) {
+	for name, point := range map[string]string{"thm1": "thm1 n=", "fig1": "figure1 d="} {
+		_, err := RunExperiment(context.Background(), name, ExpConfig{Trials: 1, MaxSteps: 10})
+		if err == nil || !strings.Contains(err.Error(), point) {
+			t.Errorf("%s with MaxSteps 10: err = %v, want a step-budget error naming %q", name, err, point)
+		}
+	}
 }

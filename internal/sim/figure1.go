@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/walk"
 )
@@ -28,51 +26,39 @@ type Figure1Series struct {
 	Verdict string // "linear" or "nlogn"
 }
 
-// Figure1Config parameterises the Figure 1 regeneration. The paper's
-// settings are degrees 3–7, n up to 5·10⁵, 5 trials per point, uniform
-// rule; the defaults here scale n down for CI-speed and are overridden
-// by cmd/figure1 flags.
-type Figure1Config struct {
-	Degrees []int // default {3,4,5,6,7}
-	Ns      []int // default {1000, 2000, 4000, 8000}
-	Trials  int   // default 5 (the paper's count)
-	Seed    uint64
-	Workers int
-	// Kind selects the RNG family; rng.KindMT19937 mirrors the paper's
-	// Python Mersenne Twister (default xoshiro256**).
-	Kind rng.Kind
+// Figure 1's grid at scale 1. The paper plots degrees 3–7 with n up to
+// 5·10⁵ and 5 trials per point; n is scaled down here for CI speed and
+// multiplied by ExpConfig.Scale, so `sweep -exp fig1 -scale 64` reaches
+// the paper's range.
+var (
+	figure1Degrees = []int{3, 4, 5, 6, 7}
+	figure1Ns      = []int{1000, 2000, 4000, 8000}
+)
+
+func init() {
+	register(Experiment{Name: "fig1", Salt: saltFIG1,
+		Desc: "Figure 1: normalised E-process cover time by degree",
+		Plan: func(cfg ExpConfig) (*SweepPlan, Finish, error) {
+			cfg = cfg.withDefaults()
+			ns := make([]int, len(figure1Ns))
+			for i, n := range figure1Ns {
+				ns[i] = n * cfg.Scale
+			}
+			return figure1Plan(cfg, figure1Degrees, ns)
+		}})
 }
 
-func (c Figure1Config) withDefaults() Figure1Config {
-	if len(c.Degrees) == 0 {
-		c.Degrees = []int{3, 4, 5, 6, 7}
-	}
-	if len(c.Ns) == 0 {
-		c.Ns = []int{1000, 2000, 4000, 8000}
-	}
-	if c.Trials == 0 {
-		c.Trials = 5
-	}
-	return c
-}
-
-// figure1Plan lays the whole (degree, n) grid out as one sweep, so
-// every cell of the figure shares the point-parallel worker pool.
-func figure1Plan(cfg Figure1Config) (*SweepPlan, func([]PointResult) ([]Figure1Series, error), error) {
-	plan := &SweepPlan{Config: Config{
-		Seed:    cfg.Seed,
-		Trials:  cfg.Trials,
-		Workers: cfg.Workers,
-		Kind:    cfg.Kind,
-	}}
-	type cell struct{ d, n int }
-	var cells []cell
-	for _, d := range cfg.Degrees {
-		for _, n := range cfg.Ns {
+// figure1Plan lays the whole (degrees × ns) grid out as one sweep, so
+// every cell of the figure shares the point-parallel worker pool. The
+// finished Result carries one Figure1Series per degree, in the order
+// given, and a growth-verdict note for every fitted series.
+func figure1Plan(cfg ExpConfig, degrees, ns []int) (*SweepPlan, Finish, error) {
+	plan := &SweepPlan{Config: cfg.config()}
+	for _, d := range degrees {
+		for _, n := range ns {
 			if d >= n || n*d%2 != 0 {
 				return nil, nil, fmt.Errorf("sim: infeasible Figure 1 cell d=%d n=%d", d, n)
 			}
-			cells = append(cells, cell{d, n})
 			plan.Points = append(plan.Points, PointSpec{
 				Key:   fmt.Sprintf("figure1 d=%d n=%d", d, n),
 				Salt:  Salt(saltFIG1, uint64(d), uint64(n)),
@@ -81,99 +67,38 @@ func figure1Plan(cfg Figure1Config) (*SweepPlan, func([]PointResult) ([]Figure1S
 			})
 		}
 	}
-	finish := func(points []PointResult) ([]Figure1Series, error) {
-		byDegree := make(map[int]*Figure1Series)
-		var out []Figure1Series
-		order := make([]int, 0, len(cfg.Degrees))
-		for i, c := range cells {
-			s := byDegree[c.d]
-			if s == nil {
-				s = &Figure1Series{Degree: c.d}
-				byDegree[c.d] = s
-				order = append(order, c.d)
+	finish := func(points []PointResult) (*Result, error) {
+		series := make([]Figure1Series, len(degrees))
+		var notes []string
+		for di, d := range degrees {
+			s := Figure1Series{Degree: d}
+			for ni, n := range ns {
+				vs := points[di*len(ns)+ni].Arms[0].VertexStats
+				fn := float64(n)
+				s.Points = append(s.Points, Figure1Point{
+					Degree:     d,
+					N:          n,
+					Normalized: vs.Mean / fn,
+					StdErr:     vs.StdErr / fn,
+					Trials:     cfg.Trials,
+				})
 			}
-			res := points[i].Arms[0]
-			fn := float64(c.n)
-			s.Points = append(s.Points, Figure1Point{
-				Degree:     c.d,
-				N:          c.n,
-				Normalized: res.VertexStats.Mean / fn,
-				StdErr:     res.VertexStats.StdErr / fn,
-				Trials:     cfg.Trials,
-			})
-		}
-		for _, d := range order {
-			s := byDegree[d]
 			if len(s.Points) >= 3 {
-				ns := make([]float64, len(s.Points))
+				xs := make([]float64, len(s.Points))
 				ys := make([]float64, len(s.Points))
 				for i, p := range s.Points {
-					ns[i] = float64(p.N)
+					xs[i] = float64(p.N)
 					ys[i] = p.Normalized * float64(p.N)
 				}
-				growth, err := stats.ClassifyGrowth(ns, ys)
-				if err == nil {
-					s.Growth = growth
-					s.HasFit = true
-					s.Verdict = growth.Verdict
+				if growth, err := stats.ClassifyGrowth(xs, ys); err == nil {
+					s.Growth, s.HasFit, s.Verdict = growth, true, growth.Verdict
+					notes = append(notes, fmt.Sprintf("d=%d verdict %s; linear %s; nlogn %s",
+						d, s.Verdict, growth.Linear.String(), growth.NLogN.String()))
 				}
 			}
-			out = append(out, *s)
+			series[di] = s
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Degree < out[j].Degree })
-		return out, nil
+		return &Result{Rows: series, Table: Figure1Table(series), Notes: notes}, nil
 	}
 	return plan, finish, nil
-}
-
-func init() {
-	register(Experiment{Name: "fig1", Salt: saltFIG1,
-		Desc: "Figure 1: normalised E-process cover time by degree",
-		Plan: func(cfg ExpConfig) (*SweepPlan, Finish, error) {
-			cfg = cfg.withDefaults()
-			// Map the uniform experiment knobs onto the figure's grid:
-			// the default (degree, n) cells, with n scaled like every
-			// other experiment. Custom grids stay available through the
-			// typed Figure1 entry point and cmd/figure1.
-			fcfg := Figure1Config{Trials: cfg.Trials, Seed: cfg.Seed, Workers: cfg.Workers, Kind: cfg.Kind}.withDefaults()
-			for i := range fcfg.Ns {
-				fcfg.Ns[i] *= cfg.Scale
-			}
-			plan, fin, err := figure1Plan(fcfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return plan, func(points []PointResult) (*Result, error) {
-				series, err := fin(points)
-				if err != nil {
-					return nil, err
-				}
-				res := &Result{Rows: series, Table: Figure1Table(series)}
-				for _, s := range series {
-					if s.HasFit {
-						res.Notes = append(res.Notes, fmt.Sprintf(
-							"d=%d verdict %s; linear %s; nlogn %s",
-							s.Degree, s.Verdict, s.Growth.Linear.String(), s.Growth.NLogN.String()))
-					}
-				}
-				return res, nil
-			}, nil
-		}})
-}
-
-// Figure1 regenerates the paper's Figure 1: the normalised vertex cover
-// time C_V/n of the uniform-rule E-process on random d-regular graphs,
-// as a function of n, for each degree. The registry's "fig1" entry runs
-// the same sweep through the uniform Experiment surface; this typed
-// entry point remains for custom (Degrees, Ns) grids (cmd/figure1).
-func Figure1(cfg Figure1Config) ([]Figure1Series, error) {
-	plan, finish, err := figure1Plan(cfg.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	points, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	return finish(points)
 }

@@ -10,14 +10,14 @@ import (
 	"strings"
 )
 
-// This file is the experiment registry: the single typed entry point to
-// the paper's whole experimental record. Every experiment in
-// experiments*.go and figure1.go registers itself at init time under a
-// stable name, its CLI description, and its seed-salt namespace, and
-// exposes its sweep through a uniform Plan function. CLIs (cmd/sweep,
-// cmd/paperrun) and library users (package repro) enumerate Registry()
-// instead of maintaining name→wrapper lists by hand, and run any
-// experiment through the context-aware Experiment.Run / RunExperiment.
+// This file is the experiment registry: the single entry point to the
+// paper's whole experimental record. Every experiment in experiments*.go
+// and figure1.go registers itself at init time under a stable name, its
+// CLI description, and its seed-salt namespace, and exposes its sweep
+// through a uniform Plan function. CLIs (cmd/sweep, cmd/sweepd,
+// cmd/reprod) and library users (package repro) enumerate Registry()
+// instead of maintaining name lists by hand, and run any experiment
+// through the context-aware Experiment.Run / RunExperiment.
 
 // Finish aggregates a completed plan's points into the experiment's
 // uniform Result (typed rows + rendered table + optional notes).
@@ -182,8 +182,8 @@ func RunExperiment(ctx context.Context, name string, cfg ExpConfig) (*Result, er
 }
 
 // Result is the uniform outcome of one registry experiment: the typed
-// rows the experiment's Exp function returns, the rendered table, and
-// the reproduction stamp. Its JSON encoding (WriteJSON) is stable: a
+// rows its plan's finish step builds, the rendered table, and the
+// reproduction stamp. Its JSON encoding (WriteJSON) is stable: a
 // pure function of (experiment, master seed, trials, scale),
 // byte-identical across Workers settings and scheduler interleavings.
 type Result struct {
@@ -199,8 +199,7 @@ type Result struct {
 	// "thm1"; "degseq" wraps rows and growth fit in a DegSeqResult).
 	// After a JSON round trip it decodes as generic []any / map values.
 	Rows any `json:"rows"`
-	// Table is the rendered table — exactly what the pre-registry
-	// ExpXxx functions returned.
+	// Table is the rendered table of the rows.
 	Table *Table `json:"table"`
 	// Notes are extra human-readable lines printed after the table
 	// (e.g. Figure 1's per-degree growth verdicts).
@@ -215,7 +214,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 }
 
 // WriteFile writes the result's JSON encoding to path — the shared
-// -json implementation of cmd/sweep and cmd/paperrun.
+// -json implementation of cmd/sweep and cmd/sweepd.
 func (r *Result) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -230,7 +229,7 @@ func (r *Result) WriteFile(path string) error {
 
 // StderrProgress returns RunOptions whose Progress callback reports
 // (units done / total) for the named experiment on stderr — the shared
-// -v implementation of cmd/sweep and cmd/paperrun.
+// -v implementation of cmd/sweep and cmd/sweepd.
 func StderrProgress(name string) RunOptions {
 	return RunOptions{Progress: func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d units", name, done, total)
@@ -250,8 +249,8 @@ func ReadResult(rd io.Reader) (*Result, error) {
 	return &r, nil
 }
 
-// Report bridges the result to the flat Report shape cmd/paperrun's
-// markdown rendering uses.
+// Report bridges the result to the flat Report shape that `sweep
+// -report` renders as markdown.
 func (r *Result) Report() Report {
 	rep := Report{
 		Name:    r.Name,
@@ -281,20 +280,4 @@ func adapt[R any](plan func(ExpConfig) (*SweepPlan, func([]PointResult) (R, *Tab
 			return &Result{Rows: rows, Table: t}, nil
 		}, nil
 	}
-}
-
-// runTyped runs a registered experiment on a background context and
-// returns its rows at their concrete type — the delegation target of
-// the thin ExpXxx compatibility wrappers.
-func runTyped[R any](name string, cfg ExpConfig) (R, *Table, error) {
-	var zero R
-	res, err := RunExperiment(context.Background(), name, cfg)
-	if err != nil {
-		return zero, nil, err
-	}
-	rows, ok := res.Rows.(R)
-	if !ok {
-		return zero, nil, fmt.Errorf("sim: %s rows are %T, not %T", name, res.Rows, zero)
-	}
-	return rows, res.Table, nil
 }

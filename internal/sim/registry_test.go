@@ -282,31 +282,3 @@ func TestResultJSONGoldenWorkerInvariantRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// --- wrappers delegate to the registry ------------------------------------
-
-// The thin ExpXxx wrappers and the registry must agree byte-for-byte.
-func TestWrapperMatchesRegistry(t *testing.T) {
-	cfg := ExpConfig{Seed: 5, Trials: 1}
-	_, wrapTable, err := ExpEdgeSandwich(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunExperiment(context.Background(), "eq3", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := wrapTable.WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Table.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("wrapper and registry tables differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	if _, ok := res.Rows.([]SandwichRow); !ok {
-		t.Errorf("eq3 rows have type %T", res.Rows)
-	}
-}

@@ -8,8 +8,8 @@ import (
 )
 
 // Report is a serialisable record of one experiment run: the rendered
-// table plus enough configuration to reproduce it. cmd/paperrun writes
-// a Report per experiment and a combined markdown document.
+// table plus enough configuration to reproduce it. `sweep -report`
+// renders one per experiment into a combined markdown document.
 type Report struct {
 	Name    string     `json:"name"`
 	Title   string     `json:"title"`

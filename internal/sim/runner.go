@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -24,7 +23,7 @@ type GraphFactory func(r *rand.Rand) (*graph.Graph, error)
 // processes that need other distributions.
 type ProcessFactory func(g *graph.Graph, r *rng.Rand, start int) walk.Process
 
-// Config controls a trial batch or a sweep.
+// Config controls a sweep.
 type Config struct {
 	// Seed is the master seed; every derived quantity is a pure
 	// function of it (see the seed-derivation contract in sweep.go).
@@ -92,40 +91,4 @@ type ArmResult struct {
 	Measurements []Measurement
 	VertexStats  stats.Summary
 	EdgeStats    stats.Summary
-}
-
-// runSinglePoint executes a one-point, one-arm plan — the legacy
-// trial-batch shape Run and RunVertexOnly expose.
-func runSinglePoint(cfg Config, gf GraphFactory, arm Arm) (ArmResult, error) {
-	if gf == nil || arm.Run == nil {
-		return ArmResult{}, errors.New("sim: nil factory")
-	}
-	plan := SweepPlan{
-		Config: cfg,
-		Points: []PointSpec{{Key: "run", Salt: Salt(saltRun), Graph: gf, Arms: []Arm{arm}}},
-	}
-	points, err := plan.Run()
-	if err != nil {
-		return ArmResult{}, err
-	}
-	return points[0].Arms[0], nil
-}
-
-// Run executes cfg.Trials independent trials: build a graph, build the
-// process at start vertex 0, and measure vertex and edge cover times
-// from a single trajectory per trial.
-func Run(cfg Config, gf GraphFactory, pf ProcessFactory) (ArmResult, error) {
-	if pf == nil {
-		return ArmResult{}, errors.New("sim: nil factory")
-	}
-	return runSinglePoint(cfg, gf, CoverArm("cover", pf))
-}
-
-// RunVertexOnly is Run but measures only vertex cover (cheaper when the
-// edge cover tail is irrelevant, e.g. SRW baselines on large graphs).
-func RunVertexOnly(cfg Config, gf GraphFactory, pf ProcessFactory) (ArmResult, error) {
-	if pf == nil {
-		return ArmResult{}, errors.New("sim: nil factory")
-	}
-	return runSinglePoint(cfg, gf, VertexArm("vertex-cover", pf))
 }

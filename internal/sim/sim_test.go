@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,8 +27,19 @@ func srwFactory(g *graph.Graph, r *rng.Rand, start int) walk.Process {
 	return walk.NewSimple(g, r, start)
 }
 
+// runPoint runs a one-point plan measuring arm on graphs from gf and
+// returns the arm's aggregate.
+func runPoint(cfg Config, gf GraphFactory, arm Arm) (ArmResult, error) {
+	plan := SweepPlan{Config: cfg, Points: []PointSpec{{Key: "run", Salt: Salt(saltRun), Graph: gf, Arms: []Arm{arm}}}}
+	points, err := plan.Run()
+	if err != nil {
+		return ArmResult{}, err
+	}
+	return points[0].Arms[0], nil
+}
+
 func TestRunBasic(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Trials: 4}, regularFactory(60, 4), eprocessFactory)
+	res, err := runPoint(Config{Seed: 1, Trials: 4}, regularFactory(60, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +58,11 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunReproducibleAcrossWorkers(t *testing.T) {
-	a, err := Run(Config{Seed: 42, Trials: 6, Workers: 1}, regularFactory(40, 4), eprocessFactory)
+	a, err := runPoint(Config{Seed: 42, Trials: 6, Workers: 1}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 42, Trials: 6, Workers: 4}, regularFactory(40, 4), eprocessFactory)
+	b, err := runPoint(Config{Seed: 42, Trials: 6, Workers: 4}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +75,11 @@ func TestRunReproducibleAcrossWorkers(t *testing.T) {
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	a, err := Run(Config{Seed: 1, Trials: 3}, regularFactory(40, 4), eprocessFactory)
+	a, err := runPoint(Config{Seed: 1, Trials: 3}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 2, Trials: 3}, regularFactory(40, 4), eprocessFactory)
+	b, err := runPoint(Config{Seed: 2, Trials: 3}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 }
 
 func TestRunMTKind(t *testing.T) {
-	res, err := Run(Config{Seed: 7, Trials: 2, Kind: rng.KindMT19937}, regularFactory(30, 4), eprocessFactory)
+	res, err := runPoint(Config{Seed: 7, Trials: 2, Kind: rng.KindMT19937}, regularFactory(30, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +105,36 @@ func TestRunMTKind(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Config{}, nil, eprocessFactory); err == nil {
+	cover := CoverArm("cover", eprocessFactory)
+	if _, err := runPoint(Config{}, nil, cover); err == nil {
 		t.Error("nil graph factory should fail")
 	}
-	if _, err := Run(Config{}, regularFactory(30, 4), nil); err == nil {
-		t.Error("nil process factory should fail")
+	if _, err := runPoint(Config{}, regularFactory(30, 4), Arm{Name: "none"}); err == nil {
+		t.Error("nil arm func should fail")
+	}
+	// A negative trial count is an error, not a makeslice panic, on
+	// every run path.
+	if _, err := runPoint(Config{Trials: -1}, regularFactory(30, 4), cover); err == nil || !strings.Contains(err.Error(), "negative trials") {
+		t.Errorf("negative trials: err = %v", err)
+	}
+	e, _ := Lookup("eq3")
+	shardOpts := RunOptions{Checkpoint: &Checkpoint{Dir: t.TempDir()}}
+	if err := e.RunShard(context.Background(), ExpConfig{Trials: -1}, Shard{Index: 0, Count: 2}, shardOpts); err == nil || !strings.Contains(err.Error(), "negative trials") {
+		t.Errorf("negative trials in RunShard: err = %v", err)
 	}
 	// Graph factory error propagates.
 	bad := func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomRegular(r, 5, 5) }
-	if _, err := Run(Config{Trials: 1}, bad, eprocessFactory); err == nil {
+	if _, err := runPoint(Config{Trials: 1}, bad, cover); err == nil {
 		t.Error("factory error should propagate")
 	}
 	// Budget exhaustion propagates.
-	if _, err := Run(Config{Trials: 1, MaxSteps: 3}, regularFactory(30, 4), srwFactory); err == nil {
+	if _, err := runPoint(Config{Trials: 1, MaxSteps: 3}, regularFactory(30, 4), CoverArm("cover", srwFactory)); err == nil {
 		t.Error("tiny budget should propagate cover error")
 	}
 }
 
-func TestRunVertexOnly(t *testing.T) {
-	res, err := RunVertexOnly(Config{Seed: 3, Trials: 3}, regularFactory(50, 4), srwFactory)
+func TestRunVertexArm(t *testing.T) {
+	res, err := runPoint(Config{Seed: 3, Trials: 3}, regularFactory(50, 4), VertexArm("vertex-cover", srwFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +147,13 @@ func TestRunVertexOnly(t *testing.T) {
 }
 
 func TestFigure1SmallRun(t *testing.T) {
-	series, err := Figure1(Figure1Config{
-		Degrees: []int{3, 4},
-		Ns:      []int{100, 200, 400},
-		Trials:  3,
-		Seed:    11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 {
-		t.Fatalf("series = %d, want 2", len(series))
+	series, _ := runRows[[]Figure1Series](t, "fig1", ExpConfig{Seed: 11, Trials: 3})
+	if len(series) != len(figure1Degrees) {
+		t.Fatalf("series = %d, want %d", len(series), len(figure1Degrees))
 	}
 	for _, s := range series {
-		if len(s.Points) != 3 {
-			t.Fatalf("d=%d points = %d, want 3", s.Degree, len(s.Points))
+		if len(s.Points) != len(figure1Ns) {
+			t.Fatalf("d=%d points = %d, want %d", s.Degree, len(s.Points), len(figure1Ns))
 		}
 		for _, p := range s.Points {
 			if p.Normalized < 1 {
@@ -151,15 +166,15 @@ func TestFigure1SmallRun(t *testing.T) {
 	}
 	// Even degree should normalise smaller than odd at the same n
 	// (d=4 linear vs d=3 n·log n) — check the largest-n point.
-	d3 := series[0].Points[2].Normalized
-	d4 := series[1].Points[2].Normalized
+	d3 := series[0].Points[len(figure1Ns)-1].Normalized
+	d4 := series[1].Points[len(figure1Ns)-1].Normalized
 	if d4 >= d3 {
-		t.Errorf("C_V/n at n=400: d=4 (%v) should be below d=3 (%v)", d4, d3)
+		t.Errorf("C_V/n at the largest n: d=4 (%v) should be below d=3 (%v)", d4, d3)
 	}
 }
 
 func TestFigure1Infeasible(t *testing.T) {
-	if _, err := Figure1(Figure1Config{Degrees: []int{3}, Ns: []int{101}, Trials: 1}); err == nil {
+	if _, _, err := figure1Plan(ExpConfig{Trials: 1}, []int{3}, []int{101}); err == nil {
 		t.Error("odd n·d should be rejected")
 	}
 }

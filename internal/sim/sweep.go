@@ -68,7 +68,7 @@ func Salt(parts ...uint64) uint64 {
 // of these, so seed streams are disjoint across experiments even when
 // their points share coordinates (e.g. the same n sweep).
 const (
-	saltRun uint64 = iota + 1 // Run / RunVertexOnly single-point batches
+	saltRun uint64 = iota + 1 // one-point test plans; holding slot 1 keeps every later namespace fixed
 	saltTHM1
 	saltRADZIK
 	saltCOR2
@@ -488,6 +488,9 @@ func (pt *PointSpec) batchable() bool {
 // covers the whole plan (a strict shard returns (nil, nil) on success).
 func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, restored map[int]UnitRecord) ([]PointResult, error) {
 	cfg := pl.Config.withDefaults()
+	if cfg.Trials < 0 {
+		return nil, fmt.Errorf("sim: negative trials %d (0 selects the default)", cfg.Trials)
+	}
 	var units []unit
 	results := make([]PointResult, len(pl.Points))
 	firstUnit := make([]int, len(pl.Points))

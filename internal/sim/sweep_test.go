@@ -233,17 +233,8 @@ func TestAllExperimentTablesWorkerInvariant(t *testing.T) {
 }
 
 func TestFigure1WorkerInvariant(t *testing.T) {
-	cfg := Figure1Config{Degrees: []int{3, 4}, Ns: []int{100, 200}, Trials: 2, Seed: 5}
-	cfg.Workers = 1
-	a, err := Figure1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	b, err := Figure1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := runRows[[]Figure1Series](t, "fig1", ExpConfig{Seed: 5, Trials: 2, Workers: 1})
+	b, _ := runRows[[]Figure1Series](t, "fig1", ExpConfig{Seed: 5, Trials: 2, Workers: 8})
 	if len(a) != len(b) {
 		t.Fatal("series count differs")
 	}

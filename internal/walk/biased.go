@@ -15,9 +15,9 @@ import (
 // is exactly the uniform-rule E-process.
 //
 // This realises the "how much unvisited preference is needed?" ablation
-// flagged in DESIGN.md: the paper's proofs use full preference; the
-// bias sweep shows the cover time degrading continuously toward the
-// SRW's Θ(n log n) as bias decreases.
+// (the registry's "bias" experiment): the paper's proofs use full
+// preference; the bias sweep shows the cover time degrading
+// continuously toward the SRW's Θ(n log n) as bias decreases.
 type Biased struct {
 	g       *graph.Graph
 	r       *rand.Rand

@@ -103,8 +103,9 @@ type (
 )
 
 var (
-	// Experiments returns every registered experiment in canonical
-	// order (the 19 claim experiments, then Figure 1).
+	// Experiments returns all 23 registered experiments in canonical
+	// order: the 19 claim experiments, Figure 1 (20th), then the
+	// scalecover, pcfcover and churncover probes.
 	Experiments = sim.Registry
 	// LookupExperiment finds a registered experiment by name.
 	LookupExperiment = sim.Lookup
