@@ -232,7 +232,7 @@ func printResult(res *sim.Result, jsonDir string, md *strings.Builder) error {
 		fmt.Println(note)
 	}
 	if md != nil {
-		md.WriteString(res.Report().Markdown())
+		md.WriteString(res.Markdown())
 		if len(res.Notes) > 0 {
 			for _, note := range res.Notes {
 				fmt.Fprintf(md, "- %s\n", note)

@@ -287,6 +287,41 @@ func TestLGoodTwoTriangles(t *testing.T) {
 	}
 }
 
+// A vertex whose best in-horizon cover is larger than horizon+1 has
+// only the lower bound horizon+1: a cover that uses one longer cycle
+// can be smaller. Vertex 0 has edges a, b, c, d. Two edge-disjoint
+// 9-cycles (through a, b and through c, d) give 17 vertices; the
+// triangle on b, d plus the 11-cycle on a, c give 13.
+func TestLGoodVertexLongCycleCoverIsNotExact(t *testing.T) {
+	g := graph.New(25)
+	path := func(vs ...int) {
+		for i := 0; i+1 < len(vs); i++ {
+			if err := g.AddEdge(vs[i], vs[i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path(0, 1, 2, 3, 4, 5, 6, 7, 8, 0)         // 9-cycle through a=0-1 and b=8-0
+	path(0, 9, 10, 11, 12, 13, 14, 15, 16, 0)  // 9-cycle through c=0-9 and d=16-0
+	path(8, 16)                                // triangle 0, 8, 16 on b and d
+	path(1, 17, 18, 19, 20, 21, 22, 23, 24, 9) // 11-cycle on a and c
+	for _, c := range []struct {
+		horizon int
+		want    LGoodResult
+	}{
+		{9, LGoodResult{Ell: 10, Exact: false}},
+		{12, LGoodResult{Ell: 13, Exact: true}},
+	} {
+		cycles, err := Census(g, c.horizon, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := LGoodVertex(g, 0, c.horizon, cycles); got != c.want {
+			t.Errorf("horizon %d: ℓ(v0) = %+v, want %+v", c.horizon, got, c.want)
+		}
+	}
+}
+
 func TestLGoodOddDegreeVertex(t *testing.T) {
 	k4, err := gen.Complete(4)
 	if err != nil {
@@ -540,7 +575,7 @@ func TestIsolatedStarCentersDirect(t *testing.T) {
 	}
 }
 
-func BenchmarkCensusRandomRegular(b *testing.B) {
+func BenchmarkCensus(b *testing.B) {
 	g, err := gen.RandomRegularSW(newRand(1), 500, 4)
 	if err != nil {
 		b.Fatal(err)

@@ -81,72 +81,85 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 	pathE := make([]int, 0, maxLen)
 	var capErr error
 
-	for root := 0; root < n && capErr == nil; root++ {
+	// dist holds the current root's bounded-BFS distances (-1 outside
+	// the ball); ball lists the vertices it set, so resetting costs
+	// the ball's size rather than n.
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	var ball []int
+	var root int
+	var dfs func(v int)
+	dfs = func(v int) {
+		if capErr != nil {
+			return
+		}
+		for _, h := range g.Adj(v) {
+			w := int(h.To)
+			if w < root || (len(pathE) > 0 && int(h.ID) == pathE[len(pathE)-1]) {
+				continue
+			}
+			if w == root && len(pathV) >= 3 {
+				// Close the cycle; dedupe direction: second vertex
+				// label < last vertex label.
+				if pathV[1] < pathV[len(pathV)-1] {
+					cyc := Cycle{
+						Vertices: append([]int(nil), pathV...),
+						Edges:    append(append([]int(nil), pathE...), int(h.ID)),
+					}
+					out = append(out, cyc)
+					if len(out) >= cap {
+						capErr = ErrCensusCap
+						return
+					}
+				}
+				continue
+			}
+			if w == root || onPath[w] || len(pathV) >= maxLen {
+				continue
+			}
+			d := dist[w]
+			if d < 0 || len(pathV)+d > maxLen {
+				continue
+			}
+			onPath[w] = true
+			pathV = append(pathV, w)
+			pathE = append(pathE, int(h.ID))
+			dfs(w)
+			onPath[w] = false
+			pathV = pathV[:len(pathV)-1]
+			pathE = pathE[:len(pathE)-1]
+		}
+	}
+
+	for root = 0; root < n && capErr == nil; root++ {
 		// Distance-to-root pruning within the relevant ball: a path of
 		// length L from root can only close into a ≤maxLen cycle if the
 		// current vertex is within maxLen−L of root.
-		distToRoot := boundedBFS(g, root, maxLen-1)
-		var dfs func(v int)
-		dfs = func(v int) {
-			if capErr != nil {
-				return
-			}
-			for _, h := range g.Adj(v) {
-				w := int(h.To)
-				if w < root || (len(pathE) > 0 && int(h.ID) == pathE[len(pathE)-1]) {
-					continue
-				}
-				if w == root && len(pathV) >= 3 {
-					// Close the cycle; dedupe direction: second vertex
-					// label < last vertex label.
-					if pathV[1] < pathV[len(pathV)-1] {
-						cyc := Cycle{
-							Vertices: append([]int(nil), pathV...),
-							Edges:    append(append([]int(nil), pathE...), int(h.ID)),
-						}
-						out = append(out, cyc)
-						if len(out) >= cap {
-							capErr = ErrCensusCap
-							return
-						}
-					}
-					continue
-				}
-				if w == root || onPath[w] || len(pathV) >= maxLen {
-					continue
-				}
-				d, reachable := distToRoot[w]
-				if !reachable || len(pathV)+d > maxLen {
-					continue
-				}
-				onPath[w] = true
-				pathV = append(pathV, w)
-				pathE = append(pathE, int(h.ID))
-				dfs(w)
-				onPath[w] = false
-				pathV = pathV[:len(pathV)-1]
-				pathE = pathE[:len(pathE)-1]
-			}
-		}
+		ball = boundedBFS(g, root, maxLen-1, dist, ball[:0])
 		onPath[root] = true
 		pathV = append(pathV[:0], root)
 		pathE = pathE[:0]
 		dfs(root)
 		onPath[root] = false
+		for _, v := range ball {
+			dist[v] = -1
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Len() < out[j].Len() })
 	return out, capErr
 }
 
-// boundedBFS returns distances from root within radius, skipping
-// vertices with labels below root (they cannot participate in cycles
-// rooted at root).
-func boundedBFS(g *graph.Graph, root, radius int) map[int]int {
-	dist := map[int]int{root: 0}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+// boundedBFS writes into dist (all -1 on entry) the distances from
+// root within radius, skipping vertices with labels below root (they
+// cannot participate in cycles rooted at root). It appends the vertices
+// it reached to queue, in BFS order, and returns it.
+func boundedBFS(g *graph.Graph, root, radius int, dist, queue []int) []int {
+	dist[root] = 0
+	queue = append(queue, root)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		if dist[v] == radius {
 			continue
 		}
@@ -155,13 +168,13 @@ func boundedBFS(g *graph.Graph, root, radius int) map[int]int {
 			if w < root {
 				continue
 			}
-			if _, ok := dist[w]; !ok {
+			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // CycleCounts returns N_k, the number of cycles of each length k ≤

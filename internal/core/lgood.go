@@ -27,12 +27,20 @@ type LGoodResult struct {
 // searching over pairings of v's incident edges into cycles drawn from
 // the census of cycles of length ≤ horizon.
 //
-// If no family of edge-disjoint cycles through v covering all its edges
-// exists within the horizon, the result is the certified lower bound
+// A cover found within the horizon is exact only if it has at most
+// horizon+1 vertices: any cover that uses a longer cycle has at least
+// horizon+1. When no in-horizon cover exists, or the best one is larger
+// than horizon+1, the result is the certified lower bound
 // Ell = horizon+1, Exact = false. Vertices of odd degree cannot lie in
 // any even-degree subgraph containing all their edges, so ℓ(v) = ∞,
 // reported as Ell = math.MaxInt with Exact = true.
 func LGoodVertex(g *graph.Graph, v, horizon int, cycles []Cycle) LGoodResult {
+	return lgoodVertex(g, v, horizon, CyclesThroughVertex(cycles, v))
+}
+
+// lgoodVertex is LGoodVertex given the census cycles through v, in
+// census order.
+func lgoodVertex(g *graph.Graph, v, horizon int, through []Cycle) LGoodResult {
 	d := g.Degree(v)
 	if d%2 != 0 {
 		return LGoodResult{Ell: math.MaxInt, Exact: true}
@@ -40,7 +48,6 @@ func LGoodVertex(g *graph.Graph, v, horizon int, cycles []Cycle) LGoodResult {
 	if d == 0 {
 		return LGoodResult{Ell: math.MaxInt, Exact: true}
 	}
-	through := CyclesThroughVertex(cycles, v)
 	// Edge IDs incident to v that each chosen cycle must collectively
 	// cover (loops at v cover two endpoints with a single 1-cycle).
 	incident := make(map[int]bool, d)
@@ -135,7 +142,7 @@ func LGoodVertex(g *graph.Graph, v, horizon int, cycles []Cycle) LGoodResult {
 	}
 	search(uncovered)
 
-	if best == math.MaxInt {
+	if best > horizon+1 {
 		return LGoodResult{Ell: horizon + 1, Exact: false}
 	}
 	return LGoodResult{Ell: best, Exact: true}
@@ -152,9 +159,18 @@ func LGoodGraph(g *graph.Graph, horizon int) (LGoodResult, error) {
 	if err != nil {
 		return LGoodResult{}, fmt.Errorf("core: census incomplete: %w", err)
 	}
+	// Index the census by vertex once (each list in census order, as
+	// CyclesThroughVertex would return it) instead of rescanning every
+	// cycle for each vertex.
+	through := make([][]Cycle, g.N())
+	for _, c := range cycles {
+		for _, u := range c.Vertices {
+			through[u] = append(through[u], c)
+		}
+	}
 	res := LGoodResult{Ell: math.MaxInt, Exact: true}
 	for v := 0; v < g.N(); v++ {
-		rv := LGoodVertex(g, v, horizon, cycles)
+		rv := lgoodVertex(g, v, horizon, through[v])
 		if rv.Ell < res.Ell {
 			res = rv
 		} else if rv.Ell == res.Ell && !rv.Exact {

@@ -92,7 +92,24 @@ func TestDeterministicFamiliesStable(t *testing.T) {
 	}
 }
 
-func BenchmarkRandomRegularSW1000(b *testing.B) {
+// RandomRegularSW allocates per attempt, not per vertex: about 15
+// allocations at n=200 and at n=4000 (seed 1 needs one attempt at both
+// sizes), where per-vertex sets would add thousands. The slack of 2
+// absorbs the runtime's own occasional mallocs.
+func TestRandomRegularSWAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := RandomRegularSW(newRand(1), n, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(200), allocs(4000); big > small+2 {
+		t.Errorf("allocations grow with n: %v at n=200, %v at n=4000", small, big)
+	}
+}
+
+func BenchmarkRandomRegularSW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RandomRegularSW(newRand(int64(i)), 1000, 4); err != nil {
 			b.Fatal(err)

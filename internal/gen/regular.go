@@ -72,13 +72,21 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 // resulting distribution is asymptotically uniform for constant degree
 // (Steger & Wormald 1999) and the algorithm is the one behind the
 // NetworkX generator the paper used.
+//
+// The parallel-edge check is a linear scan of the at most r partners a
+// vertex already has (O(r) per draw, no per-vertex sets), so the number
+// of allocations an attempt makes does not grow with n.
 func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
 	}
+	degrees := make([]int, n)
+	for v := range degrees {
+		degrees[v] = deg
+	}
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := swAttempt(r, n, deg)
+		g, ok := swAttempt(r, degrees, n*deg)
 		if ok && g.IsConnected() {
 			return g, nil
 		}
@@ -86,23 +94,37 @@ func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	return nil, fmt.Errorf("gen: Steger-Wormald failed after retries (n=%d, r=%d)", n, deg)
 }
 
-func swAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
-	// stubs[v] = number of unmatched half-edges at v.
-	stubs := make([]int, n)
+// swAttempt runs one Steger–Wormald pairing of the given degree
+// sequence (total = its sum), reporting false when it gets stuck.
+func swAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
+	if total/2 > graph.MaxEdges {
+		// The int32 slab offsets below rely on the graph size contract.
+		panic(fmt.Errorf("%w: m=%d", graph.ErrTooLarge, total/2))
+	}
+	n := len(degrees)
 	// live is the multiset of vertices with unmatched half-edges, one
 	// entry per half-edge, maintained with swap-delete for O(1) removal.
-	live := make([]int, 0, n*deg)
-	for v := 0; v < n; v++ {
-		stubs[v] = deg
-		for i := 0; i < deg; i++ {
-			live = append(live, v)
+	live := make([]int32, 0, total)
+	// The partners of v fill partners[off[v]:off[v]+fill[v]]; off is
+	// the degree prefix sum, so every vertex owns exactly d(v) slots.
+	off := make([]int32, n)
+	for v, d := range degrees {
+		off[v] = int32(len(live))
+		for i := 0; i < d; i++ {
+			live = append(live, int32(v))
 		}
 	}
-	g := graph.New(n)
-	adj := make([]map[int]bool, n)
-	for v := range adj {
-		adj[v] = make(map[int]bool, deg)
+	partners := make([]int32, total)
+	fill := make([]int32, n)
+	adjacent := func(u, v int32) bool {
+		for _, w := range partners[off[u] : off[u]+fill[u]] {
+			if w == v {
+				return true
+			}
+		}
+		return false
 	}
+	edges := make([]graph.Edge, 0, total/2)
 	remove := func(idx int) {
 		live[idx] = live[len(live)-1]
 		live = live[:len(live)-1]
@@ -117,7 +139,7 @@ func swAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 			i := r.Intn(len(live))
 			j := r.Intn(len(live))
 			u, v := live[i], live[j]
-			if u == v || adj[u][v] {
+			if u == v || adjacent(u, v) {
 				continue
 			}
 			// Remove the two half-edges (higher index first so the
@@ -127,19 +149,21 @@ func swAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 			}
 			remove(i)
 			remove(j)
-			stubs[u]--
-			stubs[v]--
-			adj[u][v] = true
-			adj[v][u] = true
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
+			partners[off[u]+fill[u]] = v
+			fill[u]++
+			partners[off[v]+fill[v]] = u
+			fill[v]++
+			edges = append(edges, graph.Edge{U: int(u), V: int(v)})
 			paired = true
 			break
 		}
 		if !paired {
 			return nil, false
 		}
+	}
+	g, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g, true
 }
@@ -181,59 +205,12 @@ func RandomDegreeSequenceSW(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 	}
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := swSequenceAttempt(r, degrees, total)
+		g, ok := swAttempt(r, degrees, total)
 		if ok && g.IsConnected() {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("gen: degree-sequence SW failed after retries (n=%d)", n)
-}
-
-func swSequenceAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
-	n := len(degrees)
-	live := make([]int, 0, total)
-	for v, d := range degrees {
-		for i := 0; i < d; i++ {
-			live = append(live, v)
-		}
-	}
-	g := graph.New(n)
-	adj := make([]map[int]bool, n)
-	for v := range adj {
-		adj[v] = make(map[int]bool, degrees[v])
-	}
-	remove := func(idx int) {
-		live[idx] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
-	for len(live) > 0 {
-		const patience = 2000
-		paired := false
-		for try := 0; try < patience; try++ {
-			i := r.Intn(len(live))
-			j := r.Intn(len(live))
-			u, v := live[i], live[j]
-			if u == v || adj[u][v] {
-				continue
-			}
-			if i < j {
-				i, j = j, i
-			}
-			remove(i)
-			remove(j)
-			adj[u][v] = true
-			adj[v][u] = true
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-			paired = true
-			break
-		}
-		if !paired {
-			return nil, false
-		}
-	}
-	return g, true
 }
 
 // RandomDegreeSequence returns a random simple connected graph with the

@@ -86,6 +86,11 @@ type Graph struct {
 	// Builder adjacency; valid while !frozen, nil once frozen.
 	adj [][]Half
 
+	// carved is the one array NewFromEdges cut every adj[v] from, in
+	// vertex order. While the lists still fill it exactly, Freeze
+	// adopts it as the CSR array instead of copying. nil otherwise.
+	carved []Half
+
 	// CSR adjacency; valid while frozen. The halves of vertex v occupy
 	// halves[off[v]:off[v+1]], in the same order the builder held them
 	// (edge-insertion order per vertex).
@@ -120,7 +125,9 @@ func New(n int) *Graph {
 }
 
 // NewFromEdges builds a graph with n vertices and the given edges.
-// Parallel edges and loops are retained.
+// Parallel edges and loops are retained. The result is the graph that
+// New(n) plus one AddEdge per edge would build, with every adjacency
+// list carved at its exact size from one backing array.
 func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrNoVertices
@@ -129,6 +136,26 @@ func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 		return nil, fmt.Errorf("%w: n=%d", ErrTooLarge, n)
 	}
 	g := New(n)
+	// Count degrees over the edges AddEdge will accept; it reports the
+	// first out-of-range or excess edge itself, below.
+	deg := make([]int, n)
+	total := 0
+	for _, e := range edges[:min(len(edges), MaxEdges)] {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			break
+		}
+		deg[e.U]++
+		deg[e.V]++
+		total += 2
+	}
+	g.edges = make([]Edge, 0, total/2)
+	g.carved = make([]Half, total)
+	backing := g.carved
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v], backing = backing[:0:d], backing[d:]
+		}
+	}
 	for _, e := range edges {
 		if err := g.AddEdge(e.U, e.V); err != nil {
 			return nil, err
@@ -173,16 +200,42 @@ func (g *Graph) Freeze() {
 	if total > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d half-edges exceed the int32 CSR offset range", total))
 	}
-	g.halves = make([]Half, 0, total)
 	g.off = make([]int32, g.n+1)
-	for v, hs := range g.adj {
-		g.off[v] = int32(len(g.halves))
-		g.halves = append(g.halves, hs...)
-		g.adj[v] = nil
+	if g.carvedExactly(total) {
+		g.halves = g.carved
+		for v, hs := range g.adj {
+			g.off[v+1] = g.off[v] + int32(len(hs))
+		}
+	} else {
+		g.halves = make([]Half, 0, total)
+		for v, hs := range g.adj {
+			g.off[v] = int32(len(g.halves))
+			g.halves = append(g.halves, hs...)
+		}
+		g.off[g.n] = int32(len(g.halves))
 	}
-	g.off[g.n] = int32(len(g.halves))
-	g.adj = nil
+	g.adj, g.carved = nil, nil
 	g.frozen = true
+}
+
+// carvedExactly reports whether the builder lists, total halves in
+// all, still lie back to back in g.carved and fill it: then carved
+// already is the CSR array. A list that grew past its carved size was
+// reallocated by append, so it no longer starts in carved.
+func (g *Graph) carvedExactly(total int) bool {
+	if g.carved == nil || total != len(g.carved) {
+		return false
+	}
+	at := 0
+	for _, hs := range g.adj {
+		if len(hs) > 0 {
+			if &hs[0] != &g.carved[at] {
+				return false
+			}
+			at += len(hs)
+		}
+	}
+	return true
 }
 
 // Frozen reports whether the graph is in its flat CSR state.

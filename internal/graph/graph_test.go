@@ -569,3 +569,82 @@ func TestPropertySubdivideGrowsGirth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// NewFromEdges must build exactly the graph New plus one AddEdge per
+// edge builds — same edge IDs, adjacency order, epoch, errors and
+// frozen CSR — with every adjacency list already at its final size.
+func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(12)
+		edges := make([]Edge, r.Intn(30))
+		for i := range edges {
+			edges[i] = Edge{U: r.Intn(n), V: r.Intn(n)} // loops and parallels included
+		}
+		want := New(n)
+		for _, e := range edges {
+			if err := want.AddEdge(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := NewFromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch() != want.Epoch() || got.M() != want.M() || got.Frozen() {
+			t.Fatalf("trial %d: epoch %d m %d frozen %v, want %d %d false", trial, got.Epoch(), got.M(), got.Frozen(), want.Epoch(), want.M())
+		}
+		for id := 0; id < want.M(); id++ {
+			if got.Edge(id) != want.Edge(id) {
+				t.Fatalf("trial %d: edge %d = %v, want %v", trial, id, got.Edge(id), want.Edge(id))
+			}
+		}
+		for v := 0; v < n; v++ {
+			ga, wa := got.Adj(v), want.Adj(v)
+			if len(ga) != len(wa) || cap(ga) != len(ga) {
+				t.Fatalf("trial %d: vertex %d adjacency len %d cap %d, want len %d", trial, v, len(ga), cap(ga), len(wa))
+			}
+			for i := range wa {
+				if ga[i] != wa[i] {
+					t.Fatalf("trial %d: vertex %d half %d = %+v, want %+v", trial, v, i, ga[i], wa[i])
+				}
+			}
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// Freeze adopts the carved array, unless a list outgrew it.
+		if trial%2 == 1 {
+			u, v := r.Intn(n), r.Intn(n)
+			if err := got.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gh, wh := got.Halves(), want.Halves()
+		goff, woff := got.Offsets(), want.Offsets()
+		if len(gh) != len(wh) || len(goff) != len(woff) {
+			t.Fatalf("trial %d: CSR sizes %d/%d, want %d/%d", trial, len(gh), len(goff), len(wh), len(woff))
+		}
+		for i := range wh {
+			if gh[i] != wh[i] {
+				t.Fatalf("trial %d: CSR half %d = %+v, want %+v", trial, i, gh[i], wh[i])
+			}
+		}
+		for i := range woff {
+			if goff[i] != woff[i] {
+				t.Fatalf("trial %d: CSR offset %d = %d, want %d", trial, i, goff[i], woff[i])
+			}
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first bad edge is reported as AddEdge reports it.
+	_, err := NewFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 3}, {U: -1, V: 0}})
+	if !errors.Is(err, ErrVertexRange) || err.Error() != "graph: vertex out of range: edge {1,3} in graph of 3 vertices" {
+		t.Fatalf("err = %v, want the {1,3} ErrVertexRange", err)
+	}
+}

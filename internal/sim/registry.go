@@ -249,23 +249,6 @@ func ReadResult(rd io.Reader) (*Result, error) {
 	return &r, nil
 }
 
-// Report bridges the result to the flat Report shape that `sweep
-// -report` renders as markdown.
-func (r *Result) Report() Report {
-	rep := Report{
-		Name:    r.Name,
-		Title:   r.Table.Title,
-		Seed:    r.Seed,
-		Trials:  r.Trials,
-		Scale:   r.Scale,
-		Headers: append([]string(nil), r.Table.Headers...),
-	}
-	for _, row := range r.Table.Rows {
-		rep.Rows = append(rep.Rows, append([]string(nil), row...))
-	}
-	return rep
-}
-
 // adapt lifts a typed plan constructor — the (rows, table, error)
 // finish shape every experiments*.go plan uses — into the registry's
 // uniform PlanFunc.

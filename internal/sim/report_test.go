@@ -1,69 +1,27 @@
 package sim
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
-func sampleReport() Report {
-	t := NewTable("Demo table", "n", "value")
-	t.AddRow(100, 2.5)
-	t.AddRow(200, 3.5)
-	return NewReport("demo", ExpConfig{Seed: 7, Trials: 3, Scale: 2}, t)
-}
-
-func TestReportJSONRoundTrip(t *testing.T) {
-	r := sampleReport()
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != r.Name || back.Title != r.Title || back.Seed != 7 || back.Trials != 3 || back.Scale != 2 {
-		t.Errorf("metadata lost: %+v", back)
-	}
-	if len(back.Rows) != 2 || back.Rows[0][0] != "100" {
-		t.Errorf("rows lost: %+v", back.Rows)
-	}
-}
-
-func TestReportReadErrors(t *testing.T) {
-	if _, err := ReadReport(strings.NewReader("{not json")); err == nil {
-		t.Error("bad JSON should fail")
-	}
-}
-
 func TestReportMarkdown(t *testing.T) {
-	md := sampleReport().Markdown()
-	for _, want := range []string{"## DEMO — Demo table", "| n | value |", "| 100 | 2.5 |", "seed 7, 3 trials, scale 2"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
+	tb := NewTable("Demo table", "n", "value")
+	tb.AddRow(100, 2.5)
+	tb.AddRow(200, 3.5)
+	res := &Result{Name: "demo", Seed: 7, Trials: 3, Scale: 2, Table: tb}
+	want := "## DEMO — Demo table\n\n" +
+		"_seed 7, 3 trials, scale 2_\n\n" +
+		"| n | value |\n" +
+		"|---|---|\n" +
+		"| 100 | 2.5 |\n" +
+		"| 200 | 3.5 |\n\n"
+	if md := res.Markdown(); md != want {
+		t.Errorf("markdown:\n%s\nwant:\n%s", md, want)
 	}
-}
-
-func TestReportTableReconstruction(t *testing.T) {
-	r := sampleReport()
-	tb := r.Table()
-	var buf bytes.Buffer
-	if err := tb.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Demo table") || !strings.Contains(buf.String(), "100") {
-		t.Errorf("reconstructed table wrong:\n%s", buf.String())
-	}
-}
-
-func TestReportCopiesTable(t *testing.T) {
-	tb := NewTable("x", "a")
-	tb.AddRow(1)
-	rep := NewReport("x", ExpConfig{}, tb)
-	tb.Rows[0][0] = "mutated"
-	if rep.Rows[0][0] != "1" {
-		t.Error("report aliases the table's storage")
+	// A short row is padded to the header width.
+	tb.Rows = append(tb.Rows, []string{"300"})
+	if md := res.Markdown(); !strings.HasSuffix(md, "| 300 |  |\n\n") {
+		t.Errorf("short row not padded:\n%s", md)
 	}
 }

@@ -53,7 +53,8 @@ func NewOperator(g *graph.Graph) (*Operator, error) {
 }
 
 // Apply computes dst = N·src. dst and src must have length g.N() and
-// must not alias.
+// must not alias. It reads g only through Adj, which never triggers a
+// lazy Freeze, so concurrent Applies on one graph are safe.
 func (op *Operator) Apply(dst, src []float64) {
 	for u := range dst {
 		sum := 0.0
@@ -211,15 +212,27 @@ type Gap struct {
 	Value     float64 // 1 − λmax, the paper's eigenvalue gap
 }
 
-// ComputeGap returns the full spectral summary for g.
+// ComputeGap returns the full spectral summary for g. It computes λ2
+// and λn concurrently, on one extra goroutine that it joins before
+// returning; each is the same computation as Lambda2 and LambdaN.
+// Both iterations only read g (Apply uses Adj and Degree, which never
+// freeze), so g may be frozen or not, but must not be mutated during
+// the call.
 func ComputeGap(g *graph.Graph, opts Options) (Gap, error) {
+	var ln float64
+	var lnErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ln, lnErr = LambdaN(g, opts)
+	}()
 	l2, err := Lambda2(g, opts)
+	<-done
 	if err != nil {
 		return Gap{}, err
 	}
-	ln, err := LambdaN(g, opts)
-	if err != nil {
-		return Gap{}, err
+	if lnErr != nil {
+		return Gap{}, lnErr
 	}
 	lm := math.Max(l2, math.Abs(ln))
 	return Gap{Lambda2: l2, LambdaN: ln, LambdaMax: lm, Value: 1 - lm}, nil

@@ -384,3 +384,58 @@ func BenchmarkLambda2RandomRegular(b *testing.B) {
 		}
 	}
 }
+
+// ComputeGap runs λ2 and λn on two goroutines over one graph. On an
+// unfrozen graph neither may freeze it (a racing lazy Freeze would be a
+// data race under -race), and the result must equal the frozen graph's
+// bit for bit.
+func TestComputeGapUnfrozenMatchesFrozen(t *testing.T) {
+	g, err := gen.RandomRegularSW(rand.New(rand.NewSource(4)), 300, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Frozen() {
+		t.Fatal("generator returned a frozen graph; the test needs an unfrozen one")
+	}
+	opts := Options{Tol: 1e-8}
+	unfrozen, err := ComputeGap(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Frozen() {
+		t.Fatal("ComputeGap froze its input")
+	}
+	g.Freeze()
+	frozen, err := ComputeGap(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unfrozen != frozen {
+		t.Errorf("unfrozen gap %+v != frozen gap %+v", unfrozen, frozen)
+	}
+	l2, err := Lambda2(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := LambdaN(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frozen.Lambda2 != l2 || frozen.LambdaN != ln {
+		t.Errorf("ComputeGap (%v, %v) differs from serial Lambda2/LambdaN (%v, %v)", frozen.Lambda2, frozen.LambdaN, l2, ln)
+	}
+}
+
+func BenchmarkComputeGap(b *testing.B) {
+	g, err := gen.RandomRegularSW(rand.New(rand.NewSource(1)), 1000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Freeze()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeGap(g, Options{Tol: 1e-8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
