@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -166,6 +167,41 @@ func TestCensusMultigraph(t *testing.T) {
 	}
 	if counts[2] != 1 {
 		t.Errorf("2-cycles = %d, want 1", counts[2])
+	}
+}
+
+// Census emits the 2-cycles of several parallel sets in the order of
+// each set's first edge ID, the same on every call (it once ranged over
+// a map).
+func TestCensusParallelPairsDeterministic(t *testing.T) {
+	g := graph.MustFromEdges(6, []graph.Edge{
+		{U: 4, V: 5}, {U: 0, V: 1}, {U: 5, V: 4}, {U: 2, V: 3},
+		{U: 1, V: 0}, {U: 3, V: 2}, {U: 0, V: 1}, {U: 4, V: 5},
+		{U: 1, V: 2}, {U: 5, V: 0}, {U: 3, V: 3},
+	})
+	first, err := Census(g, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twos [][]int
+	for _, c := range first {
+		if c.Len() == 2 {
+			twos = append(twos, c.Edges)
+		}
+	}
+	want := [][]int{{0, 2}, {0, 7}, {2, 7}, {1, 4}, {1, 6}, {4, 6}, {3, 5}}
+	if !slices.EqualFunc(twos, want, slices.Equal[[]int]) {
+		t.Errorf("2-cycles %v, want %v", twos, want)
+	}
+	digest := censusDigest(first)
+	for i := 0; i < 20; i++ {
+		cycles, err := Census(g, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := censusDigest(cycles); got != digest {
+			t.Fatalf("call %d: census differs from the first call", i)
+		}
 	}
 }
 
@@ -583,6 +619,21 @@ func BenchmarkCensus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Census(g, 8, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLGoodGraph is the ℓ search at the size and horizon thm1
+// analyses at scale 2 (n=1600, horizon ⌊ln n⌋+2 = 9), census included.
+func BenchmarkLGoodGraph(b *testing.B) {
+	g, err := gen.RandomRegularSW(newRand(1), 1600, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LGoodGraph(g, 9); err != nil {
 			b.Fatal(err)
 		}
 	}

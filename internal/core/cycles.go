@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -43,30 +44,37 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 		return out, nil
 	}
 
-	// Loops and parallel edges.
-	type pair struct{ u, v int }
-	seenPair := make(map[pair][]int)
+	// Loops, then the 2-cycles of each set of parallel edges, the sets
+	// in order of their first (lowest) edge ID.
+	var pairs []Cycle
+	var par []int
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
 		if e.IsLoop() {
 			out = append(out, Cycle{Vertices: []int{e.U}, Edges: []int{id}})
 			continue
 		}
-		p := pair{e.U, e.V}
-		if p.u > p.v {
-			p.u, p.v = p.v, p.u
+		if maxLen < 2 {
+			continue
 		}
-		seenPair[p] = append(seenPair[p], id)
-	}
-	if maxLen >= 2 {
-		for p, ids := range seenPair {
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					out = append(out, Cycle{Vertices: []int{p.u, p.v}, Edges: []int{ids[i], ids[j]}})
-				}
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		par = par[:0]
+		for _, h := range g.Adj(u) {
+			if int(h.To) == v {
+				par = append(par, int(h.ID))
+			}
+		}
+		slices.Sort(par)
+		if len(par) < 2 || par[0] != id {
+			continue
+		}
+		for i := 0; i < len(par); i++ {
+			for j := i + 1; j < len(par); j++ {
+				pairs = append(pairs, Cycle{Vertices: []int{u, v}, Edges: []int{par[i], par[j]}})
 			}
 		}
 	}
+	out = append(out, pairs...)
 	if len(out) > cap {
 		return out[:cap], ErrCensusCap
 	}

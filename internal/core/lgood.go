@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -35,117 +36,123 @@ type LGoodResult struct {
 // any even-degree subgraph containing all their edges, so ℓ(v) = ∞,
 // reported as Ell = math.MaxInt with Exact = true.
 func LGoodVertex(g *graph.Graph, v, horizon int, cycles []Cycle) LGoodResult {
-	return lgoodVertex(g, v, horizon, CyclesThroughVertex(cycles, v))
+	return newLGoodSearch(g).vertex(g, v, horizon, CyclesThroughVertex(cycles, v))
 }
 
-// lgoodVertex is LGoodVertex given the census cycles through v, in
-// census order.
-func lgoodVertex(g *graph.Graph, v, horizon int, through []Cycle) LGoodResult {
+// lgoodSearch is the depth-first cover search behind LGoodVertex. The
+// edge and vertex sets span the whole graph, so one search serves every
+// vertex of LGoodGraph: each apply is undone on the way back, which
+// leaves them all false between vertices.
+type lgoodSearch struct {
+	through   []Cycle // census cycles through v, in census order
+	incident  []int   // distinct edge IDs at v, ascending
+	uncovered []bool  // uncovered[i]: incident[i] is in no chosen cycle
+	left      int     // number of uncovered incident edges
+	used      []bool  // by edge ID: in a chosen cycle
+	inUnion   []bool  // by vertex: on a chosen cycle
+	union     int     // number of vertices on the chosen cycles
+	best      int
+	// Undo stacks: the incident slots and union vertices each apply
+	// added, popped back to the apply's mark when it is undone.
+	covered, added []int
+}
+
+func newLGoodSearch(g *graph.Graph) *lgoodSearch {
+	return &lgoodSearch{used: make([]bool, g.M()), inUnion: make([]bool, g.N())}
+}
+
+// vertex is LGoodVertex given the census cycles through v, in census
+// order.
+func (s *lgoodSearch) vertex(g *graph.Graph, v, horizon int, through []Cycle) LGoodResult {
 	d := g.Degree(v)
-	if d%2 != 0 {
+	if d%2 != 0 || d == 0 {
 		return LGoodResult{Ell: math.MaxInt, Exact: true}
 	}
-	if d == 0 {
-		return LGoodResult{Ell: math.MaxInt, Exact: true}
-	}
-	// Edge IDs incident to v that each chosen cycle must collectively
-	// cover (loops at v cover two endpoints with a single 1-cycle).
-	incident := make(map[int]bool, d)
+	// Edge IDs incident to v that the chosen cycles must collectively
+	// cover (a loop at v has two halves but one ID).
+	s.incident = s.incident[:0]
 	for _, h := range g.Adj(v) {
-		incident[int(h.ID)] = true
-	}
-
-	best := math.MaxInt
-	// Depth-first cover search: maintain the set of still-uncovered
-	// incident edges and globally used edges for disjointness.
-	usedEdges := make(map[int]bool)
-	unionVerts := make(map[int]bool)
-
-	cycleEdgesAtV := func(c Cycle) []int {
-		var out []int
-		for _, id := range c.Edges {
-			if incident[id] {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-
-	var search func(uncovered map[int]bool)
-	search = func(uncovered map[int]bool) {
-		if len(uncovered) == 0 {
-			if len(unionVerts) < best {
-				best = len(unionVerts)
-			}
-			return
-		}
-		if len(unionVerts) >= best {
-			return // cannot improve
-		}
-		// Branch on the lowest uncovered incident edge to avoid
-		// revisiting the same cover in different orders.
-		target := -1
-		for id := range uncovered {
-			if target == -1 || id < target {
-				target = id
-			}
-		}
-		for _, c := range through {
-			hasTarget := false
-			conflict := false
-			for _, id := range c.Edges {
-				if id == target {
-					hasTarget = true
-				}
-				if usedEdges[id] {
-					conflict = true
-					break
-				}
-			}
-			if !hasTarget || conflict {
-				continue
-			}
-			// Apply.
-			var coveredNow []int
-			for _, id := range cycleEdgesAtV(c) {
-				if uncovered[id] {
-					delete(uncovered, id)
-					coveredNow = append(coveredNow, id)
-				}
-			}
-			var newVerts []int
-			for _, u := range c.Vertices {
-				if !unionVerts[u] {
-					unionVerts[u] = true
-					newVerts = append(newVerts, u)
-				}
-			}
-			for _, id := range c.Edges {
-				usedEdges[id] = true
-			}
-			search(uncovered)
-			// Undo.
-			for _, id := range c.Edges {
-				delete(usedEdges, id)
-			}
-			for _, u := range newVerts {
-				delete(unionVerts, u)
-			}
-			for _, id := range coveredNow {
-				uncovered[id] = true
-			}
+		if !slices.Contains(s.incident, int(h.ID)) {
+			s.incident = append(s.incident, int(h.ID))
 		}
 	}
-	uncovered := make(map[int]bool, d)
-	for id := range incident {
-		uncovered[id] = true
+	slices.Sort(s.incident)
+	s.uncovered = s.uncovered[:0]
+	for range s.incident {
+		s.uncovered = append(s.uncovered, true)
 	}
-	search(uncovered)
-
-	if best > horizon+1 {
+	s.left = len(s.incident)
+	s.through = through
+	s.best = math.MaxInt
+	s.search()
+	if s.best > horizon+1 {
 		return LGoodResult{Ell: horizon + 1, Exact: false}
 	}
-	return LGoodResult{Ell: best, Exact: true}
+	return LGoodResult{Ell: s.best, Exact: true}
+}
+
+func (s *lgoodSearch) search() {
+	if s.left == 0 {
+		if s.union < s.best {
+			s.best = s.union
+		}
+		return
+	}
+	if s.union >= s.best {
+		return // cannot improve
+	}
+	// Branch on the lowest uncovered incident edge to avoid revisiting
+	// the same cover in different orders.
+	target := s.incident[slices.Index(s.uncovered, true)]
+	for _, c := range s.through {
+		hasTarget := false
+		conflict := false
+		for _, id := range c.Edges {
+			if id == target {
+				hasTarget = true
+			}
+			if s.used[id] {
+				conflict = true
+				break
+			}
+		}
+		if !hasTarget || conflict {
+			continue
+		}
+		// Apply.
+		cmark, vmark := len(s.covered), len(s.added)
+		for _, id := range c.Edges {
+			if i := slices.Index(s.incident, id); i >= 0 && s.uncovered[i] {
+				s.uncovered[i] = false
+				s.covered = append(s.covered, i)
+			}
+		}
+		for _, u := range c.Vertices {
+			if !s.inUnion[u] {
+				s.inUnion[u] = true
+				s.added = append(s.added, u)
+			}
+		}
+		for _, id := range c.Edges {
+			s.used[id] = true
+		}
+		s.left -= len(s.covered) - cmark
+		s.union += len(s.added) - vmark
+		s.search()
+		// Undo.
+		for _, id := range c.Edges {
+			s.used[id] = false
+		}
+		for _, u := range s.added[vmark:] {
+			s.inUnion[u] = false
+		}
+		for _, i := range s.covered[cmark:] {
+			s.uncovered[i] = true
+		}
+		s.left += len(s.covered) - cmark
+		s.union -= len(s.added) - vmark
+		s.covered, s.added = s.covered[:cmark], s.added[:vmark]
+	}
 }
 
 // LGoodGraph computes ℓ(G) = min over vertices of ℓ(v), exactly up to
@@ -168,9 +175,10 @@ func LGoodGraph(g *graph.Graph, horizon int) (LGoodResult, error) {
 			through[u] = append(through[u], c)
 		}
 	}
+	s := newLGoodSearch(g)
 	res := LGoodResult{Ell: math.MaxInt, Exact: true}
 	for v := 0; v < g.N(); v++ {
-		rv := lgoodVertex(g, v, horizon, through[v])
+		rv := s.vertex(g, v, horizon, through[v])
 		if rv.Ell < res.Ell {
 			res = rv
 		} else if rv.Ell == res.Ell && !rv.Exact {

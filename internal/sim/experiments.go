@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/spectral"
 	"repro/internal/stats"
 	"repro/internal/walk"
 )
@@ -140,31 +139,33 @@ func theorem1Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Theorem1Row
 		})
 	}
 	finish := func(points []PointResult) ([]Theorem1Row, *Table, error) {
+		// Spectral gap and ℓ on the representative instance: the
+		// literal trial-0 frozen graph the measurements ran on.
+		gaps := make([]float64, len(points))
+		ells := make([]core.LGoodResult, len(points))
+		tasks := make([][]func() error, len(points))
+		for i, pt := range points {
+			horizon := int(math.Log(float64(ns[i]))) + 2
+			tasks[i] = []func() error{
+				func() (err error) { gaps[i], err = lazyGap(pt.Rep); return err },
+				func() (err error) { ells[i], err = core.LGoodGraph(pt.Rep, horizon); return err },
+			}
+		}
+		if err := runAnalysis(cfg.Workers, tasks); err != nil {
+			return nil, nil, err
+		}
 		var rows []Theorem1Row
 		for i, pt := range points {
 			n := ns[i]
-			// Spectral gap and ℓ on the representative instance: the
-			// literal trial-0 frozen graph the measurements ran on.
-			g := pt.Rep
-			gap, err := spectral.ComputeGap(g, spectral.Options{Tol: 1e-8})
-			if err != nil {
-				return nil, nil, err
-			}
-			lazy := spectral.LazyGap(gap)
-			horizon := int(math.Log(float64(n))) + 2
-			lres, err := core.LGoodGraph(g, horizon)
-			if err != nil {
-				return nil, nil, err
-			}
 			res := pt.Arms[0]
 			row := Theorem1Row{
 				N:          n,
 				Degree:     deg,
 				Measured:   res.VertexStats.Mean,
 				Normalized: res.VertexStats.Mean / float64(n),
-				EllBound:   lres.Ell,
-				Gap:        lazy.Value,
-				Bound:      core.Theorem1Bound(n, float64(lres.Ell), lazy.Value),
+				EllBound:   ells[i].Ell,
+				Gap:        gaps[i],
+				Bound:      core.Theorem1Bound(n, float64(ells[i].Ell), gaps[i]),
 			}
 			row.Ratio = row.Measured / row.Bound
 			rows = append(rows, row)
@@ -400,24 +401,30 @@ func theorem3Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]EdgeCoverRo
 		})
 	}
 	finish := func(points []PointResult) ([]EdgeCoverRow, *Table, error) {
+		gaps := make([]float64, len(points))
+		girths := make([]int, len(points))
+		tasks := make([][]func() error, len(points))
+		for i, pt := range points {
+			tasks[i] = []func() error{
+				func() (err error) { gaps[i], err = lazyGap(pt.Rep); return err },
+				func() error { girths[i] = pt.Rep.Girth(); return nil },
+			}
+		}
+		if err := runAnalysis(cfg.Workers, tasks); err != nil {
+			return nil, nil, err
+		}
 		var rows []EdgeCoverRow
 		for i, pt := range points {
 			g := pt.Rep
-			gap, err := spectral.ComputeGap(g, spectral.Options{Tol: 1e-8})
-			if err != nil {
-				return nil, nil, err
-			}
-			lazy := spectral.LazyGap(gap)
-			girth := g.Girth()
 			res := pt.Arms[0]
 			row := EdgeCoverRow{
 				Family:   families[i].name,
 				N:        g.N(),
 				M:        g.M(),
-				Girth:    girth,
-				Gap:      lazy.Value,
+				Girth:    girths[i],
+				Gap:      gaps[i],
 				Measured: res.EdgeStats.Mean,
-				Bound:    core.Theorem3Bound(g.N(), g.M(), girth, g.MaxDegree(), lazy.Value),
+				Bound:    core.Theorem3Bound(g.N(), g.M(), girths[i], g.MaxDegree(), gaps[i]),
 			}
 			row.Ratio = row.Measured / row.Bound
 			rows = append(rows, row)

@@ -227,22 +227,27 @@ func randomRegularPropertiesPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult)
 			Trials: 1,
 		})
 	}
+	const horizon = 8
 	finish := func(points []PointResult) ([]PropertyRow, *Table, error) {
+		l2s := make([]float64, len(points))
+		censuses := make([][]core.Cycle, len(points))
+		tasks := make([][]func() error, len(points))
+		for i, pt := range points {
+			tasks[i] = []func() error{
+				func() (err error) { l2s[i], err = spectral.Lambda2(pt.Rep, spectral.Options{Tol: 1e-9}); return err },
+				func() (err error) { censuses[i], err = core.Census(pt.Rep, horizon, 0); return err },
+			}
+		}
+		if err := runAnalysis(cfg.Workers, tasks); err != nil {
+			return nil, nil, err
+		}
 		var rows []PropertyRow
 		for i, pt := range points {
 			deg := degs[i]
 			g := pt.Rep
-			l2, err := spectral.Lambda2(g, spectral.Options{Tol: 1e-9})
-			if err != nil {
-				return nil, nil, err
-			}
-			adjL2 := l2 * float64(deg)
+			adjL2 := l2s[i] * float64(deg)
 			alon := 2*math.Sqrt(float64(deg-1)) + eps
-			horizon := 8
-			cycles, err := core.Census(g, horizon, 0)
-			if err != nil {
-				return nil, nil, err
-			}
+			cycles := censuses[i]
 			p2 := 0
 			for s := 3; s <= horizon; s++ {
 				if core.P2Holds(g, s, cycles) {
@@ -308,20 +313,25 @@ func greedyWalkPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GreedyRow
 		})
 	}
 	finish := func(points []PointResult) ([]GreedyRow, *Table, error) {
+		gaps := make([]float64, len(points))
+		tasks := make([][]func() error, len(points))
+		for i, pt := range points {
+			tasks[i] = []func() error{
+				func() (err error) { gaps[i], err = lazyGap(pt.Rep); return err },
+			}
+		}
+		if err := runAnalysis(cfg.Workers, tasks); err != nil {
+			return nil, nil, err
+		}
 		var rows []GreedyRow
 		for i, pt := range points {
 			g := pt.Rep
-			gap, err := spectral.ComputeGap(g, spectral.Options{Tol: 1e-8})
-			if err != nil {
-				return nil, nil, err
-			}
-			lazy := spectral.LazyGap(gap)
 			row := GreedyRow{
 				Degree:   degs[i],
 				N:        g.N(),
 				M:        g.M(),
 				Measured: pt.Arms[0].EdgeStats.Mean,
-				Bound:    core.GreedyWalkBound(g.N(), g.M(), lazy.Value),
+				Bound:    core.GreedyWalkBound(g.N(), g.M(), gaps[i]),
 			}
 			row.Ratio = row.Measured / row.Bound
 			rows = append(rows, row)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/spectral"
 	"repro/internal/walk"
 )
 
@@ -118,14 +117,7 @@ func lemma13Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Lemma13Row, 
 		gapErr  error
 	)
 	lazyGapOf := func(g *graph.Graph) (float64, error) {
-		gapOnce.Do(func() {
-			gap, err := spectral.ComputeGap(g, spectral.Options{Tol: 1e-8})
-			if err != nil {
-				gapErr = err
-				return
-			}
-			gapVal = spectral.LazyGap(gap).Value
-		})
+		gapOnce.Do(func() { gapVal, gapErr = lazyGap(g) })
 		return gapVal, gapErr
 	}
 	var arms []Arm

@@ -216,14 +216,16 @@ func TestProgressCallbackCountsEveryUnit(t *testing.T) {
 
 // --- Result JSON: golden files, worker invariance, round trip -------------
 
-// The two representatives: eq3 (plain []row payload) and degseq (the
-// bundled rows+growth payload). Regenerate with:
+// The payload representatives: eq3 (plain []row payload) and degseq (the
+// bundled rows+growth payload). thm1, thm3, p1p2, grw and lemma13 pin
+// the post-sweep analysis (λ2, ℓ, girth, census) at full precision,
+// which the rounded tables cannot. Regenerate with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/sim -run TestResultJSONGolden
 var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 func TestResultJSONGoldenWorkerInvariantRoundTrip(t *testing.T) {
-	for _, name := range []string{"eq3", "degseq"} {
+	for _, name := range []string{"eq3", "degseq", "thm1", "thm3", "p1p2", "grw", "lemma13"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)

@@ -217,7 +217,9 @@ type Gap struct {
 // returning; each is the same computation as Lambda2 and LambdaN.
 // Both iterations only read g (Apply uses Adj and Degree, which never
 // freeze), so g may be frozen or not, but must not be mutated during
-// the call.
+// the call. A caller that needs only the lazy gap should call Lambda2
+// instead: LazyGap reads nothing else, so the λn iteration would be
+// wasted.
 func ComputeGap(g *graph.Graph, opts Options) (Gap, error) {
 	var ln float64
 	var lnErr error
@@ -242,7 +244,8 @@ func ComputeGap(g *graph.Graph, opts Options) (Gap, error) {
 // P' = (P+I)/2: eigenvalues map to (λ+1)/2, so λn' ≥ 0 and
 // λmax' = (λ2+1)/2. The paper invokes this transform whenever
 // λmax ≠ λ2 (e.g. bipartite graphs), at the cost of at most doubling
-// the cover time.
+// the cover time. Its LambdaMax and Value read only g.Lambda2, so the
+// lazy gap is 1 − (Lambda2(G)+1)/2 without computing λn at all.
 func LazyGap(g Gap) Gap {
 	l2 := (g.Lambda2 + 1) / 2
 	ln := (g.LambdaN + 1) / 2
