@@ -145,45 +145,6 @@ type ServeResult struct {
 	FanInWallMs  float64     `json:"fan_in_wall_ms"`
 }
 
-// BatchWidthResult is one lockstep width of the batch section: W full
-// vertex covers per op through walk.Batch, reported per cover.
-type BatchWidthResult struct {
-	Walks        int     `json:"walks"`
-	NsPerCover   float64 `json:"ns_per_cover"`
-	CoversPerSec float64 `json:"covers_per_sec"`
-	Speedup      float64 `json:"speedup"` // vs the sequential reuse loop
-}
-
-// BatchResult is one graph size of the batched multi-walk section:
-// walk.Batch at each power-of-two width up to -batch-w against the
-// sequential reuse loop (e.Reset + shared CoverScratch — the fastest
-// sequential shape, a stricter bar than fresh construction) on the
-// same frozen graph; -batch-n lists the sizes, spanning the
-// scalecover points that fit CI time (small graphs show the engine's
-// step-cost win cleanly, larger ones the cache-footprint tradeoff). All
-// widths and the sequential comparator are timed in interleaved rounds
-// (every contender sampled once per round, min of rounds) so slow host
-// drift hits them alike — the same methodology as -compare mode. The
-// width sweep is the honest report: the engine's targeted-deletion
-// redesign pays at every width, while the optimum width is a cache-
-// size question (each lane owns a pending arena the size of the CSR,
-// so wide batches trade memory-level parallelism against L2 footprint
-// — single-vCPU CI hosts tend to favor w=1, wider machines wider).
-// Before timing, every lane's outcome at the widest setting is checked
-// identical to a fresh sequential run with the same generator seed;
-// the speedup is only ever reported for a batch engine proven
-// draw-for-draw equivalent in the same process.
-type BatchResult struct {
-	N               int                `json:"n"`
-	Degree          int                `json:"degree"`
-	Rounds          int                `json:"rounds"`
-	SeqNsPerCover   float64            `json:"seq_ns_per_cover"`
-	SeqCoversPerSec float64            `json:"seq_covers_per_sec"`
-	Widths          []BatchWidthResult `json:"widths"`
-	BestWalks       int                `json:"best_walks"`
-	Speedup         float64            `json:"speedup"` // best width vs sequential
-}
-
 // LargeNResult is the large-n scaling section: the same full-cover
 // benchmark at an n whose hot state overflows mid-level caches, where
 // the compact layout's smaller working set pays the most.
@@ -202,7 +163,6 @@ type Report struct {
 	NumCPU     int             `json:"num_cpu"`
 	Benchmarks []BenchResult   `json:"benchmarks"`
 	Cover      CoverResult     `json:"cover"`
-	Batch      []BatchResult   `json:"batch"`
 	Sweep      SweepResult     `json:"sweep"`
 	Footprint  FootprintResult `json:"footprint"`
 	Churn      ChurnResult     `json:"churn"`
@@ -327,124 +287,16 @@ func runInterleaved(benches []namedBench, rounds int) []BenchResult {
 	return out
 }
 
-// batchLaneSeed gives lane l of the batch benchmark its generator seed;
-// the verification pass reruns the same seeds sequentially.
-func batchLaneSeed(l int) uint64 { return uint64(100 + l) }
-
-// benchBatch measures the batched multi-walk engine against the
-// sequential reuse loop on one frozen graph, at every power-of-two
-// lockstep width up to maxW. It first proves, in this process, that
-// every batch lane reproduces the sequential engine's exact outcome
-// for the same seed, then times all contenders in interleaved
-// min-of-rounds.
-func benchBatch(n, d, maxW, rounds int) BatchResult {
-	g := mustRegular(n, d, 9)
-	g.Freeze()
-
-	var widths []int
-	for w := 1; w <= maxW; w *= 2 {
-		widths = append(widths, w)
-	}
-
-	// Equivalence gate: batch outcomes at the widest setting must be
-	// identical to fresh sequential covers with the same generators
-	// before any timing is worth reporting.
-	var bt walk.Batch
-	lanes := make([]walk.Lane, widths[len(widths)-1])
-	for l := range lanes {
-		lanes[l] = walk.Lane{G: g, R: rng.NewXoshiro256(batchLaneSeed(l)), Start: 0}
-	}
-	for l, o := range bt.VertexCover(lanes, 0) {
-		if o.Err != nil {
-			panic(fmt.Sprintf("bench batch: lane %d: %v", l, o.Err))
-		}
-		e := walk.NewEProcess(g, rng.NewXoshiro256(batchLaneSeed(l)), nil, 0)
-		steps, err := walk.VertexCoverSteps(e, 0)
-		if err != nil {
-			panic(fmt.Sprintf("bench batch: sequential lane %d: %v", l, err))
-		}
-		if steps != o.Steps {
-			panic(fmt.Sprintf("bench batch: lane %d diverges: batch %d steps, sequential %d", l, o.Steps, steps))
-		}
-	}
-
-	contenders := []namedBench{
-		{"seq", func(b *testing.B) {
-			e := walk.NewEProcess(g, rng.NewXoshiro256(11), nil, 0)
-			var sc walk.CoverScratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Reset(0)
-				if _, err := sc.VertexCoverSteps(e, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	}
-	for _, w := range widths {
-		w := w
-		contenders = append(contenders, namedBench{fmt.Sprintf("batch-w%d", w), func(b *testing.B) {
-			var bt walk.Batch
-			lanes := make([]walk.Lane, w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for l := range lanes {
-					lanes[l] = walk.Lane{G: g, R: rng.NewXoshiro256(batchLaneSeed(l)), Start: 0}
-				}
-				for _, o := range bt.VertexCover(lanes, 0) {
-					if o.Err != nil {
-						b.Fatal(o.Err)
-					}
-				}
-			}
-		}})
-	}
-	timed := runInterleaved(contenders, rounds)
-	res := BatchResult{
-		N:             n,
-		Degree:        d,
-		Rounds:        rounds,
-		SeqNsPerCover: timed[0].NsPerOp,
-	}
-	res.SeqCoversPerSec = 1e9 / res.SeqNsPerCover
-	for i, w := range widths {
-		perCover := timed[i+1].NsPerOp / float64(w)
-		wr := BatchWidthResult{
-			Walks:        w,
-			NsPerCover:   perCover,
-			CoversPerSec: 1e9 / perCover,
-			Speedup:      res.SeqNsPerCover / perCover,
-		}
-		res.Widths = append(res.Widths, wr)
-		if wr.Speedup > res.Speedup {
-			res.Speedup = wr.Speedup
-			res.BestWalks = w
-		}
-	}
-	return res
-}
-
 // runCompare is -compare mode: re-run the step benchmarks interleaved
 // and print deltas against a baseline report. SimpleStep is the
 // control: no engine change touches it, so any movement there is host
 // drift and the run says so instead of letting the other deltas
 // masquerade as regressions or wins. Returns a process exit code.
 func runCompare(benches []namedBench, baselinePath string, rounds int) int {
-	data, err := os.ReadFile(baselinePath)
+	baseBy, err := loadBaseline(baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench: -compare:", err)
 		return 1
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: -compare: %s: %v\n", baselinePath, err)
-		return 1
-	}
-	baseBy := make(map[string]BenchResult, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
 	}
 
 	now := runInterleaved(benches, rounds)
@@ -470,6 +322,25 @@ func runCompare(benches []namedBench, baselinePath string, rounds int) int {
 		fmt.Printf("  control: SimpleStep %+.2f%% (within %.0f%% noise)\n", controlDrift, controlDriftPct)
 	}
 	return 0
+}
+
+// loadBaseline reads a BENCH_*.json report and indexes its step
+// benchmarks by name. Sections this version no longer writes (the
+// former "batch" section of BENCH_6 and earlier) are ignored.
+func loadBaseline(path string) (map[string]BenchResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	baseBy := make(map[string]BenchResult, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		baseBy[b.Name] = b
+	}
+	return baseBy, nil
 }
 
 // benchArms are the processes compared per point in the sweep
@@ -769,8 +640,6 @@ func main() {
 	sweepN := flag.Int("sweep-n", 2000, "vertices per point in the sweep benchmark")
 	largeN := flag.Int("large-n", 100000, "vertices for the large-n cover section")
 	reps := flag.Int("reps", benchReps, "repetitions per benchmark (median reported)")
-	batchNs := flag.String("batch-n", "2000,5000", "comma-separated graph sizes for the batched multi-walk section")
-	batchW := flag.Int("batch-w", 8, "concurrent walks in the batched multi-walk section")
 	compare := flag.String("compare", "", "baseline BENCH_*.json: print interleaved A/B deltas instead of writing a report")
 	compareRounds := flag.Int("compare-rounds", 3, "interleaved rounds in -compare mode (min reported)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
@@ -863,14 +732,6 @@ func main() {
 		}
 	})
 	report.Cover.WallSecondsTotal = coverBench.T.Seconds() / float64(coverBench.N)
-	for _, s := range strings.Split(*batchNs, ",") {
-		bn, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || bn <= 0 {
-			fmt.Fprintf(os.Stderr, "bench: bad -batch-n entry %q\n", s)
-			os.Exit(2)
-		}
-		report.Batch = append(report.Batch, benchBatch(bn, *d, *batchW, benchReps))
-	}
 	report.Sweep = benchSweep(*sweepPoints, *sweepN, *d, *trials)
 	report.Footprint = measureFootprint(*coverN, *d)
 	report.Churn = benchChurn(stepGraph, *d, report.Benchmarks[0].NsPerOp)
@@ -918,14 +779,6 @@ func main() {
 	fmt.Printf("  cover n=%d d=%d: %.0f vertex steps (%.2f·n), %.0f edge steps\n",
 		report.Cover.N, report.Cover.Degree, report.Cover.MeanVertexSteps,
 		report.Cover.VertexStepsPerN, report.Cover.MeanEdgeSteps)
-	for _, br := range report.Batch {
-		fmt.Printf("  batch n=%d d=%d: seq %.0f ns/cover (%.0f covers/s)", br.N, br.Degree,
-			br.SeqNsPerCover, br.SeqCoversPerSec)
-		for _, wr := range br.Widths {
-			fmt.Printf("; w=%d %.0f ns (%.2fx)", wr.Walks, wr.NsPerCover, wr.Speedup)
-		}
-		fmt.Printf(" — best w=%d %.2fx\n", br.BestWalks, br.Speedup)
-	}
 	fmt.Printf("  sweep %d points × %d arms × %d trials (n=%d d=%d): per-arm-serial %.3fs, shared-graph ×%d workers %.3fs (%.2fx)\n",
 		report.Sweep.Points, report.Sweep.ArmsPerPoint, report.Sweep.TrialsPerPoint,
 		report.Sweep.N, report.Sweep.Degree, report.Sweep.BaselineSeconds,

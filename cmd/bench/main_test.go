@@ -61,6 +61,38 @@ func TestReportJSONShape(t *testing.T) {
 	}
 }
 
+// -compare must keep loading every recorded report, including BENCH_6
+// and earlier, which carry the retired "batch" section.
+func TestLoadBaselineReadsRecordedReports(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawBatch := false
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		_, hasBatch := fields["batch"]
+		sawBatch = sawBatch || hasBatch
+		base, err := loadBaseline(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if b, ok := base["EProcessStep"]; !ok || b.NsPerOp <= 0 {
+			t.Errorf("%s: no EProcessStep baseline (got %+v)", path, b)
+		}
+	}
+	if !sawBatch {
+		t.Fatal("no recorded report carries a batch section; the test no longer covers it")
+	}
+}
+
 // The footprint probe must report the packed layout: 8-byte halves and
 // a resident hot state below the former 16-byte-Half layout's floor
 // (two 16-byte copies of every half alone put it past 32 B/half).

@@ -54,8 +54,10 @@ func intn[S Source](src S, n int) int {
 // routed through the generic uint64n: the generic instantiates by
 // gcshape and calls Uint64 through a dictionary, which blocks inlining
 // on the one generator every simulation hot loop uses. The concrete
-// body below inlines into devirtualized callers (walk.Batch.stepLane),
-// and is draw-for-draw identical to the generic path.
+// body below inlines into devirtualized callers, and is draw-for-draw
+// identical to the generic path. (walk's fused cover loop goes one step
+// further: it hoists the state words into locals and writes this same
+// update and reduction out inline; see Xoshiro256.State.)
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	// The xoshiro update is fused in rather than calling Uint64: the
 	// generator's cost sits just above the compiler's inlining budget,

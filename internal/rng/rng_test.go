@@ -240,7 +240,7 @@ func TestNewSourceMTUsesAllSeedBits(t *testing.T) {
 // TestStateInlineUpdateMatches pins the published state layout: an
 // engine that hoists the four words via State, replicates the
 // xoshiro256** update inline, and writes back must produce the exact
-// Uint64 stream. walk's batched cover engine does precisely this.
+// Uint64 stream. walk's fused cover loop does precisely this.
 func TestStateInlineUpdateMatches(t *testing.T) {
 	ref := NewXoshiro256(12345)
 	x := NewXoshiro256(12345)

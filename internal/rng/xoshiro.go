@@ -26,7 +26,7 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 }
 
 // State exposes the generator's four state words. Hot loops that cannot
-// afford a call per draw (walk's batched cover engine) hoist the words
+// afford a call per draw (walk's fused cover loop) hoist the words
 // into locals, replicate the xoshiro256** update inline, and write the
 // words back when the burst ends; the update they replicate is pinned
 // against this generator by TestStateInlineUpdateMatches. The pointer
@@ -37,7 +37,7 @@ func (x *Xoshiro256) State() *[4]uint64 { return &x.s }
 // Uint64 returns the next 64-bit output. The state is addressed through
 // a hoisted array pointer: the same update, but the body prices under
 // the compiler's inlining budget, which the bounded-draw hot paths
-// (Uint64n, and through it walk's batched cover engine) rely on.
+// (Uint64n's fringe loop) rely on.
 func (x *Xoshiro256) Uint64() uint64 {
 	s := &x.s
 	result := bits.RotateLeft64(s[1]*5, 7) * 9

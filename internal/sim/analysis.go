@@ -31,7 +31,7 @@ func runAnalysis(workers int, tasks [][]func() error) error {
 	}
 	errs := make([]error, len(flat))
 	workers = Config{Workers: workers}.withDefaults().Workers
-	runUnits(context.Background(), workers, len(flat), nil, nil, func(i int, _ *walk.CoverScratch, _ *walk.Batch) error {
+	runUnits(context.Background(), workers, len(flat), nil, func(i int, _ *walk.CoverScratch) error {
 		i = len(flat) - 1 - i
 		errs[i] = flat[i]()
 		return nil

@@ -30,11 +30,6 @@ type ExpConfig struct {
 	// Points that pin their own budget (PointSpec.MaxSteps, e.g. the
 	// churn experiments) keep it regardless.
 	MaxSteps int64
-	// BatchWalks caps how many trials of a point the runner batches
-	// into one walk.Batch call (see Config.BatchWalks). Like Workers it
-	// is execution strategy, not run identity: results are
-	// byte-identical at every setting.
-	BatchWalks int
 }
 
 func (c ExpConfig) withDefaults() ExpConfig {
@@ -51,28 +46,19 @@ func (c ExpConfig) withDefaults() ExpConfig {
 // seed derivation happens inside the SweepPlan via deriveSeed; the
 // experiments only contribute point salts built with Salt.
 func (c ExpConfig) config() Config {
-	return Config{Seed: c.Seed, Trials: c.Trials, Workers: c.Workers, Kind: c.Kind, MaxSteps: c.MaxSteps, BatchWalks: c.BatchWalks}
+	return Config{Seed: c.Seed, Trials: c.Trials, Workers: c.Workers, Kind: c.Kind, MaxSteps: c.MaxSteps}
 }
 
 func eprocessArmV(name string, rule walk.Rule) Arm {
-	a := VertexArm(name, func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
+	return VertexArm(name, func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
 		return walk.NewEProcess(g, r, rule, start)
 	})
-	// The batched engine implements exactly the fused Uniform-rule
-	// E-process (nil defaults to Uniform in NewEProcess), so only those
-	// arms opt in; other rules keep the sequential path.
-	if _, uniform := rule.(walk.Uniform); uniform || rule == nil {
-		a.RunBatch = batchEProcessArm(true)
-	}
-	return a
 }
 
 func eprocessArm(name string) Arm {
-	a := CoverArm(name, func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
+	return CoverArm(name, func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
 		return walk.NewEProcess(g, r, nil, start)
 	})
-	a.RunBatch = batchEProcessArm(false)
-	return a
 }
 
 func srwArmV(name string) Arm {

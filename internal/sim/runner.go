@@ -38,14 +38,6 @@ type Config struct {
 	// Kind selects the RNG family (default xoshiro256**; use
 	// rng.KindMT19937 to mirror the paper's Python experiments).
 	Kind rng.Kind
-	// BatchWalks is the maximum number of consecutive trials of one
-	// point the runner hands to the batched walk engine in a single
-	// call, for arms that opt in (Arm.RunBatch). Default 8; 1 runs
-	// every arm on the sequential engine. Like Workers it is pure
-	// execution strategy: results are byte-identical at every setting
-	// (the batch engine is draw-for-draw identical to the sequential
-	// one), so it is not part of the run identity (RunKey).
-	BatchWalks int
 }
 
 func (c Config) withDefaults() Config {
@@ -57,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Kind == 0 {
 		c.Kind = rng.KindXoshiro
-	}
-	if c.BatchWalks == 0 {
-		c.BatchWalks = 8
 	}
 	return c
 }

@@ -107,61 +107,27 @@ const (
 // would silently stay zero on a resumed or merged run.
 type ArmFunc func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error)
 
-// BatchArmFunc measures one arm on several trials at once through the
-// batched walk engine: gs[i] and rs[i] are trial i's shared frozen
-// graph and the arm's private generator (derived exactly as for
-// ArmFunc), and bt is the worker's reusable batch scratch. It returns
-// one measurement and one error slot per trial, parallel to gs. The
-// contract is strict determinism: for every trial the measurement (and
-// any censoring error) must be identical to what the arm's sequential
-// Run would produce with the same generator — the batch may reorder
-// memory traffic, never RNG consumption — so a plan's results are
-// byte-identical at every Config.BatchWalks setting.
-type BatchArmFunc func(gs []*graph.Graph, rs []*rng.Rand, bt *walk.Batch, maxSteps int64) ([]Measurement, []error)
+// BatchArmFunc was the signature of an arm's batched form. It stays
+// only because perfbench/passes.go still compiles against it; the
+// runner never calls one. bt's type is *walk.Batch, written as the
+// *struct{} that deprecated alias stands for, so that this module names
+// no deprecated identifier.
+//
+// Deprecated: arms have one form, ArmFunc. Fresh Uniform-rule
+// E-processes already take the cover drivers' fused loop through it.
+type BatchArmFunc func(gs []*graph.Graph, rs []*rng.Rand, bt *struct{}, maxSteps int64) ([]Measurement, []error)
 
 // Arm is one process (or measurement) compared on a point's shared
 // per-trial graphs.
 type Arm struct {
 	Name string
 	Run  ArmFunc
-	// RunBatch, when non-nil, lets the sweep runner measure several
-	// trials of this arm in one batched-engine call. It must agree with
-	// Run trial-for-trial (see BatchArmFunc); the registry byte-identity
-	// tests pin this across batch widths.
+	// RunBatch is ignored by the runner, and nothing in this module
+	// sets it; it stays only because perfbench/passes.go still compiles
+	// against it.
+	//
+	// Deprecated: the runner measures every arm through Run.
 	RunBatch BatchArmFunc
-}
-
-// batchEProcessArm is the batched counterpart of the fused Uniform-rule
-// E-process cover arms (eprocessArm / eprocessArmV): one walk.Batch
-// lane per trial, start vertex 0, mapping each LaneOutcome onto exactly
-// the Measurement the sequential CoverScratch driver would return.
-func batchEProcessArm(vertexOnly bool) BatchArmFunc {
-	return func(gs []*graph.Graph, rs []*rng.Rand, bt *walk.Batch, maxSteps int64) ([]Measurement, []error) {
-		lanes := make([]walk.Lane, len(gs))
-		for i := range gs {
-			lanes[i] = walk.Lane{G: gs[i], R: rs[i], Start: 0}
-		}
-		var outs []walk.LaneOutcome
-		if vertexOnly {
-			outs = bt.VertexCover(lanes, maxSteps)
-		} else {
-			outs = bt.Cover(lanes, maxSteps)
-		}
-		ms := make([]Measurement, len(outs))
-		errs := make([]error, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				errs[i] = o.Err
-				continue
-			}
-			if vertexOnly {
-				ms[i] = Measurement{Vertex: float64(o.Steps)}
-			} else {
-				ms[i] = Measurement{Vertex: float64(o.Times.Vertex), Edge: float64(o.Times.Edge)}
-			}
-		}
-		return ms, errs
-	}
 }
 
 // CoverArm adapts a ProcessFactory into an arm measuring vertex and
@@ -336,18 +302,15 @@ func (pl *SweepPlan) Seeds() []uint64 {
 }
 
 // runUnits fans n independent work items out over a pool of `workers`
-// goroutines, each owning one walk.CoverScratch and one walk.Batch for
-// its lifetime, and joins every item's error — a failing item never
-// masks the others. Cancelling ctx stops the feed promptly: in-flight
-// items finish, queued items are skipped, every worker exits, and
-// ctx.Err() is returned. weights[i], when non-nil, is how many logical
-// units item i completes (a batched trial group spans several); onDone,
-// when non-nil, is invoked once per completed unit with the cumulative
-// completion count — weight times per item, consecutively, so Progress
-// still counts every (point, trial) unit. Calls are serialised by a
+// goroutines, each owning one walk.CoverScratch for its lifetime, and
+// joins every item's error — a failing item never masks the others.
+// Cancelling ctx stops the feed promptly: in-flight items finish,
+// queued items are skipped, every worker exits, and ctx.Err() is
+// returned. onDone, when non-nil, is invoked once per completed item
+// with the cumulative completion count. Calls are serialised by a
 // mutex but may originate from any worker, so unit order is not
 // implied.
-func runUnits(ctx context.Context, workers, n int, weights []int, onDone func(done int), fn func(unit int, sc *walk.CoverScratch, bt *walk.Batch) error) error {
+func runUnits(ctx context.Context, workers, n int, onDone func(done int), fn func(unit int, sc *walk.CoverScratch) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -361,25 +324,18 @@ func runUnits(ctx context.Context, workers, n int, weights []int, onDone func(do
 		go func() {
 			defer wg.Done()
 			var sc walk.CoverScratch
-			var bt walk.Batch
 			for u := range units {
 				if ctx.Err() != nil {
 					continue // drain the queue without running
 				}
-				errs[u] = fn(u, &sc, &bt)
+				errs[u] = fn(u, &sc)
 				if onDone != nil {
-					weight := 1
-					if weights != nil {
-						weight = weights[u]
-					}
 					// The callback runs under the lock so invocations
 					// are serialised, as RunOptions.Progress documents;
 					// callbacks should therefore be quick.
 					mu.Lock()
-					for i := 0; i < weight; i++ {
-						completed++
-						onDone(completed)
-					}
+					completed++
+					onDone(completed)
 					mu.Unlock()
 				}
 			}
@@ -460,24 +416,10 @@ func (pl *SweepPlan) RunShard(ctx context.Context, shard Shard, opts RunOptions)
 // representative graph instead of running a (point, trial) unit.
 const repWork = -1
 
-// workItem is one entry of runSpan's pool feed: a span of consecutive
-// canonical units of one point to execute (unit >= 0, span >= 1) or,
-// after a restore, the re-derivation of point rep's trial-0
-// representative graph (unit == repWork, span == 1). Spans longer than
-// one unit arise only on points with a batch-capable arm under
-// Config.BatchWalks > 1; they are executed by runUnitGroup.
-type workItem struct{ unit, rep, span int }
-
-// batchable reports whether any of the point's arms opts into the
-// batched execution path.
-func (pt *PointSpec) batchable() bool {
-	for i := range pt.Arms {
-		if pt.Arms[i].RunBatch != nil {
-			return true
-		}
-	}
-	return false
-}
+// workItem is one entry of runSpan's pool feed: a canonical unit to
+// execute (unit >= 0) or, after a restore, the re-derivation of point
+// rep's trial-0 representative graph (unit == repWork).
+type workItem struct{ unit, rep int }
 
 // runSpan is the shared core of RunContext, RunShard and MergeShards:
 // it executes the units of one contiguous block of the canonical unit
@@ -537,52 +479,30 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 	// representative-graph regenerations for points whose trial-0 unit
 	// was restored: PointResult.Rep must be the literal trial-0
 	// instance, and it is a pure function of the graph seed, so
-	// re-deriving it reproduces the original exactly. Consecutive
-	// runnable units of a point with a batch-capable arm coalesce into
-	// one work item of up to Config.BatchWalks trials; restored units
-	// and point boundaries break a span, so restores and shards only
-	// shorten groups, never change what any trial computes.
+	// re-deriving it reproduces the original exactly.
 	var work []workItem
-	for u := lo; u < hi; {
+	for u := lo; u < hi; u++ {
 		if rec, ok := restored[u]; ok {
 			un := units[u]
 			for ai := range rec.Arms {
 				results[un.point].Arms[ai].Measurements[un.trial] = rec.Arms[ai]
 			}
-			u++
 			continue
 		}
-		it := workItem{unit: u, rep: repWork, span: 1}
-		if cfg.BatchWalks > 1 && pl.Points[units[u].point].batchable() {
-			for u+it.span < hi && it.span < cfg.BatchWalks {
-				next := u + it.span
-				if _, ok := restored[next]; ok || units[next].point != units[u].point {
-					break
-				}
-				it.span++
-			}
-		}
-		work = append(work, it)
-		u += it.span
+		work = append(work, workItem{unit: u, rep: repWork})
 	}
 	if full {
 		for pi := range pl.Points {
 			if _, ok := restored[firstUnit[pi]]; ok {
-				work = append(work, workItem{unit: repWork, rep: pi, span: 1})
+				work = append(work, workItem{unit: repWork, rep: pi})
 			}
 		}
 	}
-	weights := make([]int, len(work))
-	total := 0
-	for i, it := range work {
-		weights[i] = it.span
-		total += it.span
-	}
 	var onDone func(int)
 	if opts.Progress != nil {
-		onDone = func(done int) { opts.Progress(done, total) }
+		onDone = func(done int) { opts.Progress(done, len(work)) }
 	}
-	err := runUnits(ctx, cfg.Workers, len(work), weights, onDone, func(w int, sc *walk.CoverScratch, bt *walk.Batch) error {
+	err := runUnits(ctx, cfg.Workers, len(work), onDone, func(w int, sc *walk.CoverScratch) error {
 		it := work[w]
 		if it.unit == repWork {
 			pt := &pl.Points[it.rep]
@@ -593,9 +513,6 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			g.Freeze()
 			results[it.rep].Rep = g
 			return nil
-		}
-		if it.span > 1 {
-			return pl.runUnitGroup(cfg, units, it, results, jl, sc, bt)
 		}
 		u := it.unit
 		pi, trial := units[u].point, units[u].trial
@@ -651,92 +568,4 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 		}
 	}
 	return results, nil
-}
-
-// runUnitGroup executes one multi-unit work item: it.span consecutive
-// trials of one point, batching the trials of each RunBatch-capable arm
-// into a single walk.Batch call and running the remaining arms
-// per-trial, in the same arm order the sequential path uses. Every
-// derivation (graph seed, arm seed, budget) and every error wrap is
-// identical to the singleton path's, and each trial keeps independent
-// failure semantics: a trial whose graph or arm errors drops out of the
-// remaining arms' batches and is not journaled, exactly as if it had
-// run alone, while the group's other trials proceed. The joined
-// per-trial errors are returned.
-func (pl *SweepPlan) runUnitGroup(cfg Config, units []unit, it workItem, results []PointResult, jl *journal, sc *walk.CoverScratch, bt *walk.Batch) error {
-	pi := units[it.unit].point
-	t0 := units[it.unit].trial
-	pt := &pl.Points[pi]
-	gs := make([]*graph.Graph, it.span)
-	uerr := make([]error, it.span)
-	ms := make([][]Measurement, it.span)
-	for k := range gs {
-		trial := t0 + k
-		g, err := pt.Graph(rand.New(rng.NewSource(cfg.Kind, pt.graphSeed(cfg, trial))))
-		if err != nil {
-			uerr[k] = fmt.Errorf("sim: point %q trial %d graph: %w", pt.Key, trial, err)
-			continue
-		}
-		g.Freeze()
-		if trial == 0 {
-			// Each (point, 0) unit is the unique writer of its Rep slot.
-			results[pi].Rep = g
-		}
-		gs[k] = g
-		ms[k] = make([]Measurement, len(pt.Arms))
-	}
-	live := make([]int, 0, it.span)
-	for ai := range pt.Arms {
-		arm := &pt.Arms[ai]
-		live = live[:0]
-		for k := range gs {
-			if uerr[k] == nil {
-				live = append(live, k)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		if arm.RunBatch != nil {
-			bgs := make([]*graph.Graph, len(live))
-			rs := make([]*rng.Rand, len(live))
-			for j, k := range live {
-				bgs[j] = gs[k]
-				rs[j] = rng.NewRand(rng.NewSource(cfg.Kind, pt.armSeed(cfg, ai, t0+k)))
-			}
-			bms, berrs := arm.RunBatch(bgs, rs, bt, pt.maxSteps(cfg))
-			for j, k := range live {
-				if berrs[j] != nil {
-					uerr[k] = fmt.Errorf("sim: point %q trial %d arm %q: %w", pt.Key, t0+k, arm.Name, berrs[j])
-					continue
-				}
-				ms[k][ai] = bms[j]
-				results[pi].Arms[ai].Measurements[t0+k] = bms[j]
-			}
-			continue
-		}
-		for _, k := range live {
-			trial := t0 + k
-			r := rng.NewRand(rng.NewSource(cfg.Kind, pt.armSeed(cfg, ai, trial)))
-			m, err := arm.Run(trial, gs[k], r, sc, pt.maxSteps(cfg))
-			if err != nil {
-				uerr[k] = fmt.Errorf("sim: point %q trial %d arm %q: %w", pt.Key, trial, arm.Name, err)
-				continue
-			}
-			ms[k][ai] = m
-			results[pi].Arms[ai].Measurements[trial] = m
-		}
-	}
-	if jl != nil {
-		for k := range gs {
-			if uerr[k] != nil {
-				continue
-			}
-			trial := t0 + k
-			if err := jl.writeUnit(UnitRecord{Unit: it.unit + k, Point: pt.Key, Trial: trial, Arms: ms[k]}); err != nil {
-				uerr[k] = fmt.Errorf("sim: point %q trial %d: journal: %w", pt.Key, trial, err)
-			}
-		}
-	}
-	return errors.Join(uerr...)
 }

@@ -26,9 +26,13 @@ func reuse[T any](s []T, n int) []T {
 // Invariants:
 //   - pending halves of v occupy halves[off[v]:end[v]], with
 //     off[v] <= end[v] <= off[v+1];
-//   - a half whose edge has been visited may linger in a pending block
-//     until that vertex is next pruned (lazy deletion, each half is
-//     removed at most once so total maintenance is O(m) per run);
+//   - under EProcess the blocks are exact at every Step boundary: cross
+//     deletes both halves of the crossed edge, so a block holds exactly
+//     the unvisited halves at its vertex and BlueDegree is its length;
+//   - under Biased, whose SRW branch crosses unvisited edges without
+//     removing them, a visited half may linger until its vertex is next
+//     pruned (lazy deletion, each half removed at most once, so total
+//     maintenance is O(m) per run);
 //   - reset restores every block to the graph's full adjacency by one
 //     flat copy — no per-vertex allocation, and after the first reset
 //     no allocation at all.
@@ -55,14 +59,15 @@ func (a *edgeArena) reset(g *graph.Graph) {
 }
 
 // pending returns the live pending block of v. The slice aliases the
-// arena; it is invalidated by prune, remove, and reset.
+// arena; it is invalidated by prune, cross, and reset.
 func (a *edgeArena) pending(v int) []graph.Half {
 	return a.halves[a.off[v]:a.end[v]]
 }
 
 // prune deletes (by swap with the block's last element) every pending
-// half of v whose edge is already visited. On an empty block the loop
-// body never runs, so callers need no emptiness pre-check.
+// half of v whose edge is already visited: Biased's lazy deletion. On
+// an empty block the loop body never runs, so callers need no
+// emptiness pre-check.
 func (a *edgeArena) prune(v int, visited *bits.Set) {
 	lo, hi := a.off[v], a.end[v]
 	for i := lo; i < hi; {
@@ -76,10 +81,25 @@ func (a *edgeArena) prune(v int, visited *bits.Set) {
 	a.end[v] = hi
 }
 
-// remove deletes index i of v's pending block (an index into the slice
-// returned by pending) by swapping the block's last element into it.
-func (a *edgeArena) remove(v, i int) {
+// cross deletes the edge at index i of v's pending block (an index
+// into the slice returned by pending) from both endpoints and returns
+// its half at v. Each half goes by swap with its block's last element:
+// the chosen one at v, then the twin at the far endpoint, found by its
+// edge ID (for a loop the twin sits in v's own block). This is exactly
+// the arrangement a lazy prune on the next arrival would leave, because
+// that prune would find the twin as the block's only visited half.
+func (a *edgeArena) cross(v, i int) graph.Half {
+	j := a.off[v] + int32(i)
+	h := a.halves[j]
 	hi := a.end[v] - 1
-	a.halves[a.off[v]+int32(i)] = a.halves[hi]
+	a.halves[j] = a.halves[hi]
 	a.end[v] = hi
+	w := h.To
+	p, hi := a.off[w], a.end[w]-1
+	for a.halves[p].ID != h.ID {
+		p++
+	}
+	a.halves[p] = a.halves[hi]
+	a.end[w] = hi
+	return h
 }

@@ -87,27 +87,19 @@ func BenchmarkEProcessFullVertexCoverReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCover8 runs 8 full covers per op through the batched
-// engine on one shared graph — compare against 8× the per-op time of
-// BenchmarkEProcessFullVertexCoverReuse for the batching win. The
-// cmd/bench batch section measures the same shape with outcome
-// verification against the sequential engine.
-func BenchmarkBatchCover8(b *testing.B) {
-	const W = 8
+// BenchmarkFusedCover measures a sim worker's cover trial: Reset plus a
+// full vertex-and-edge Cover with reused scratch, which a fresh
+// Uniform-rule process runs through the fused cover loop.
+func BenchmarkFusedCover(b *testing.B) {
 	g := mustRegular(b, newRand(9), 5000, 4)
-	g.Freeze()
-	var bt Batch
-	lanes := make([]Lane, W)
+	e := NewEProcess(g, rng.NewXoshiro256(11), nil, 0)
+	var sc CoverScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for w := range lanes {
-			lanes[w] = Lane{G: g, R: rng.NewXoshiro256(uint64(100 + w)), Start: 0}
-		}
-		for _, o := range bt.VertexCover(lanes, 0) {
-			if o.Err != nil {
-				b.Fatal(o.Err)
-			}
+		e.Reset(0)
+		if _, err := sc.Cover(e, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -40,34 +40,38 @@
 // mirroring the CSR block (see edgeArena for the invariants), and Reset
 // refills that arena with one copy and clears bitsets in place — no
 // per-vertex allocation, and zero allocation from the second Reset on.
-// With the Uniform rule, EProcess.Step takes a fused fast path that
-// prunes the pending block and draws the crossed edge in one pass,
-// skipping the Rule interface dispatch; it is draw-for-draw identical
-// to the generic path. Callers that measure many trials reuse the
+// With the Uniform rule, EProcess.Step draws the crossed edge without
+// the Rule interface dispatch; it is draw-for-draw identical to the
+// generic path. Callers that measure many trials reuse the
 // cover drivers' seen-bitsets through CoverScratch; the package-level
 // VertexCoverSteps/EdgeCoverSteps/Cover remain as one-shot
 // conveniences. internal/walk/alloc_test.go pins all of this with
 // testing.AllocsPerRun.
 //
-// # Batched multi-walk engine
+// # Exact pending blocks and the fused cover loop
 //
-// Batch advances W independent Uniform-rule E-processes in chunked
-// lockstep (Batch.Cover / Batch.VertexCover, one Lane per walk). The
-// point is memory-level parallelism on the cover workload: a single
-// walk's blue step is a dependent chain of cache misses across the
-// pending arena, while W interleaved walks keep W misses in flight and
-// lanes sharing a graph revisit each other's freshly fetched CSR lines.
-// The batch engine also replaces the sequential engine's lazy
-// prune-on-arrival (the profiler-dominant cost of a full cover) with
-// exact near-O(1) deletion of each crossed edge's two halves, dropping
-// the visited-edge bitset entirely — see the type comment on Batch for
-// the staleness argument. Determinism is non-negotiable and pinned by
-// golden_test.go and batch_test.go: every lane consumes randomness
-// draw-for-draw exactly as a sequential fused-Uniform EProcess with the
-// same generator, so batching reorders memory traffic, never results.
-// The sim sweep runner batches trials of one (point, arm) through this
-// engine when the arm opts in (sim.Arm.RunBatch); tables are
-// byte-identical at every batch width.
+// One engine serves every rule A. A blue step deletes both halves of
+// the crossed edge from the pending arena at once: the chosen half
+// from the current vertex's block and its twin from the far endpoint's
+// block, found by edge ID, each by swap with the block's last element.
+// A lazy prune on the next arrival would leave the same arrangement: a
+// half goes stale only when the walk crosses its edge from the other
+// endpoint, which moves the walk onto the stale half's own vertex, so
+// that prune always finds exactly one visited half, or none. Every
+// pending block is therefore exact at every Step boundary, BlueDegree(v)
+// is its length, and the math/rand golden trajectories hold for every
+// rule. Biased keeps the lazy prune: its SRW branch can cross an
+// unvisited edge without taking it out of either block.
+//
+// Exact blocks also let the cover drivers run a fresh static
+// Uniform-rule *EProcess in one fused loop (CoverScratch.Cover and
+// CoverScratch.VertexCoverSteps). The loop keeps the xoshiro256** state
+// in locals with the bounded draw written out inline, counts covered
+// edges with a bare counter (a blue step always covers a new edge, a
+// red step never does) and probes no seen-edge set. It takes the same
+// steps per-Step driving takes and leaves the process in the same
+// state; golden_test.go and fused_test.go pin that. Every other process
+// is driven one Step at a time.
 //
 // # Randomness
 //

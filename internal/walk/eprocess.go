@@ -53,26 +53,27 @@ func (s Stats) Total() int64 { return s.RedSteps + s.BlueSteps }
 // The process runs on the graph's frozen CSR layout and allocates
 // nothing after construction: pending unvisited halves live in a single
 // flat arena (see edgeArena) that Reset refills with one copy from the
-// graph's CSR block, and the visited bitset is cleared in place.
+// graph's CSR block, and the visited bitset is cleared in place. A blue
+// step deletes the crossed edge's two halves from the arena at once, so
+// every pending block is exact at every Step boundary.
 type EProcess struct {
 	g    *graph.Graph
 	ri   Intner
 	r    *rand.Rand // interop view of ri for Rand(); may be nil
 	rule Rule
 
-	// fastUniform routes Step through the fused prune+choose blue path
-	// when the rule is the stateless Uniform rule (the common case of
-	// every sweep); adversarial/deterministic rules keep the generic
-	// Rule-dispatch path.
+	// fastUniform draws the blue index directly when the rule is the
+	// stateless Uniform rule (the common case of every sweep), skipping
+	// Rule dispatch; it also admits a fresh process to the cover
+	// drivers' fused loop (CoverScratch.Cover).
 	fastUniform bool
 
 	cur     int
 	visited bits.Set // by edge ID
 
-	// pend holds the candidate unvisited half-edges of every vertex in
-	// one flat block. Entries whose edge has since been visited (from
-	// the other endpoint) are pruned lazily on access; each half is
-	// pruned at most once, so maintenance is O(m) over the whole run.
+	// pend holds exactly the unvisited half-edges of every vertex in
+	// one flat block; a blue step deletes both halves of the crossed
+	// edge (edgeArena.cross), so the static path never prunes.
 	pend edgeArena
 
 	// halves/off are the graph's CSR adjacency, cached (and rebound at
@@ -205,7 +206,6 @@ func (e *EProcess) BlueDegree(v int) int {
 		}
 		return count
 	}
-	e.pend.prune(v, &e.visited)
 	return len(e.pend.pending(v))
 }
 
@@ -248,55 +248,35 @@ func (e *EProcess) Phase() Phase { return e.phase }
 // Step implements Process.
 func (e *EProcess) Step() (int, int) {
 	v := e.cur
-	if e.fastUniform {
-		// Fused blue-step fast path for the Uniform rule: prune v's
-		// pending block and pick the crossed edge in the same breath —
-		// no Rule dispatch, no validation of a foreign rule's choice,
-		// and the emptiness decision is the one branch on the
-		// post-prune length (prune on an already-empty block is a
-		// zero-iteration loop). Draw-for-draw this is the generic path
-		// exactly (prune consumes no randomness; the choice is the
-		// same Intn the Uniform rule made), so math/rand trajectories
-		// are byte-identical.
-		a := &e.pend
-		a.prune(v, &e.visited)
-		lo, hi := a.off[v], a.end[v]
-		if n := int(hi - lo); n > 0 {
-			i := lo + int32(e.ri.Intn(n))
-			h := a.halves[i]
-			e.visited.Set(int(h.ID))
-			// Swap-remove the chosen half; its twin at the far endpoint
-			// is pruned lazily when that vertex is next queried.
-			a.halves[i] = a.halves[hi-1]
-			a.end[v] = hi - 1
-			return e.blueStep(h)
-		}
-		return e.redStep(v)
-	}
 	if e.topo != nil {
 		return e.stepDyn(v)
 	}
-	// Generic path: arbitrary (possibly adversarial) rules. Prune on an
-	// empty block is a zero-iteration loop, so no separate emptiness
-	// guard is needed here either.
-	e.pend.prune(v, &e.visited)
-	if p := e.pend.pending(v); len(p) > 0 {
-		// Blue step: the rule chooses which unvisited edge to cross.
-		// The paper allows arbitrary (even adversarial) rules, so the
-		// process validates the choice rather than trusting it: a rule
-		// returning an out-of-range index is a bug worth failing loudly
-		// on, not silently walking a corrupted trajectory.
-		idx := e.rule.Choose(e, v, p)
+	a := &e.pend
+	lo, hi := a.off[v], a.end[v]
+	if lo == hi {
+		return e.redStep(v)
+	}
+	p := a.halves[lo:hi]
+	// Blue step: the rule chooses which unvisited edge to cross. For the
+	// Uniform rule the process draws the index itself, the one Intn
+	// Uniform.Choose would make, skipping Rule dispatch. The paper allows
+	// arbitrary (even adversarial) rules, so the process validates any
+	// other rule's choice rather than trusting it: an out-of-range index
+	// is a bug worth failing loudly on, not silently walking a corrupted
+	// trajectory.
+	var idx int
+	if e.fastUniform {
+		idx = e.ri.Intn(len(p))
+	} else {
+		idx = e.rule.Choose(e, v, p)
 		if idx < 0 || idx >= len(p) {
 			panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
 				e.rule.Name(), idx, len(p), v))
 		}
-		h := p[idx]
-		e.visited.Set(int(h.ID))
-		e.pend.remove(v, idx)
-		return e.blueStep(h)
 	}
-	return e.redStep(v)
+	h := e.pend.cross(v, idx)
+	e.visited.Set(int(h.ID))
+	return e.blueStep(h)
 }
 
 // blueStep finishes a blue transition along h: move, count, and keep

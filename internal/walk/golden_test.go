@@ -155,44 +155,38 @@ func TestFusedPathMatchesGenericPath(t *testing.T) {
 	}
 }
 
-// TestBatchGoldenLaneTrajectory extends the golden pin to the batched
-// engine: a Batch lane driven by rand.NewSource(42) on the golden graph
-// must replay goldenEProcess step for step, even while other lanes with
-// other seeds interleave with it — the batch reorders memory traffic
-// between lanes, never RNG consumption within one. The trace hook
-// records every transition; only lane 0 is golden-checked, the
-// neighbours exist to perturb the interleaving.
-func TestBatchGoldenLaneTrajectory(t *testing.T) {
+// TestFusedCoverGoldenTrajectory extends the golden pin to the cover
+// drivers' fused loop: a fresh Uniform-rule process driven by
+// rand.NewSource(42) through CoverScratch.Cover must replay
+// goldenEProcess step for step. The scratch's trace hook records every
+// transition of the loop.
+func TestFusedCoverGoldenTrajectory(t *testing.T) {
 	g := goldenGraph(t)
-	var bt Batch
+	e := NewEProcess(g, rand.New(rand.NewSource(42)), nil, 0)
+	var sc CoverScratch
 	var traj []step
-	bt.trace = func(lane, e, v int) {
-		if lane == 0 {
-			traj = append(traj, step{e, v})
-		}
-	}
-	lanes := []Lane{
-		{G: g, R: rand.New(rand.NewSource(42)), Start: 0},
-		{G: g, R: rand.New(rand.NewSource(7)), Start: 11},
-		{G: g, R: rand.New(rand.NewSource(99)), Start: 23},
-	}
-	outs := bt.Cover(lanes, int64(len(goldenEProcess)))
+	sc.trace = func(e, v int) { traj = append(traj, step{e, v}) }
+	_, err := sc.Cover(e, int64(len(goldenEProcess)))
 	// Vertex+edge cover of DoubleCycle(32) needs at least m = 64 steps,
 	// so at least that much of the golden prefix is always compared.
 	if len(traj) < g.M() {
-		t.Fatalf("lane 0 took only %d steps; expected at least m = %d", len(traj), g.M())
+		t.Fatalf("fused cover took only %d steps; expected at least m = %d", len(traj), g.M())
 	}
-	if len(traj) < len(goldenEProcess) && outs[0].Err != nil {
-		t.Fatalf("lane 0 stopped at step %d with error %v", len(traj), outs[0].Err)
+	if len(traj) < len(goldenEProcess) && err != nil {
+		t.Fatalf("fused cover stopped at step %d with error %v", len(traj), err)
 	}
 	for i, got := range traj {
 		if i >= len(goldenEProcess) {
 			break
 		}
 		if w := goldenEProcess[i]; got != w {
-			t.Fatalf("batched lane 0: step %d = (%d,%d), golden (%d,%d) — batching changed RNG consumption",
+			t.Fatalf("fused cover: step %d = (%d,%d), golden (%d,%d) — the fused loop changed RNG consumption",
 				i, got.e, got.v, w.e, w.v)
 		}
+	}
+	if e.Current() != traj[len(traj)-1].v || e.Stats().Total() != int64(len(traj)) {
+		t.Fatalf("process left at vertex %d after %d steps; trace ends at %d after %d",
+			e.Current(), e.Stats().Total(), traj[len(traj)-1].v, len(traj))
 	}
 }
 

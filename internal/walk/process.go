@@ -36,6 +36,11 @@ type Process interface {
 type CoverScratch struct {
 	seenV bits.Set
 	seenE bits.Set
+
+	// trace, when non-nil, observes every transition of the fused cover
+	// loop as (edgeID, vertex): the golden-trajectory tests' window into
+	// it. Production callers leave it nil.
+	trace func(edgeID, vertex int)
 }
 
 // scratchPool recycles CoverScratch values behind the package-level
@@ -72,12 +77,20 @@ func VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 }
 
 // VertexCoverSteps is the scratch-reusing form of the package-level
-// function.
+// function. A fresh static Uniform-rule *EProcess runs through the fused
+// cover loop (coverFused); every other process is driven by Step.
 func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 	g := p.Graph()
 	n := g.N()
 	if maxSteps <= 0 {
 		maxSteps = defaultBudget(n)
+	}
+	if e, ok := p.(*EProcess); ok && e.fusable() {
+		_, steps, leftV, _ := sc.coverFused(e, maxSteps, false)
+		if leftV > 0 {
+			return steps, budgetError(false, leftV, 0, steps)
+		}
+		return steps, nil
 	}
 	seen := sc.vertexSeen(n)
 	seen.Set(p.Current())
@@ -85,7 +98,7 @@ func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, erro
 	var steps int64
 	for remaining > 0 {
 		if steps >= maxSteps {
-			return steps, fmt.Errorf("%w: %d vertices unvisited after %d steps", ErrStepBudget, remaining, steps)
+			return steps, budgetError(false, remaining, 0, steps)
 		}
 		_, v := p.Step()
 		steps++
@@ -145,12 +158,21 @@ func Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	return sc.Cover(p, maxSteps)
 }
 
-// Cover is the scratch-reusing form of the package-level function.
+// Cover is the scratch-reusing form of the package-level function. A
+// fresh static Uniform-rule *EProcess runs through the fused cover loop
+// (coverFused); every other process is driven by Step.
 func (sc *CoverScratch) Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	g := p.Graph()
 	n, m := g.N(), g.M()
 	if maxSteps <= 0 {
 		maxSteps = defaultBudget(n + m)
+	}
+	if e, ok := p.(*EProcess); ok && e.fusable() {
+		ct, steps, leftV, leftE := sc.coverFused(e, maxSteps, true)
+		if leftV|leftE != 0 {
+			return ct, budgetError(true, leftV, leftE, steps)
+		}
+		return ct, nil
 	}
 	seenV := sc.vertexSeen(n)
 	seenV.Set(p.Current())
@@ -160,7 +182,7 @@ func (sc *CoverScratch) Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	var steps int64
 	for leftV > 0 || leftE > 0 {
 		if steps >= maxSteps {
-			return ct, fmt.Errorf("%w: %d vertices, %d edges uncovered after %d steps", ErrStepBudget, leftV, leftE, steps)
+			return ct, budgetError(true, leftV, leftE, steps)
 		}
 		e, v := p.Step()
 		steps++
