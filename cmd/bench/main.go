@@ -104,13 +104,14 @@ type FootprintResult struct {
 
 // ChurnResult is the dynamic-topology section: the overlay engine's
 // step cost next to the frozen fast path. dyn_step_zero_churn is the
-// pure interface-and-cache overhead (same graph, no mutations);
-// dyn_step_churn adds a failure/repair ChurnSchedule event stream, so
-// its delta over zero-churn is the per-step price of invalidating and
-// rebuilding the live-adjacency cache under real churn; overlay_mutate
-// is one RemoveEdge+RestoreEdge pair in isolation. The frozen-path
-// numbers in Benchmarks must not move when this section is added —
-// static Step never touches the overlay machinery.
+// pure cost of reading the CSR block through the removed-edge mask
+// (same graph, no mutations); dyn_step_churn adds a failure/repair
+// ChurnSchedule event stream, so its delta over zero-churn is the
+// per-step price of the churn coins, the mutations and the slower
+// red-step indexing past removed halves; overlay_mutate is one
+// RemoveEdge+RestoreEdge pair in isolation. The frozen-path numbers in
+// Benchmarks must not move when this section is added — static Step
+// never touches the overlay.
 type ChurnResult struct {
 	N               int         `json:"n"`
 	Degree          int         `json:"degree"`

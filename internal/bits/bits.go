@@ -21,11 +21,6 @@ import mathbits "math/bits"
 type Set struct {
 	words []uint64
 	n     int
-
-	// gen is the generation stamp recorded by the last Sync. Sets used
-	// as epoch-keyed caches (the dynamic-topology walk path) carry the
-	// owning topology's epoch here; static hot paths never touch it.
-	gen uint32
 }
 
 // Reset makes s a zeroed length-n set, reusing the word storage when
@@ -44,63 +39,6 @@ func (s *Set) Reset(n int) {
 
 // Len returns the set's length (the exclusive upper bound on indices).
 func (s *Set) Len() int { return s.n }
-
-// Gen returns the generation stamp recorded by the last Sync (0 for a
-// set that has never synced).
-func (s *Set) Gen() uint32 { return s.gen }
-
-// Sync makes s a length-n set stamped with generation gen, clearing it
-// lazily: when the stamp and length already match, the contents are
-// kept and the call is O(1); on any mismatch the set is zeroed (and
-// restamped) without reallocating its word storage. This is how the
-// dynamic-topology walk path keeps per-vertex cache-validity sets
-// across topology epochs — the mutator only bumps its epoch counter,
-// and each consumer set pays the O(n/64) clear once, on the first Sync
-// that observes the new stamp, no matter how many epochs elapsed in
-// between.
-//
-// The stamp is a uint32; callers deriving it from a wider counter
-// (Topology.Epoch is uint64) truncate. That is safe for any consumer
-// that syncs at least once per 2³² mutations — a walk syncing every
-// step cannot miss a wraparound, since epochs advance only between
-// steps by bounded churn.
-func (s *Set) Sync(gen uint32, n int) {
-	if s.gen == gen && s.n == n {
-		return
-	}
-	s.Reset(n)
-	s.gen = gen
-}
-
-// Grow extends s to length n, preserving the current contents (bits in
-// [0, Len()) keep their values, new bits read clear). It reuses the
-// word storage when capacity suffices and is a no-op when n ≤ Len().
-// The generation stamp is unchanged. This is what keeps a visited set
-// valid when a topology's edge-ID space extends at the top.
-func (s *Set) Grow(n int) {
-	if n <= s.n {
-		return
-	}
-	old := (s.n + 63) >> 6
-	w := (n + 63) >> 6
-	if cap(s.words) < w {
-		words := make([]uint64, w)
-		copy(words, s.words)
-		s.words = words
-	} else {
-		s.words = s.words[:w]
-		clear(s.words[old:])
-	}
-	// Defensively clear the old final word's padding: the [0, Len())
-	// contract means it should already be zero, but those bits are
-	// about to become addressable.
-	if old > 0 {
-		if tail := uint(s.n) & 63; tail != 0 {
-			s.words[old-1] &= 1<<tail - 1
-		}
-	}
-	s.n = n
-}
 
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {

@@ -115,122 +115,6 @@ func TestAppendUnsetMasksTailWord(t *testing.T) {
 	}
 }
 
-// Sync's generation stamping at the word boundaries: a stamp mismatch
-// clears exactly [0, n) (no ghost bits surviving in the tail word), a
-// stamp match keeps the contents, and multiple epoch bumps between two
-// Syncs cost one clear.
-func TestSyncGenerationStamping(t *testing.T) {
-	for _, n := range boundaryLens {
-		var s Set
-		s.Sync(1, n)
-		if s.Gen() != 1 || s.Len() != n || s.Count() != 0 {
-			t.Fatalf("n=%d: first Sync: gen=%d len=%d count=%d", n, s.Gen(), s.Len(), s.Count())
-		}
-		for i := 0; i < n; i += 3 {
-			s.Set(i)
-		}
-		want := s.Count()
-
-		// Same stamp, same length: contents survive.
-		s.Sync(1, n)
-		if s.Count() != want {
-			t.Fatalf("n=%d: same-gen Sync dropped bits (%d -> %d)", n, want, s.Count())
-		}
-
-		// The topology bumped its epoch twice (gen 1 -> 3) before this
-		// consumer looked again: ONE Sync absorbs both bumps with one
-		// clear, and the set reads empty.
-		s.Sync(3, n)
-		if s.Gen() != 3 || s.Count() != 0 {
-			t.Fatalf("n=%d: Sync across 2 epoch bumps: gen=%d count=%d", n, s.Gen(), s.Count())
-		}
-		for i := 0; i < n; i++ {
-			if s.Test(i) {
-				t.Fatalf("n=%d: stale bit %d survived a generation change", n, i)
-			}
-		}
-
-		// Reuse across a second round of bumps (gen 3 -> 5): still
-		// clears, still the same storage (no allocation checked below).
-		if n > 0 {
-			s.Set(n - 1)
-		}
-		s.Sync(5, n)
-		if s.Count() != 0 {
-			t.Fatalf("n=%d: second generation change left stale bits", n)
-		}
-	}
-}
-
-// A Sync that observes a new generation must reuse the word storage —
-// the whole point of stamping is surviving topology epochs without
-// reallocation.
-func TestSyncReusesStorageAcrossGenerations(t *testing.T) {
-	var s Set
-	s.Sync(0, 1000)
-	gen := uint32(1)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Set(999)
-		s.Sync(gen, 1000)
-		if s.Count() != 0 {
-			t.Fatal("Sync left stale bits")
-		}
-		gen++
-	})
-	if allocs != 0 {
-		t.Errorf("generation-bump Sync allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// Grow at the 63/64/65 boundaries: contents below the old length are
-// preserved bit-for-bit, new indices read clear, and growing within
-// capacity neither allocates nor resurrects stale padding bits.
-func TestGrowPreservesContentsAtBoundaries(t *testing.T) {
-	for _, from := range []int{0, 1, 63, 64, 65} {
-		for _, to := range []int{63, 64, 65, 127, 128, 129} {
-			if to < from {
-				continue
-			}
-			var s Set
-			s.Reset(from)
-			for i := 0; i < from; i += 2 {
-				s.Set(i)
-			}
-			s.Grow(to)
-			if s.Len() != to {
-				t.Fatalf("Grow(%d -> %d): Len=%d", from, to, s.Len())
-			}
-			for i := 0; i < from; i++ {
-				if got, want := s.Test(i), i%2 == 0; got != want {
-					t.Fatalf("Grow(%d -> %d): bit %d flipped to %v", from, to, i, got)
-				}
-			}
-			for i := from; i < to; i++ {
-				if s.Test(i) {
-					t.Fatalf("Grow(%d -> %d): new bit %d reads set", from, to, i)
-				}
-			}
-			// Shrink via Reset then re-grow within capacity: the stale
-			// upper words must read clear.
-			s.Reset(from)
-			s.Grow(to)
-			if c := s.Count(); c != 0 {
-				t.Fatalf("Grow(%d -> %d) after Reset: %d stale bits", from, to, c)
-			}
-		}
-	}
-	// Growing within existing capacity is allocation-free.
-	var s Set
-	s.Reset(1000)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Reset(64)
-		s.Grow(1000)
-	})
-	if allocs != 0 {
-		t.Errorf("Grow within capacity allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 func TestResetReusesStorageAndClears(t *testing.T) {
 	var s Set
 	s.Reset(128)

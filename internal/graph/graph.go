@@ -106,9 +106,6 @@ type Graph struct {
 	spillHalves int
 
 	frozen bool
-
-	// epoch counts structural mutations (see Topology.Epoch).
-	epoch uint64
 }
 
 // New returns a graph with n isolated vertices and no edges. It panics
@@ -313,7 +310,6 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	id := uint32(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v})
-	g.epoch++
 	if g.frozen {
 		if g.spill == nil {
 			g.spill = make(map[int][]Half)

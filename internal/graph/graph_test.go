@@ -571,7 +571,7 @@ func TestPropertySubdivideGrowsGirth(t *testing.T) {
 }
 
 // NewFromEdges must build exactly the graph New plus one AddEdge per
-// edge builds — same edge IDs, adjacency order, epoch, errors and
+// edge builds — same edge IDs, adjacency order, errors and
 // frozen CSR — with every adjacency list already at its final size.
 func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -591,8 +591,8 @@ func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Epoch() != want.Epoch() || got.M() != want.M() || got.Frozen() {
-			t.Fatalf("trial %d: epoch %d m %d frozen %v, want %d %d false", trial, got.Epoch(), got.M(), got.Frozen(), want.Epoch(), want.M())
+		if got.M() != want.M() || got.Frozen() {
+			t.Fatalf("trial %d: m %d frozen %v, want %d false", trial, got.M(), got.Frozen(), want.M())
 		}
 		for id := 0; id < want.M(); id++ {
 			if got.Edge(id) != want.Edge(id) {

@@ -2,46 +2,26 @@ package graph
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/bits"
 )
 
-// Overlay is a mutable topology over a frozen base graph: a delta
-// structure holding per-vertex added half-edges plus a word-packed
-// removed-edge mask, so edges can fail, repair and appear *during* a
-// walk without thawing (or copying) the base CSR. The base graph is
-// never written — one frozen instance can back any number of overlays
-// concurrently, which is exactly the sweep runner's shared-graph
-// contract (one frozen graph per trial, read-only across arms).
-//
-// Identity rules:
-//   - base edges keep their CSR edge IDs [0, base.M());
-//   - added edges extend the ID space at the top (base.M(), base.M()+1,
-//     ...) and are never renumbered;
-//   - removing an edge retires its ID (RestoreEdge revives it); the ID
-//     space only grows, so EdgeIDBound is monotone and visited sets
-//     sized by it stay valid across mutations.
-//
-// Every mutation advances Epoch(), the stamp consumers use to
-// invalidate cached adjacency state (see bits.Set.Sync). Commit
-// re-bases the overlay onto a freshly frozen CSR when the accumulated
-// delta is large enough that delta-filtered reads stop being cheap —
-// that rebuild compacts edge IDs, so it is only legal between walks.
+// Overlay is a removal mask over a frozen base graph, so edges can fail
+// and be repaired *during* a walk without thawing (or copying) the base
+// CSR. The edge set is the base's, fixed: edge IDs are the base's CSR
+// IDs [0, base.M()), never renumbered, and removing an edge only marks
+// it until RestoreEdge clears the mark. The base graph is never written
+// — one frozen instance can back any number of overlays concurrently,
+// which is exactly the sweep runner's shared-graph contract (one frozen
+// graph per trial, read-only across arms). A vertex's live adjacency is
+// its base CSR block, in CSR order, with the removed halves skipped.
 //
 // An Overlay is not safe for concurrent use.
 type Overlay struct {
 	base *Graph
 
-	// added edges, ID = base.M()+i; removed added-edges stay in the
-	// slice (their IDs are retired via the removed mask, like base IDs).
-	added []Edge
-	// addedAdj[v] holds the halves of added edges incident to v (a loop
-	// contributes two). Allocated up front (O(n), once per overlay).
-	addedAdj [][]Half
-
-	// removed is the word-packed removed-edge mask, indexed by edge ID.
-	removed []uint64
-	// deadAt[v] counts removed halves at v, so Deg is O(1).
-	deadAt []int32
+	// removed is the removed-edge mask, indexed by edge ID.
+	removed bits.Set
 
 	// live/dead partition the edge-ID space for O(1) uniform sampling:
 	// live lists every live edge ID, dead every removed one, and
@@ -49,31 +29,19 @@ type Overlay struct {
 	live []uint32
 	dead []uint32
 	pos  []int32
-
-	epoch uint64
-
-	// CommitThreshold is the delta size (added edges + removed edges)
-	// above which Commit rebuilds; 0 means the default
-	// max(64, base.M()/4).
-	CommitThreshold int
 }
 
-var _ Topology = (*Overlay)(nil)
-
-// NewOverlay returns a mutable topology over g, freezing g if needed.
-// The overlay starts identical to g: no added edges, none removed,
-// Epoch 0.
+// NewOverlay returns a removal mask over g, freezing g if needed. The
+// overlay starts with every edge live.
 func NewOverlay(g *Graph) *Overlay {
 	g.Freeze()
 	m := g.M()
 	o := &Overlay{
-		base:     g,
-		addedAdj: make([][]Half, g.N()),
-		removed:  make([]uint64, (m+63)>>6),
-		deadAt:   make([]int32, g.N()),
-		live:     make([]uint32, m),
-		pos:      make([]int32, m),
+		base: g,
+		live: make([]uint32, m),
+		pos:  make([]int32, m),
 	}
+	o.removed.Reset(m)
 	for id := 0; id < m; id++ {
 		o.live[id] = uint32(id)
 		o.pos[id] = int32(id)
@@ -81,77 +49,11 @@ func NewOverlay(g *Graph) *Overlay {
 	return o
 }
 
-// N implements Topology.
-func (o *Overlay) N() int { return o.base.N() }
-
-// EdgeIDBound implements Topology: base IDs plus every ID ever added.
-func (o *Overlay) EdgeIDBound() int { return o.base.M() + len(o.added) }
-
-// Epoch implements Topology.
-func (o *Overlay) Epoch() uint64 { return o.epoch }
-
-// Base implements Topology.
+// Base returns the frozen graph the overlay masks.
 func (o *Overlay) Base() *Graph { return o.base }
 
-// isRemoved reports whether edge id is currently removed.
-func (o *Overlay) isRemoved(id int) bool {
-	return o.removed[uint(id)>>6]&(1<<(uint(id)&63)) != 0
-}
-
-// Deg implements Topology in O(1): base degree plus added halves minus
-// removed halves at v.
-func (o *Overlay) Deg(v int) int {
-	return o.base.Degree(v) + len(o.addedAdj[v]) - int(o.deadAt[v])
-}
-
-// AppendAdj implements Topology: the base CSR block of v filtered by
-// the removed mask, then v's added halves under the same filter.
-func (o *Overlay) AppendAdj(v int, dst []Half) []Half {
-	for _, h := range o.base.Adj(v) {
-		if !o.isRemoved(int(h.ID)) {
-			dst = append(dst, h)
-		}
-	}
-	for _, h := range o.addedAdj[v] {
-		if !o.isRemoved(int(h.ID)) {
-			dst = append(dst, h)
-		}
-	}
-	return dst
-}
-
-// AdjHalf implements Topology by scanning past removed halves — O(i)
-// worst case; hot loops should use AppendAdj.
-func (o *Overlay) AdjHalf(v, i int) Half {
-	k := i
-	for _, h := range o.base.Adj(v) {
-		if o.isRemoved(int(h.ID)) {
-			continue
-		}
-		if k == 0 {
-			return h
-		}
-		k--
-	}
-	for _, h := range o.addedAdj[v] {
-		if o.isRemoved(int(h.ID)) {
-			continue
-		}
-		if k == 0 {
-			return h
-		}
-		k--
-	}
-	panic(fmt.Sprintf("graph: AdjHalf(%d, %d) out of range (live degree %d)", v, i, o.Deg(v)))
-}
-
-// Edge returns the endpoints of edge id, whether live or removed.
-func (o *Overlay) Edge(id int) Edge {
-	if id < o.base.M() {
-		return o.base.Edge(id)
-	}
-	return o.added[id-o.base.M()]
-}
+// EdgeRemoved reports whether edge id is currently removed.
+func (o *Overlay) EdgeRemoved(id int) bool { return o.removed.Test(id) }
 
 // LiveEdges returns the number of live edges.
 func (o *Overlay) LiveEdges() int { return len(o.live) }
@@ -168,210 +70,75 @@ func (o *Overlay) RemovedEdges() int { return len(o.dead) }
 // RemovedEdgeAt returns the i-th removed edge ID, 0 ≤ i < RemovedEdges().
 func (o *Overlay) RemovedEdgeAt(i int) int { return int(o.dead[i]) }
 
-// Deltas returns the accumulated delta size: edges added plus edges
-// currently removed. Commit compares it against the threshold.
-func (o *Overlay) Deltas() int { return len(o.added) + len(o.dead) }
-
-// halfEnds returns the endpoint vertices charged for e's two halves
-// (u twice for a loop).
-func halfEnds(e Edge) (int, int) { return e.U, e.V }
-
-// AddEdge appends a live undirected edge {u, v} to the overlay and
-// returns its edge ID. The base graph is untouched; the new ID extends
-// the ID space at the top (consumers should re-check EdgeIDBound after
-// an epoch bump). Cost is O(1) amortised.
-func (o *Overlay) AddEdge(u, v int) (int, error) {
-	n := o.base.N()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return 0, fmt.Errorf("%w: edge {%d,%d} in graph of %d vertices", ErrVertexRange, u, v, n)
+// checkID rejects an edge ID outside the base's ID space.
+func (o *Overlay) checkID(op string, id int) error {
+	if id < 0 || id >= o.base.M() {
+		return fmt.Errorf("graph: %s(%d): ID out of range [0, %d)", op, id, o.base.M())
 	}
-	id := o.EdgeIDBound()
-	if id >= MaxEdges {
-		return 0, fmt.Errorf("%w: m=%d", ErrTooLarge, id)
-	}
-	o.added = append(o.added, Edge{U: u, V: v})
-	o.addedAdj[u] = append(o.addedAdj[u], Half{ID: uint32(id), To: uint32(v)})
-	o.addedAdj[v] = append(o.addedAdj[v], Half{ID: uint32(id), To: uint32(u)})
-	if w := uint(id) >> 6; w >= uint(len(o.removed)) {
-		o.removed = append(o.removed, 0)
-	}
-	o.pos = append(o.pos, int32(len(o.live)))
-	o.live = append(o.live, uint32(id))
-	o.epoch++
-	return id, nil
+	return nil
 }
 
-// RemoveEdge retires live edge id: it vanishes from every adjacency
-// read until RestoreEdge revives it. O(1). Removing an edge that is
-// already removed (or out of range) is an error.
+// RemoveEdge retires live edge id: it vanishes from every live
+// adjacency until RestoreEdge revives it. O(1). Removing an edge that
+// is already removed (or out of range) is an error.
 func (o *Overlay) RemoveEdge(id int) error {
-	if id < 0 || id >= o.EdgeIDBound() {
-		return fmt.Errorf("graph: RemoveEdge(%d): ID out of range [0, %d)", id, o.EdgeIDBound())
+	if err := o.checkID("RemoveEdge", id); err != nil {
+		return err
 	}
-	if o.isRemoved(id) {
+	if o.removed.Test(id) {
 		return fmt.Errorf("graph: RemoveEdge(%d): already removed", id)
 	}
-	o.removed[uint(id)>>6] |= 1 << (uint(id) & 63)
-	u, v := halfEnds(o.Edge(id))
-	o.deadAt[u]++
-	o.deadAt[v]++
-	// Swap-remove id from live, append to dead.
-	i := o.pos[id]
-	last := o.live[len(o.live)-1]
-	o.live[i] = last
-	o.pos[last] = i
-	o.live = o.live[:len(o.live)-1]
-	o.pos[id] = int32(len(o.dead))
-	o.dead = append(o.dead, uint32(id))
-	o.epoch++
+	o.removed.Set(id)
+	o.live = o.drop(id, o.live)
+	o.dead = o.push(id, o.dead)
 	return nil
 }
 
 // RestoreEdge revives removed edge id with its original identity. O(1).
 func (o *Overlay) RestoreEdge(id int) error {
-	if id < 0 || id >= o.EdgeIDBound() {
-		return fmt.Errorf("graph: RestoreEdge(%d): ID out of range [0, %d)", id, o.EdgeIDBound())
+	if err := o.checkID("RestoreEdge", id); err != nil {
+		return err
 	}
-	if !o.isRemoved(id) {
+	if !o.removed.Test(id) {
 		return fmt.Errorf("graph: RestoreEdge(%d): not removed", id)
 	}
-	o.removed[uint(id)>>6] &^= 1 << (uint(id) & 63)
-	u, v := halfEnds(o.Edge(id))
-	o.deadAt[u]--
-	o.deadAt[v]--
-	// Swap-remove id from dead, append to live.
-	i := o.pos[id]
-	last := o.dead[len(o.dead)-1]
-	o.dead[i] = last
-	o.pos[last] = i
-	o.dead = o.dead[:len(o.dead)-1]
-	o.pos[id] = int32(len(o.live))
-	o.live = append(o.live, uint32(id))
-	o.epoch++
+	o.removed.Clear(id)
+	o.dead = o.drop(id, o.dead)
+	o.live = o.push(id, o.live)
 	return nil
 }
 
-func (o *Overlay) threshold() int {
-	if o.CommitThreshold > 0 {
-		return o.CommitThreshold
-	}
-	t := o.base.M() / 4
-	if t < 64 {
-		t = 64
-	}
-	return t
+// drop swap-removes id from list, which holds it at pos[id].
+func (o *Overlay) drop(id int, list []uint32) []uint32 {
+	i := o.pos[id]
+	last := list[len(list)-1]
+	list[i] = last
+	o.pos[last] = i
+	return list[:len(list)-1]
 }
 
-// Commit re-bases the overlay when the accumulated delta exceeds the
-// threshold: the live edge set is flattened into a fresh frozen CSR
-// (the old base is untouched), the delta structures reset, and the new
-// base is returned with ok=true. Below the threshold it is a cheap
-// no-op returning (nil, false) — call it periodically and keep reading
-// through the delta.
-//
-// Committing compacts edge IDs (live edges renumber to [0, LiveEdges())
-// in LiveEdgeAt order is NOT guaranteed; the order is ascending current
-// ID), so any visited/seen state keyed by edge ID is invalidated: only
-// commit between walks, never mid-trajectory.
-func (o *Overlay) Commit() (*Graph, bool) {
-	if o.Deltas() <= o.threshold() {
-		return nil, false
-	}
-	g := o.Flatten()
-	m := g.M()
-	o.base = g
-	o.added = o.added[:0]
-	for v := range o.addedAdj {
-		o.addedAdj[v] = o.addedAdj[v][:0]
-		o.deadAt[v] = 0
-	}
-	words := (m + 63) >> 6
-	if cap(o.removed) < words {
-		o.removed = make([]uint64, words)
-	} else {
-		o.removed = o.removed[:words]
-		clear(o.removed)
-	}
-	if cap(o.live) < m {
-		o.live = make([]uint32, m)
-	} else {
-		o.live = o.live[:m]
-	}
-	if cap(o.pos) < m {
-		o.pos = make([]int32, m)
-	} else {
-		o.pos = o.pos[:m]
-	}
-	o.dead = o.dead[:0]
-	for id := 0; id < m; id++ {
-		o.live[id] = uint32(id)
-		o.pos[id] = int32(id)
-	}
-	o.epoch++
-	return g, true
+// push appends id to list and records its position.
+func (o *Overlay) push(id int, list []uint32) []uint32 {
+	o.pos[id] = int32(len(list))
+	return append(list, uint32(id))
 }
 
-// Flatten materialises the current live edge set as a fresh frozen
-// graph, renumbering live edges to [0, LiveEdges()) in ascending
-// current-ID order. The overlay and its base are unchanged.
-func (o *Overlay) Flatten() *Graph {
-	g := New(o.base.N())
-	bound := o.EdgeIDBound()
-	if bound > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: overlay ID bound %d exceeds int32", bound))
-	}
-	for id := 0; id < bound; id++ {
-		if o.isRemoved(id) {
-			continue
-		}
-		e := o.Edge(id)
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			panic(err) // n and m already validated against the 32-bit contract
-		}
-	}
-	g.Freeze()
-	return g
-}
-
-// Validate checks the overlay's internal consistency: the live/dead
-// partition against the removed mask, the O(1) degree bookkeeping
-// against a full adjacency scan, and the handshake identity over live
-// halves.
+// Validate checks that the live and dead lists partition the edge-ID
+// space in agreement with the removed mask and the position index.
 func (o *Overlay) Validate() error {
-	bound := o.EdgeIDBound()
-	if len(o.live)+len(o.dead) != bound {
-		return fmt.Errorf("graph: overlay live %d + dead %d != ID bound %d", len(o.live), len(o.dead), bound)
+	m := o.base.M()
+	if len(o.live)+len(o.dead) != m {
+		return fmt.Errorf("graph: overlay live %d + dead %d != m %d", len(o.live), len(o.dead), m)
 	}
 	for i, id := range o.live {
-		if o.isRemoved(int(id)) || o.pos[id] != int32(i) {
+		if o.removed.Test(int(id)) || o.pos[id] != int32(i) {
 			return fmt.Errorf("graph: overlay live list inconsistent at %d (edge %d)", i, id)
 		}
 	}
 	for i, id := range o.dead {
-		if !o.isRemoved(int(id)) || o.pos[id] != int32(i) {
+		if !o.removed.Test(int(id)) || o.pos[id] != int32(i) {
 			return fmt.Errorf("graph: overlay dead list inconsistent at %d (edge %d)", i, id)
 		}
-	}
-	halves := 0
-	var buf []Half
-	for v := 0; v < o.N(); v++ {
-		buf = o.AppendAdj(v, buf[:0])
-		if len(buf) != o.Deg(v) {
-			return fmt.Errorf("graph: overlay Deg(%d)=%d but AppendAdj yields %d halves", v, o.Deg(v), len(buf))
-		}
-		for i, h := range buf {
-			if o.AdjHalf(v, i) != h {
-				return fmt.Errorf("graph: overlay AdjHalf(%d,%d) disagrees with AppendAdj", v, i)
-			}
-			e := o.Edge(int(h.ID))
-			if (e.U != v && e.V != v) || e.Other(v) != int(h.To) {
-				return fmt.Errorf("graph: overlay half %+v at vertex %d inconsistent with edge %+v", h, v, e)
-			}
-		}
-		halves += len(buf)
-	}
-	if halves != 2*len(o.live) {
-		return fmt.Errorf("graph: overlay %d live halves for %d live edges", halves, len(o.live))
 	}
 	return nil
 }

@@ -15,49 +15,15 @@ func overlayBase(t testing.TB) *Graph {
 	return g
 }
 
-// refAdj computes v's live adjacency of o the slow way, straight from
-// the overlay's edge table and removal state.
-func refAdj(o *Overlay, v int) []Half {
-	var out []Half
-	for id := 0; id < o.EdgeIDBound(); id++ {
-		if o.isRemoved(id) {
-			continue
-		}
-		e := o.Edge(id)
-		if e.U == v {
-			out = append(out, Half{ID: uint32(id), To: uint32(e.V)})
-		}
-		if e.V == v && !e.IsLoop() {
-			out = append(out, Half{ID: uint32(id), To: uint32(e.U)})
-		}
-		if e.IsLoop() && e.U == v {
-			out = append(out, Half{ID: uint32(id), To: uint32(e.V)}) // second half of the loop
-		}
-	}
-	return out
-}
-
 func TestOverlayStartsIdenticalToBase(t *testing.T) {
 	g := overlayBase(t)
 	o := NewOverlay(g)
-	if o.Epoch() != 0 || o.EdgeIDBound() != g.M() || o.LiveEdges() != g.M() || o.RemovedEdges() != 0 {
-		t.Fatalf("fresh overlay state: epoch=%d bound=%d live=%d removed=%d",
-			o.Epoch(), o.EdgeIDBound(), o.LiveEdges(), o.RemovedEdges())
+	if o.Base() != g || o.LiveEdges() != g.M() || o.RemovedEdges() != 0 {
+		t.Fatalf("fresh overlay state: live=%d removed=%d", o.LiveEdges(), o.RemovedEdges())
 	}
-	var buf []Half
-	for v := 0; v < g.N(); v++ {
-		if o.Deg(v) != g.Degree(v) {
-			t.Errorf("Deg(%d)=%d, base %d", v, o.Deg(v), g.Degree(v))
-		}
-		buf = o.AppendAdj(v, buf[:0])
-		adj := g.Adj(v)
-		if len(buf) != len(adj) {
-			t.Fatalf("vertex %d: overlay %d halves, base %d", v, len(buf), len(adj))
-		}
-		for i := range buf {
-			if buf[i] != adj[i] || o.AdjHalf(v, i) != adj[i] {
-				t.Errorf("vertex %d half %d: overlay %+v, base %+v", v, i, buf[i], adj[i])
-			}
+	for id := 0; id < g.M(); id++ {
+		if o.EdgeRemoved(id) || o.LiveEdgeAt(id) != id {
+			t.Fatalf("edge %d: removed=%v, LiveEdgeAt=%d", id, o.EdgeRemoved(id), o.LiveEdgeAt(id))
 		}
 	}
 	if err := o.Validate(); err != nil {
@@ -65,26 +31,17 @@ func TestOverlayStartsIdenticalToBase(t *testing.T) {
 	}
 }
 
-func TestOverlayRemoveRestoreAdd(t *testing.T) {
+func TestOverlayRemoveRestore(t *testing.T) {
 	g := overlayBase(t)
-	baseEpoch := g.Epoch()
+	halves, off := g.Halves(), g.Offsets()
 	o := NewOverlay(g)
 
-	// Remove the loop (ID 5): both halves at vertex 1 vanish.
-	d1 := o.Deg(1)
+	// Remove the loop (ID 5).
 	if err := o.RemoveEdge(5); err != nil {
 		t.Fatal(err)
 	}
-	if o.Epoch() != 1 {
-		t.Fatalf("epoch %d after one mutation", o.Epoch())
-	}
-	if got := o.Deg(1); got != d1-2 {
-		t.Fatalf("Deg(1)=%d after loop removal, want %d", got, d1-2)
-	}
-	for _, h := range o.AppendAdj(1, nil) {
-		if h.ID == 5 {
-			t.Fatal("removed loop still in adjacency")
-		}
+	if !o.EdgeRemoved(5) || o.LiveEdges() != g.M()-1 || o.RemovedEdges() != 1 || o.RemovedEdgeAt(0) != 5 {
+		t.Fatalf("after removing 5: removed=%v live=%d dead=%d", o.EdgeRemoved(5), o.LiveEdges(), o.RemovedEdges())
 	}
 	if err := o.RemoveEdge(5); err == nil {
 		t.Fatal("double remove accepted")
@@ -92,162 +49,119 @@ func TestOverlayRemoveRestoreAdd(t *testing.T) {
 	if err := o.RestoreEdge(0); err == nil {
 		t.Fatal("restore of a live edge accepted")
 	}
-	if err := o.RemoveEdge(o.EdgeIDBound()); err == nil {
-		t.Fatal("out-of-range remove accepted")
+	for _, id := range []int{-1, g.M()} {
+		if err := o.RemoveEdge(id); err == nil {
+			t.Fatalf("out-of-range remove %d accepted", id)
+		}
+		if err := o.RestoreEdge(id); err == nil {
+			t.Fatalf("out-of-range restore %d accepted", id)
+		}
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Restore brings the identical halves back.
+	// Restore brings the edge back with its identity.
 	if err := o.RestoreEdge(5); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Deg(1); got != d1 {
-		t.Fatalf("Deg(1)=%d after restore, want %d", got, d1)
+	if o.EdgeRemoved(5) || o.LiveEdges() != g.M() || o.RemovedEdges() != 0 {
+		t.Fatalf("after restore: removed=%v live=%d dead=%d", o.EdgeRemoved(5), o.LiveEdges(), o.RemovedEdges())
 	}
-
-	// Add a new edge: ID extends the space at the top.
-	id, err := o.AddEdge(4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != g.M() || o.EdgeIDBound() != g.M()+1 {
-		t.Fatalf("added edge ID %d, bound %d (base m=%d)", id, o.EdgeIDBound(), g.M())
-	}
-	if o.Deg(4) != 1 || o.Deg(5) != 1 {
-		t.Fatalf("added edge degrees: %d, %d", o.Deg(4), o.Deg(5))
-	}
-	// Added edges remove and restore like base edges.
-	if err := o.RemoveEdge(id); err != nil {
-		t.Fatal(err)
-	}
-	if o.Deg(4) != 0 {
-		t.Fatalf("Deg(4)=%d after removing added edge", o.Deg(4))
-	}
-	if err := o.RestoreEdge(id); err != nil {
-		t.Fatal(err)
+	if err := o.RestoreEdge(5); err == nil {
+		t.Fatal("double restore accepted")
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The shared base graph was never written.
-	if g.M() != 7 || g.Epoch() != baseEpoch {
-		t.Fatalf("base mutated through overlay: m=%d epoch=%d", g.M(), g.Epoch())
+	if g.M() != 7 || &g.Halves()[0] != &halves[0] || &g.Offsets()[0] != &off[0] {
+		t.Fatal("base mutated through overlay")
 	}
 }
 
-// Property test: a random mutation sequence keeps every read API
-// consistent with the reference adjacency derived from the edge table,
-// and epochs strictly increase.
+// Property test: a random remove/restore sequence, attempted errors
+// included, keeps the overlay in step with a reference mask — the
+// live/dead partition matches it exactly, a rejected call changes
+// nothing, and two overlays fed the same sequence enumerate their live
+// and removed edges in the same order.
 func TestOverlayRandomChurnAgainstReference(t *testing.T) {
 	g := overlayBase(t)
-	o := NewOverlay(g)
+	o, twin := NewOverlay(g), NewOverlay(g)
+	ref := make([]bool, g.M())
 	r := rand.New(rand.NewSource(7))
-	lastEpoch := o.Epoch()
-	for step := 0; step < 400; step++ {
-		switch op := r.Intn(3); {
-		case op == 0 && o.LiveEdges() > 1:
-			id := o.LiveEdgeAt(r.Intn(o.LiveEdges()))
-			if err := o.RemoveEdge(id); err != nil {
-				t.Fatalf("step %d: remove %d: %v", step, id, err)
+	for step := 0; step < 600; step++ {
+		var id int
+		switch r.Intn(3) {
+		case 0:
+			if o.LiveEdges() == 0 {
+				continue
 			}
-		case op == 1 && o.RemovedEdges() > 0:
-			id := o.RemovedEdgeAt(r.Intn(o.RemovedEdges()))
-			if err := o.RestoreEdge(id); err != nil {
-				t.Fatalf("step %d: restore %d: %v", step, id, err)
+			id = o.LiveEdgeAt(r.Intn(o.LiveEdges()))
+		case 1:
+			if o.RemovedEdges() == 0 {
+				continue
 			}
-		case op == 2:
-			if _, err := o.AddEdge(r.Intn(g.N()), r.Intn(g.N())); err != nil {
-				t.Fatalf("step %d: add: %v", step, err)
-			}
+			id = o.RemovedEdgeAt(r.Intn(o.RemovedEdges()))
 		default:
-			continue
+			id = r.Intn(g.M()) // either state: one of the calls below must fail
 		}
-		if o.Epoch() <= lastEpoch {
-			t.Fatalf("step %d: epoch did not advance (%d -> %d)", step, lastEpoch, o.Epoch())
+		remove := r.Intn(2) == 0
+		op := o.RestoreEdge
+		twinOp := twin.RestoreEdge
+		if remove {
+			op, twinOp = o.RemoveEdge, twin.RemoveEdge
 		}
-		lastEpoch = o.Epoch()
-		if step%37 == 0 {
-			if err := o.Validate(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+		err := op(id)
+		if wantErr := ref[id] == remove; (err != nil) != wantErr {
+			t.Fatalf("step %d: remove=%v edge %d (removed=%v): err %v", step, remove, id, ref[id], err)
+		}
+		if (twinOp(id) != nil) != (err != nil) {
+			t.Fatalf("step %d: twin overlay disagrees on edge %d", step, id)
+		}
+		if err == nil {
+			ref[id] = remove
+		}
+
+		dead := 0
+		for id, gone := range ref {
+			if o.EdgeRemoved(id) != gone {
+				t.Fatalf("step %d: edge %d removed=%v, reference %v", step, id, o.EdgeRemoved(id), gone)
 			}
-			for v := 0; v < g.N(); v++ {
-				got := o.AppendAdj(v, nil)
-				want := refAdj(o, v)
-				if len(got) != len(want) {
-					t.Fatalf("step %d vertex %d: %d live halves, reference %d", step, v, len(got), len(want))
-				}
-				seen := map[Half]int{}
-				for _, h := range got {
-					seen[h]++
-				}
-				for _, h := range want {
-					if seen[h] == 0 {
-						t.Fatalf("step %d vertex %d: reference half %+v missing", step, v, h)
-					}
-					seen[h]--
-				}
+			if gone {
+				dead++
 			}
+		}
+		if o.LiveEdges() != g.M()-dead || o.RemovedEdges() != dead {
+			t.Fatalf("step %d: %d live / %d removed, reference %d / %d", step, o.LiveEdges(), o.RemovedEdges(), g.M()-dead, dead)
+		}
+		seen := make([]int, g.M())
+		for i := 0; i < o.LiveEdges(); i++ {
+			id := o.LiveEdgeAt(i)
+			if ref[id] || id != twin.LiveEdgeAt(i) {
+				t.Fatalf("step %d: LiveEdgeAt(%d) = %d (removed=%v, twin %d)", step, i, id, ref[id], twin.LiveEdgeAt(i))
+			}
+			seen[id]++
+		}
+		for i := 0; i < o.RemovedEdges(); i++ {
+			id := o.RemovedEdgeAt(i)
+			if !ref[id] || id != twin.RemovedEdgeAt(i) {
+				t.Fatalf("step %d: RemovedEdgeAt(%d) = %d (removed=%v, twin %d)", step, i, id, ref[id], twin.RemovedEdgeAt(i))
+			}
+			seen[id]++
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("step %d: edge %d enumerated %d times", step, id, c)
+			}
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	if g.M() != 7 {
 		t.Fatal("base mutated during churn")
-	}
-}
-
-func TestOverlayCommitThresholdAndRebase(t *testing.T) {
-	g := overlayBase(t)
-	o := NewOverlay(g)
-	o.CommitThreshold = 3
-
-	if err := o.RemoveEdge(2); err != nil {
-		t.Fatal(err)
-	}
-	if ng, ok := o.Commit(); ok || ng != nil {
-		t.Fatal("commit fired below threshold")
-	}
-	if _, err := o.AddEdge(4, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AddEdge(5, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AddEdge(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Deltas = 1 removed + 3 added = 4 > 3: commit rebuilds.
-	wantLive := o.LiveEdges()
-	flat := o.Flatten()
-	epochBefore := o.Epoch()
-	ng, ok := o.Commit()
-	if !ok || ng == nil {
-		t.Fatal("commit did not fire above threshold")
-	}
-	if o.Epoch() != epochBefore+1 {
-		t.Fatalf("commit epoch %d, want %d", o.Epoch(), epochBefore+1)
-	}
-	if ng.M() != wantLive || o.EdgeIDBound() != wantLive || o.Deltas() != 0 {
-		t.Fatalf("rebased overlay: base m=%d bound=%d deltas=%d, want live=%d",
-			ng.M(), o.EdgeIDBound(), o.Deltas(), wantLive)
-	}
-	if !ng.Frozen() {
-		t.Fatal("committed base not frozen")
-	}
-	// The committed base equals the pre-commit Flatten (same live set,
-	// same compaction order).
-	if flat.M() != ng.M() || flat.N() != ng.N() {
-		t.Fatalf("flatten/commit disagree: %v vs %v", flat, ng)
-	}
-	for id := 0; id < ng.M(); id++ {
-		if flat.Edge(id) != ng.Edge(id) {
-			t.Fatalf("edge %d: flatten %+v, commit %+v", id, flat.Edge(id), ng.Edge(id))
-		}
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Old base still intact.
-	if g.M() != 7 {
-		t.Fatal("original base mutated by commit")
 	}
 }
 
@@ -321,31 +235,4 @@ func ringEdges(n int) []Edge {
 		out[i] = Edge{i, (i + 1) % n}
 	}
 	return out
-}
-
-func TestGraphImplementsTopology(t *testing.T) {
-	g := overlayBase(t)
-	var topo Topology = g
-	if topo.N() != g.N() || topo.EdgeIDBound() != g.M() || topo.Base() != g {
-		t.Fatal("graph topology views disagree with the graph")
-	}
-	for v := 0; v < g.N(); v++ {
-		if topo.Deg(v) != g.Degree(v) {
-			t.Fatalf("Deg(%d) mismatch", v)
-		}
-		adj := g.Adj(v)
-		got := topo.AppendAdj(v, nil)
-		for i := range adj {
-			if got[i] != adj[i] || topo.AdjHalf(v, i) != adj[i] {
-				t.Fatalf("topology adjacency of %d diverges at %d", v, i)
-			}
-		}
-	}
-	e0 := topo.Epoch()
-	if err := g.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if topo.Epoch() != e0+1 {
-		t.Fatal("AddEdge did not advance the graph epoch")
-	}
 }

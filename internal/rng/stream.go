@@ -86,17 +86,6 @@ func NewSource(kind Kind, seed uint64) Source {
 	}
 }
 
-// NextRand returns the next child generator wrapped in a *rand.Rand.
-func (st *Stream) NextRand() *rand.Rand {
-	return rand.New(st.Next())
-}
-
-// NextFastRand returns the next child generator wrapped in a *Rand,
-// whose Intn takes the generator's fast bounded path.
-func (st *Stream) NextFastRand() *Rand {
-	return NewRand(st.NextSource())
-}
-
 // New returns a single generator of the given kind for callers that do
 // not need a stream.
 func New(kind Kind, seed uint64) rand.Source64 {

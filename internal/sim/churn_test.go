@@ -20,31 +20,35 @@ func churnTestGraph(t *testing.T) *graph.Graph {
 }
 
 // The schedule is a pure function of the generator: the same seed
-// applied to two fresh overlays leaves them with identical live sets
-// and epochs. This is the property that lets dynamic experiment units
-// replay from their derived seeds on checkpoint resume.
+// applied to two fresh overlays leaves them with identical live and
+// removed lists, in the same order. This is the property that lets
+// dynamic experiment units replay from their derived seeds on
+// checkpoint resume.
 func TestChurnScheduleDeterministic(t *testing.T) {
 	g := churnTestGraph(t)
-	run := func() (*graph.Overlay, uint64) {
+	run := func() *graph.Overlay {
 		o := graph.NewOverlay(g)
 		r := rng.NewRand(rng.NewXoshiro256(42))
 		sched := ChurnSchedule{Fail: 0.3, Repair: 0.2}
 		for i := 0; i < 500; i++ {
 			sched.Step(o, r)
 		}
-		return o, o.Epoch()
+		return o
 	}
-	o1, e1 := run()
-	o2, e2 := run()
-	if e1 != e2 {
-		t.Fatalf("epochs diverged: %d vs %d", e1, e2)
-	}
-	if o1.LiveEdges() != o2.LiveEdges() {
-		t.Fatalf("live counts diverged: %d vs %d", o1.LiveEdges(), o2.LiveEdges())
+	o1 := run()
+	o2 := run()
+	if o1.LiveEdges() != o2.LiveEdges() || o1.RemovedEdges() != o2.RemovedEdges() {
+		t.Fatalf("live/removed counts diverged: %d/%d vs %d/%d",
+			o1.LiveEdges(), o1.RemovedEdges(), o2.LiveEdges(), o2.RemovedEdges())
 	}
 	for i := 0; i < o1.LiveEdges(); i++ {
 		if o1.LiveEdgeAt(i) != o2.LiveEdgeAt(i) {
 			t.Fatalf("live edge %d diverged: %d vs %d", i, o1.LiveEdgeAt(i), o2.LiveEdgeAt(i))
+		}
+	}
+	for i := 0; i < o1.RemovedEdges(); i++ {
+		if o1.RemovedEdgeAt(i) != o2.RemovedEdgeAt(i) {
+			t.Fatalf("removed edge %d diverged: %d vs %d", i, o1.RemovedEdgeAt(i), o2.RemovedEdgeAt(i))
 		}
 	}
 	if err := o1.Validate(); err != nil {

@@ -25,10 +25,12 @@ import (
 //     the blue-edge preference degrades when the edge set is only
 //     stochastically present.
 //
-// Both run the dynamic walk engine (walk.NewEProcessOn over a
-// graph.Overlay) and draw all churn from the arm's private derived
-// generator via ChurnSchedule — no side state, so checkpoint/resume and
-// shard merging work for dynamic points exactly as for static ones.
+// Churn here only removes and restores edges of the generated
+// instance, so both run walk.NewEProcessOn over a graph.Overlay: the
+// frozen CSR read through a removed-edge mask, with a fixed edge-ID
+// space. Both draw all churn from the arm's private derived generator
+// via ChurnSchedule — no side state, so checkpoint/resume and shard
+// merging work for dynamic points exactly as for static ones.
 
 func init() {
 	register(Experiment{Name: "pcfcover", Salt: saltPCF,
@@ -50,10 +52,7 @@ func churnArm(name string, sched ChurnSchedule) Arm {
 	return Arm{Name: name, Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {
 		ov := graph.NewOverlay(g)
 		e := walk.NewEProcessOn(ov, r, nil, 0)
-		out, err := sc.VertexCoverCensored(e, maxSteps, func() { sched.Step(ov, r) })
-		if err != nil {
-			return Measurement{}, err
-		}
+		out := sc.VertexCoverCensored(e, maxSteps, func() { sched.Step(ov, r) })
 		return Measurement{Vertex: float64(out.Steps), Extra: []float64{float64(out.Uncovered)}}, nil
 	}}
 }

@@ -3,6 +3,7 @@ package walk
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -29,6 +30,43 @@ func BenchmarkEProcessStepMathRand(b *testing.B) {
 	e := NewEProcess(g, newRand(2), nil, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEProcessStepOverlay is the dynamic step on an overlay with
+// nothing removed: the mask scan's cost next to BenchmarkEProcessStep
+// on the same graph and generator.
+func BenchmarkEProcessStepOverlay(b *testing.B) {
+	g := mustRegular(b, newRand(1), 10000, 4)
+	e := NewEProcessOn(graph.NewOverlay(g), rng.NewXoshiro256(2), nil, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEProcessStepOverlayChurn adds failure/repair churn at rate
+// 0.01 per step, drawn from the walk's generator in the fixed coin
+// order of the sim layer's ChurnSchedule (fail coin, then repair coin).
+func BenchmarkEProcessStepOverlayChurn(b *testing.B) {
+	const rate = 0.01
+	g := mustRegular(b, newRand(1), 10000, 4)
+	o := graph.NewOverlay(g)
+	r := rng.NewRand(rng.NewXoshiro256(2))
+	e := NewEProcessOn(o, r, nil, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r.Float64() < rate && o.LiveEdges() > 1 {
+			if err := o.RemoveEdge(o.LiveEdgeAt(r.Intn(o.LiveEdges()))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if r.Float64() < rate && o.RemovedEdges() > 0 {
+			if err := o.RestoreEdge(o.RemovedEdgeAt(r.Intn(o.RemovedEdges()))); err != nil {
+				b.Fatal(err)
+			}
+		}
 		e.Step()
 	}
 }

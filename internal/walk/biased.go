@@ -27,14 +27,6 @@ type Biased struct {
 	visited bits.Set // by edge ID
 	pend    edgeArena
 	cur     int
-
-	// Dynamic-topology mode (NewBiasedOn): the pending arena is unused;
-	// live adjacency is read through the interface into adjBuf each step
-	// and unvisited halves filtered into buf. The visited set grows with
-	// the topology's edge-ID space.
-	topo   graph.Topology
-	adjBuf []graph.Half
-	buf    []graph.Half
 }
 
 var _ Process = (*Biased)(nil)
@@ -54,25 +46,6 @@ func NewBiased(g *graph.Graph, r *rand.Rand, bias float64, start int) *Biased {
 	return b
 }
 
-// NewBiasedOn returns the biased walk on an arbitrary topology: a plain
-// *graph.Graph routes to the static arena path, a mutable topology reads
-// its live adjacency through the interface each step. On a churn-isolated
-// vertex Step reports a lazy stay (edge ID −1).
-func NewBiasedOn(t graph.Topology, r *rand.Rand, bias float64, start int) *Biased {
-	if g, ok := t.(*graph.Graph); ok {
-		return NewBiased(g, r, bias, start)
-	}
-	if bias < 0 {
-		bias = 0
-	}
-	if bias > 1 {
-		bias = 1
-	}
-	b := &Biased{g: t.Base(), topo: t, r: r, bias: bias}
-	b.Reset(start)
-	return b
-}
-
 // Graph implements Process.
 func (b *Biased) Graph() *graph.Graph { return b.g }
 
@@ -85,9 +58,6 @@ func (b *Biased) Bias() float64 { return b.bias }
 // Step implements Process.
 func (b *Biased) Step() (int, int) {
 	v := b.cur
-	if b.topo != nil {
-		return b.stepDyn(v)
-	}
 	b.pend.prune(v, &b.visited)
 	p := b.pend.pending(v)
 	var h graph.Half
@@ -102,44 +72,11 @@ func (b *Biased) Step() (int, int) {
 	return int(h.ID), b.cur
 }
 
-// stepDyn is Step on a mutable topology: the unvisited candidates come
-// from the live adjacency rather than the pending arena, and a vertex
-// stripped of every live edge lazily stays put (edge ID −1).
-func (b *Biased) stepDyn(v int) (int, int) {
-	b.adjBuf = b.topo.AppendAdj(v, b.adjBuf[:0])
-	if len(b.adjBuf) == 0 {
-		return -1, v // churn-isolated: lazy stay
-	}
-	if bound := b.topo.EdgeIDBound(); bound > b.visited.Len() {
-		b.visited.Grow(bound)
-	}
-	b.buf = b.buf[:0]
-	for _, h := range b.adjBuf {
-		if !b.visited.Test(int(h.ID)) {
-			b.buf = append(b.buf, h)
-		}
-	}
-	var h graph.Half
-	if len(b.buf) > 0 && (b.bias >= 1 || b.r.Float64() < b.bias) {
-		h = b.buf[b.r.Intn(len(b.buf))]
-	} else {
-		h = b.adjBuf[b.r.Intn(len(b.adjBuf))]
-	}
-	b.visited.Set(int(h.ID))
-	b.cur = int(h.To)
-	return int(h.ID), b.cur
-}
-
 // Reset implements Process. It reuses the pending arena and visited
 // bitset (no allocation after the first Reset) and rebinds to the
 // graph's current CSR arrays.
 func (b *Biased) Reset(start int) {
 	b.cur = start
-	if b.topo != nil {
-		b.g = b.topo.Base()
-		b.visited.Reset(b.topo.EdgeIDBound())
-		return
-	}
 	b.halves = b.g.Halves()
 	b.off = b.g.Offsets()
 	b.visited.Reset(b.g.M())

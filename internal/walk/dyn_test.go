@@ -19,23 +19,21 @@ func dynRing(n int) *graph.Graph {
 	return g
 }
 
-// A zero-delta overlay must give the same trajectory (same draws from
-// the same generator) as the static fast path on the frozen base. The
-// dynamic path reads adjacency through the interface, but on an
-// untouched overlay AppendAdj returns the CSR adjacency in CSR order,
-// and the uniform blue choice consumes exactly one Intn per step, like
-// the fused static path.
+// On a ring, an overlay with nothing removed must give the same
+// trajectory (same draws from the same generator) as the static fast
+// path on the frozen base: both consume one Intn per step, and with at
+// most two halves per vertex the dynamic path's CSR-order candidates
+// and the static arena's swap-with-last arrangement coincide. At higher
+// degree the two arrangements differ, so the trajectories agree in law
+// only.
 func TestDynEProcessZeroDeltaMatchesStatic(t *testing.T) {
 	g := dynRing(64)
 	o := graph.NewOverlay(g)
 
-	static := NewEProcessOn(g, rng.NewXoshiro256(99), nil, 0)
+	static := NewEProcess(g, rng.NewXoshiro256(99), nil, 0)
 	dyn := NewEProcessOn(o, rng.NewXoshiro256(99), nil, 0)
-	if static.topo != nil {
-		t.Fatal("NewEProcessOn(*graph.Graph) did not route to the static path")
-	}
-	if dyn.topo == nil {
-		t.Fatal("NewEProcessOn(*graph.Overlay) did not route to the dynamic path")
+	if dyn.ov == nil {
+		t.Fatal("NewEProcessOn did not route to the dynamic path")
 	}
 	for i := 0; i < 500; i++ {
 		se, sv := static.Step()
@@ -71,9 +69,6 @@ func TestDynEProcessDeterministic(t *testing.T) {
 					panic(err)
 				}
 			}
-			if i%101 == 50 {
-				o.AddEdge(churn.Intn(32), churn.Intn(32))
-			}
 			_, v := e.Step()
 			trace = append(trace, v)
 		}
@@ -92,8 +87,7 @@ func TestDynEProcessDeterministic(t *testing.T) {
 }
 
 // Removing an edge mid-walk must make it invisible to the blue choice
-// from the next step on (the epoch bump invalidates the adjacency
-// cache), and restoring it must bring it back.
+// from the next step on, and restoring it must bring it back.
 func TestDynEProcessSeesChurn(t *testing.T) {
 	// Star with center 0: leaves 1..4. From the center every step is a
 	// blue step until all spokes are visited.
@@ -166,92 +160,6 @@ func TestDynEProcessIsolatedLazyStay(t *testing.T) {
 	}
 }
 
-// Adding edges mid-walk extends the edge-ID space; the visited set must
-// grow to cover the new IDs and the new edges must be offered as blue
-// candidates.
-func TestDynEProcessVisitedGrowsWithAddedEdges(t *testing.T) {
-	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
-	g.Freeze()
-	o := graph.NewOverlay(g)
-	e := NewEProcessOn(o, rng.NewXoshiro256(9), nil, 0)
-
-	for i := 0; i < 4; i++ {
-		e.Step()
-	}
-	// Ring covered (4 edges, walk at its start or somewhere on it). Add
-	// a chord at the current vertex: the only unvisited edge anywhere.
-	cur := e.Current()
-	id, err := o.AddEdge(cur, (cur+2)%4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 4 {
-		t.Fatalf("added edge got ID %d, want 4", id)
-	}
-	if e.EdgeVisited(id) {
-		t.Fatal("freshly added edge reads visited before growth")
-	}
-	got, v := e.Step()
-	if got != id {
-		t.Fatalf("Step() crossed edge %d, want the fresh chord %d", got, id)
-	}
-	if v != (cur+2)%4 {
-		t.Fatalf("chord led to %d, want %d", v, (cur+2)%4)
-	}
-	if !e.EdgeVisited(id) {
-		t.Fatal("chord not marked visited after crossing")
-	}
-	if e.Stats().BlueSteps != 5 {
-		t.Fatalf("BlueSteps = %d, want 5", e.Stats().BlueSteps)
-	}
-}
-
-// VProcess and Biased on a zero-delta overlay behave like walks on the
-// base graph (VProcess draw-for-draw; Biased draw-for-draw given the
-// same coin sequence), and both lazily stay on isolated vertices.
-func TestDynVProcessAndBiased(t *testing.T) {
-	g := dynRing(16)
-	o := graph.NewOverlay(g)
-
-	vs := NewVProcessOn(g, rng.NewXoshiro256(41), 0)
-	vd := NewVProcessOn(o, rng.NewXoshiro256(41), 0)
-	for i := 0; i < 200; i++ {
-		se, sv := vs.Step()
-		de, dv := vd.Step()
-		if se != de || sv != dv {
-			t.Fatalf("vprocess step %d: static (%d,%d) != dynamic (%d,%d)", i, se, sv, de, dv)
-		}
-	}
-
-	bs := NewBiasedOn(g, rand.New(rand.NewSource(43)), 0.5, 0)
-	bd := NewBiasedOn(o, rand.New(rand.NewSource(43)), 0.5, 0)
-	for i := 0; i < 200; i++ {
-		se, sv := bs.Step()
-		de, dv := bd.Step()
-		if se != de || sv != dv {
-			t.Fatalf("biased step %d: static (%d,%d) != dynamic (%d,%d)", i, se, sv, de, dv)
-		}
-	}
-
-	// Isolate vertex 0 on a fresh overlay: both walks must report a lazy
-	// stay rather than panic.
-	o2 := graph.NewOverlay(g)
-	if err := o2.RemoveEdge(0); err != nil { // {0,1}
-		t.Fatal(err)
-	}
-	if err := o2.RemoveEdge(15); err != nil { // {15,0}
-		t.Fatal(err)
-	}
-	v2 := NewVProcessOn(o2, rng.NewXoshiro256(1), 0)
-	if id, v := v2.Step(); id != -1 || v != 0 {
-		t.Fatalf("isolated VProcess Step() = (%d,%d), want (-1,0)", id, v)
-	}
-	b2 := NewBiasedOn(o2, rand.New(rand.NewSource(1)), 0.5, 0)
-	if id, v := b2.Step(); id != -1 || v != 0 {
-		t.Fatalf("isolated Biased Step() = (%d,%d), want (-1,0)", id, v)
-	}
-}
-
 // VertexCoverCensored: budget exhaustion on a disconnected topology is
 // a censored outcome, not an error, and the hook fires before every
 // step (the injection point for churn).
@@ -268,10 +176,7 @@ func TestVertexCoverCensored(t *testing.T) {
 	e := NewEProcessOn(o, rng.NewXoshiro256(17), nil, 0)
 	var sc CoverScratch
 	var hookCalls int64
-	out, err := sc.VertexCoverCensored(e, 300, func() { hookCalls++ })
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := sc.VertexCoverCensored(e, 300, func() { hookCalls++ })
 	if out.Steps != 300 {
 		t.Fatalf("censored run took %d steps, want the full budget 300", out.Steps)
 	}
@@ -285,10 +190,7 @@ func TestVertexCoverCensored(t *testing.T) {
 	// With the ring intact the same driver reports full cover with
 	// Uncovered == 0 and strictly fewer steps than the budget.
 	e2 := NewEProcessOn(graph.NewOverlay(g), rng.NewXoshiro256(17), nil, 0)
-	out2, err := sc.VertexCoverCensored(e2, 10_000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := sc.VertexCoverCensored(e2, 10_000, nil)
 	if out2.Uncovered != 0 {
 		t.Fatalf("intact ring left %d uncovered", out2.Uncovered)
 	}
@@ -303,7 +205,7 @@ func TestVertexCoverCensored(t *testing.T) {
 	e3 := NewEProcessOn(o3, rng.NewXoshiro256(23), nil, 0)
 	churn := rand.New(rand.NewSource(29))
 	step := 0
-	out3, err := sc.VertexCoverCensored(e3, 5_000, func() {
+	out3 := sc.VertexCoverCensored(e3, 5_000, func() {
 		step++
 		if step%7 == 0 && o3.LiveEdges() > 1 {
 			if err := o3.RemoveEdge(o3.LiveEdgeAt(churn.Intn(o3.LiveEdges()))); err != nil {
@@ -316,46 +218,10 @@ func TestVertexCoverCensored(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if out3.Steps == 0 {
 		t.Fatal("churned run took no steps")
 	}
 	if err := o3.Validate(); err != nil {
 		t.Fatalf("overlay invalid after churned cover run: %v", err)
-	}
-}
-
-// Reset after a Commit rebases the walk onto the compacted topology:
-// the visited set is sized to the new edge-ID bound and the walk runs
-// clean on the rebased overlay.
-func TestDynEProcessResetAfterCommit(t *testing.T) {
-	g := dynRing(12)
-	o := graph.NewOverlay(g)
-	o.CommitThreshold = 1
-	e := NewEProcessOn(o, rng.NewXoshiro256(31), nil, 0)
-	for i := 0; i < 30; i++ {
-		e.Step()
-	}
-	if err := o.RemoveEdge(0); err != nil {
-		t.Fatal(err)
-	}
-	o.AddEdge(3, 9)
-	o.AddEdge(5, 11)
-	if _, rebased := o.Commit(); !rebased {
-		t.Fatal("Commit over threshold did not rebase")
-	}
-	e.Reset(0)
-	if e.Graph() != o.Base() {
-		t.Fatal("Reset did not rebind to the rebased base graph")
-	}
-	var sc CoverScratch
-	out, err := sc.VertexCoverCensored(e, 100_000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Uncovered != 0 {
-		t.Fatalf("rebased cover left %d vertices uncovered", out.Uncovered)
 	}
 }

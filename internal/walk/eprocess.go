@@ -56,6 +56,10 @@ func (s Stats) Total() int64 { return s.RedSteps + s.BlueSteps }
 // graph's CSR block, and the visited bitset is cleared in place. A blue
 // step deletes the crossed edge's two halves from the arena at once, so
 // every pending block is exact at every Step boundary.
+//
+// Built by NewEProcessOn, the process walks a graph.Overlay instead: it
+// reads each vertex's CSR block through the overlay's removed-edge mask
+// on every step, so edges may be removed and restored between steps.
 type EProcess struct {
 	g    *graph.Graph
 	ri   Intner
@@ -81,19 +85,12 @@ type EProcess struct {
 	halves []graph.Half
 	off    []int32
 
-	// Dynamic-topology mode (NewEProcessOn with a mutable topology):
-	// topo is non-nil, the pending arena is unused, and adjacency reads
-	// go through the Topology interface into a per-vertex live-adjacency
-	// cache. adjFresh is the cache-validity set, generation-stamped with
-	// the topology's epoch: a churn event only bumps the epoch, and the
-	// walk's next Sync lazily invalidates every cached block at once —
-	// no reallocation, no eager clearing per event. The static path
-	// (topo == nil) never touches any of this.
-	topo       graph.Topology
-	dynUniform bool // Uniform rule on the dynamic path (no Rule dispatch)
-	adjCache   [][]graph.Half
-	adjFresh   bits.Set
-	buf        []graph.Half // unvisited-halves scratch for the blue choice
+	// ov is the removal mask of a process built by NewEProcessOn, nil
+	// on the static path. With it set the pending arena is unused: each
+	// step scans the current vertex's CSR block, skipping removed
+	// halves, and a blue step collects its candidates in buf.
+	ov  *graph.Overlay
+	buf []graph.Half
 
 	stats Stats
 	phase Phase
@@ -122,47 +119,31 @@ func NewEProcess(g *graph.Graph, r Intner, rule Rule, start int) *EProcess {
 	return e
 }
 
-// NewEProcessOn returns an E-process on an arbitrary topology. A plain
-// *graph.Graph routes to NewEProcess — the devirtualized static fast
-// path, draw-for-draw identical to always — while a mutable topology
-// (e.g. *graph.Overlay) gets the dynamic path: adjacency is read
-// through the interface, cached per vertex, and invalidated lazily via
-// the topology's epoch, so edges may be added, removed and restored
-// between steps. On a vertex whose incident edges have all been
-// removed, Step reports a lazy stay (edge ID −1, position unchanged)
-// until churn reconnects it.
-func NewEProcessOn(t graph.Topology, r Intner, rule Rule, start int) *EProcess {
-	if g, ok := t.(*graph.Graph); ok {
-		return NewEProcess(g, r, rule, start)
-	}
+// NewEProcessOn returns an E-process on o's base graph that sees only
+// the edges o has not removed, read through the mask at each step, so
+// edges may be removed and restored between steps. Its candidates at a
+// vertex are the base CSR block in CSR order with removed halves
+// skipped. On a vertex whose incident edges have all been removed, Step
+// reports a lazy stay (edge ID −1, position unchanged) until churn
+// reconnects it.
+func NewEProcessOn(o *graph.Overlay, r Intner, rule Rule, start int) *EProcess {
 	if rule == nil {
 		rule = Uniform{}
 	}
-	e := &EProcess{g: t.Base(), topo: t, ri: r, r: interopRand(r), rule: rule}
-	// fastUniform stays false: the fused path reads the static arena.
-	// The dynamic path short-circuits Rule dispatch on its own flag.
-	_, e.dynUniform = rule.(Uniform)
+	e := &EProcess{g: o.Base(), ov: o, ri: r, r: interopRand(r), rule: rule}
+	_, e.fastUniform = rule.(Uniform)
 	e.init(start)
 	return e
 }
 
 func (e *EProcess) init(start int) {
 	e.cur = start
-	if e.topo != nil {
-		e.g = e.topo.Base() // refreshed: a Commit between runs re-bases
-		e.visited.Reset(e.topo.EdgeIDBound())
-		if len(e.adjCache) != e.topo.N() {
-			e.adjCache = make([][]graph.Half, e.topo.N())
-		}
-		// adjCache entries stay valid across Reset: they hold live
-		// adjacency (not visited-filtered), keyed by the topology epoch
-		// through adjFresh's generation stamp in stepDyn.
-	} else {
-		// Rebind to the graph's current CSR arrays: a mutation since the
-		// last run re-froze the graph into new storage.
-		e.halves = e.g.Halves()
-		e.off = e.g.Offsets()
-		e.visited.Reset(e.g.M())
+	// Rebind to the graph's current CSR arrays: a mutation since the
+	// last run re-froze the graph into new storage.
+	e.halves = e.g.Halves()
+	e.off = e.g.Offsets()
+	e.visited.Reset(e.g.M())
+	if e.ov == nil {
 		e.pend.reset(e.g)
 	}
 	e.stats = Stats{}
@@ -194,13 +175,13 @@ func (e *EProcess) Intn(n int) int { return e.ri.Intn(n) }
 func (e *EProcess) EdgeVisited(id int) bool { return e.visited.Test(id) }
 
 // BlueDegree returns the number of unvisited edge-endpoints at v (loops
-// count twice), i.e. the blue degree of Observation 10. On a dynamic
-// topology only live unvisited halves count.
+// count twice), i.e. the blue degree of Observation 10. On an overlay
+// only live unvisited halves count.
 func (e *EProcess) BlueDegree(v int) int {
-	if e.topo != nil {
+	if e.ov != nil {
 		count := 0
-		for _, h := range e.liveAdj(v) {
-			if !e.visited.Test(int(h.ID)) {
+		for _, h := range e.halves[e.off[v]:e.off[v+1]] {
+			if !e.ov.EdgeRemoved(int(h.ID)) && !e.visited.Test(int(h.ID)) {
 				count++
 			}
 		}
@@ -214,7 +195,7 @@ func (e *EProcess) BlueDegree(v int) int {
 // step visits exactly one edge, so the result has exactly
 // Len(visited) − BlueSteps entries (on a static graph, m − BlueSteps);
 // the slice is sized up front and filled by the bitset's word-at-a-time
-// scan. On a dynamic topology the result spans the full edge-ID space,
+// scan. On an overlay the result spans the base's edge-ID space,
 // currently-removed (unvisited) edges included.
 func (e *EProcess) UnvisitedEdgeIDs() []int {
 	out := make([]int, 0, int64(e.visited.Len())-e.stats.BlueSteps)
@@ -248,7 +229,7 @@ func (e *EProcess) Phase() Phase { return e.phase }
 // Step implements Process.
 func (e *EProcess) Step() (int, int) {
 	v := e.cur
-	if e.topo != nil {
+	if e.ov != nil {
 		return e.stepDyn(v)
 	}
 	a := &e.pend
@@ -317,61 +298,68 @@ func (e *EProcess) redMark() {
 	}
 }
 
-// liveAdj returns v's current live adjacency from the per-vertex cache,
-// rebuilding the entry through the Topology interface when the cache is
-// stale. Staleness is tracked by adjFresh, generation-stamped with the
-// topology's epoch: Sync is O(1) while the epoch is unchanged and one
-// lazy clear when it moved, so a churn event costs the mutator nothing
-// here and the walk only re-reads vertices it actually touches.
-func (e *EProcess) liveAdj(v int) []graph.Half {
-	e.adjFresh.Sync(uint32(e.topo.Epoch()), len(e.adjCache))
-	if !e.adjFresh.Test(v) {
-		e.adjCache[v] = e.topo.AppendAdj(v, e.adjCache[v][:0])
-		e.adjFresh.Set(v)
-	}
-	return e.adjCache[v]
-}
-
-// stepDyn is Step on a mutable topology: same blue-over-red preference,
-// but adjacency comes from liveAdj (epoch-invalidated cache) instead of
-// the frozen arena, the visited set grows with the edge-ID space, and a
-// vertex stripped of every live edge lazily stays put (edge ID −1).
+// stepDyn is Step on an overlay: the same blue-over-red preference
+// over v's CSR block with the removed halves skipped, so the blue
+// candidates are the live unvisited halves and a red step draws among
+// the live ones, each in CSR order. A first scan only counts; the
+// candidate list is built by a second scan on a blue step (at most m
+// per run) and, on a red step, the drawn live half is indexed directly
+// when nothing at v is removed. A vertex stripped of every live edge
+// lazily stays put (edge ID −1).
 func (e *EProcess) stepDyn(v int) (int, int) {
-	adj := e.liveAdj(v)
-	if b := e.topo.EdgeIDBound(); b > e.visited.Len() {
-		e.visited.Grow(b)
-	}
-	e.buf = e.buf[:0]
+	ov, visited := e.ov, &e.visited
+	adj := e.halves[e.off[v]:e.off[v+1]]
+	live, blue := 0, 0
 	for _, h := range adj {
-		if !e.visited.Test(int(h.ID)) {
-			e.buf = append(e.buf, h)
-		}
-	}
-	if len(e.buf) > 0 {
-		var idx int
-		if e.dynUniform {
-			idx = e.ri.Intn(len(e.buf))
-		} else {
-			idx = e.rule.Choose(e, v, e.buf)
-			if idx < 0 || idx >= len(e.buf) {
-				panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
-					e.rule.Name(), idx, len(e.buf), v))
+		if !ov.EdgeRemoved(int(h.ID)) {
+			live++
+			if !visited.Test(int(h.ID)) {
+				blue++
 			}
 		}
-		h := e.buf[idx]
-		e.visited.Set(int(h.ID))
-		return e.blueStep(h)
 	}
-	if len(adj) == 0 {
-		// Churn isolated v: no live incident edges to walk. Count a red
-		// step that goes nowhere so budgets still tick.
+	if blue == 0 {
+		if live == 0 {
+			// Churn isolated v: no live incident edges to walk. Count a
+			// red step that goes nowhere so budgets still tick.
+			e.redMark()
+			return -1, v
+		}
+		k := e.ri.Intn(live)
+		if live < len(adj) {
+			for i, h := range adj {
+				if ov.EdgeRemoved(int(h.ID)) {
+					k++ // the k-th live half lies one slot further on
+				} else if i == k {
+					break
+				}
+			}
+		}
+		h := adj[k]
+		e.cur = int(h.To)
 		e.redMark()
-		return -1, v
+		return int(h.ID), e.cur
 	}
-	h := adj[e.ri.Intn(len(adj))]
-	e.cur = int(h.To)
-	e.redMark()
-	return int(h.ID), e.cur
+	p := e.buf[:0]
+	for _, h := range adj {
+		if !ov.EdgeRemoved(int(h.ID)) && !visited.Test(int(h.ID)) {
+			p = append(p, h)
+		}
+	}
+	e.buf = p
+	var idx int
+	if e.fastUniform {
+		idx = e.ri.Intn(len(p))
+	} else {
+		idx = e.rule.Choose(e, v, p)
+		if idx < 0 || idx >= len(p) {
+			panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
+				e.rule.Name(), idx, len(p), v))
+		}
+	}
+	h := p[idx]
+	visited.Set(int(h.ID))
+	return e.blueStep(h)
 }
 
 // Reset implements Process. It reuses all internal storage; after the

@@ -13,7 +13,7 @@ import (
 // static-graph, Uniform-rule process that is not recording phases.
 // Every other process is driven one Step at a time.
 func (e *EProcess) fusable() bool {
-	return e.fastUniform && e.topo == nil && !e.recordPhases && e.stats.Total() == 0
+	return e.fastUniform && e.ov == nil && !e.recordPhases && e.stats.Total() == 0
 }
 
 // coverFused runs a fusable E-process toward cover in one loop, taking

@@ -222,7 +222,7 @@ type CoverOutcome struct {
 // the driver reports the censored outcome and lets the caller treat
 // Uncovered as a measurement. maxSteps <= 0 falls back to the default
 // budget.
-func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func()) (CoverOutcome, error) {
+func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func()) CoverOutcome {
 	g := p.Graph()
 	n := g.N()
 	if maxSteps <= 0 {
@@ -243,7 +243,7 @@ func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func
 			remaining--
 		}
 	}
-	return CoverOutcome{Steps: steps, Uncovered: remaining}, nil
+	return CoverOutcome{Steps: steps, Uncovered: remaining}
 }
 
 // HitSteps runs p until it first occupies target, returning the number

@@ -28,12 +28,6 @@ type VProcess struct {
 	// scratch buffer for the unvisited-neighbour sample, reused across
 	// steps to avoid per-step allocation.
 	buf []graph.Half
-
-	// Dynamic-topology mode (NewVProcessOn): adjacency is read through
-	// the interface into adjBuf each step. The per-vertex visited set
-	// needs no epoch handling — the vertex set is fixed under churn.
-	topo   graph.Topology
-	adjBuf []graph.Half
 }
 
 var _ Process = (*VProcess)(nil)
@@ -42,19 +36,6 @@ var _ Process = (*VProcess)(nil)
 // start.
 func NewVProcess(g *graph.Graph, r Intner, start int) *VProcess {
 	v := &VProcess{g: g, ri: r, buf: make([]graph.Half, 0, g.MaxDegree())}
-	v.Reset(start)
-	return v
-}
-
-// NewVProcessOn returns the walk on an arbitrary topology: a plain
-// *graph.Graph routes to the static path, a mutable topology reads its
-// live adjacency through the interface each step. On a churn-isolated
-// vertex Step reports a lazy stay (edge ID −1).
-func NewVProcessOn(t graph.Topology, r Intner, start int) *VProcess {
-	if g, ok := t.(*graph.Graph); ok {
-		return NewVProcess(g, r, start)
-	}
-	v := &VProcess{g: t.Base(), topo: t, ri: r}
 	v.Reset(start)
 	return v
 }
@@ -70,16 +51,7 @@ func (v *VProcess) VertexVisited(u int) bool { return v.visited.Test(u) }
 
 // Step implements Process.
 func (v *VProcess) Step() (int, int) {
-	var adj []graph.Half
-	if v.topo != nil {
-		v.adjBuf = v.topo.AppendAdj(v.cur, v.adjBuf[:0])
-		adj = v.adjBuf
-		if len(adj) == 0 {
-			return -1, v.cur // churn-isolated: lazy stay
-		}
-	} else {
-		adj = v.halves[v.off[v.cur]:v.off[v.cur+1]]
-	}
+	adj := v.halves[v.off[v.cur]:v.off[v.cur+1]]
 	v.buf = v.buf[:0]
 	for _, h := range adj {
 		if !v.visited.Test(int(h.To)) {
@@ -102,13 +74,8 @@ func (v *VProcess) Step() (int, int) {
 // CSR arrays.
 func (v *VProcess) Reset(start int) {
 	v.cur = start
-	if v.topo != nil {
-		v.g = v.topo.Base()
-		v.visited.Reset(v.topo.N())
-	} else {
-		v.halves = v.g.Halves()
-		v.off = v.g.Offsets()
-		v.visited.Reset(v.g.N())
-	}
+	v.halves = v.g.Halves()
+	v.off = v.g.Offsets()
+	v.visited.Reset(v.g.N())
 	v.visited.Set(start)
 }
