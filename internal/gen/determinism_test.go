@@ -1,9 +1,11 @@
 package gen
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // Every stochastic generator must be a pure function of its seed.
@@ -109,9 +111,14 @@ func TestRandomRegularSWAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
+// BenchmarkRandomRegularSW generates one scale-2 fig1 cell (n=4000,
+// r=4) per op, from a source built the way the sweep builds one: a
+// xoshiro256** Source behind math/rand, which seeds in O(1) (math/rand's
+// own source spends microseconds seeding its 607-word state).
 func BenchmarkRandomRegularSW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RandomRegularSW(newRand(int64(i)), 1000, 4); err != nil {
+		r := rand.New(rng.NewSource(rng.KindXoshiro, uint64(i)))
+		if _, err := RandomRegularSW(r, 4000, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,4 +22,10 @@
 //
 // Every stochastic generator takes an explicit *rand.Rand so that every
 // graph in every experiment is reproducible from a seed.
+//
+// The Steger–Wormald generators (RandomRegularSW,
+// RandomDegreeSequenceSW) return frozen graphs: each attempt writes the
+// CSR adjacency directly, in edge-creation order per vertex, which is
+// the layout graph.NewFromEdges plus Freeze would build from the same
+// edge list. The other generators return builder-state graphs.
 package gen

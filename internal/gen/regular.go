@@ -75,7 +75,8 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 //
 // The parallel-edge check is a linear scan of the at most r partners a
 // vertex already has (O(r) per draw, no per-vertex sets), so the number
-// of allocations an attempt makes does not grow with n.
+// of allocations an attempt makes does not grow with n. The graph comes
+// back frozen: the attempt writes its CSR directly.
 func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
@@ -86,8 +87,7 @@ func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	}
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := swAttempt(r, degrees, n*deg)
-		if ok && g.IsConnected() {
+		if g := swAttempt(r, degrees, n*deg); g != nil {
 			return g, nil
 		}
 	}
@@ -95,8 +95,14 @@ func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 }
 
 // swAttempt runs one Steger–Wormald pairing of the given degree
-// sequence (total = its sum), reporting false when it gets stuck.
-func swAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
+// sequence (total = its sum) and returns the frozen graph, or nil when
+// the pairing gets stuck or the result is disconnected.
+//
+// It writes the CSR directly: vertex v owns the half slots
+// halves[off[v]:off[v+1]] (off is the degree prefix sum) and fills
+// them in edge-creation order, which is the adjacency order
+// graph.NewFromEdges would give the same edge list.
+func swAttempt(r *rand.Rand, degrees []int, total int) *graph.Graph {
 	if total/2 > graph.MaxEdges {
 		// The int32 slab offsets below rely on the graph size contract.
 		panic(fmt.Errorf("%w: m=%d", graph.ErrTooLarge, total/2))
@@ -105,20 +111,20 @@ func swAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
 	// live is the multiset of vertices with unmatched half-edges, one
 	// entry per half-edge, maintained with swap-delete for O(1) removal.
 	live := make([]int32, 0, total)
-	// The partners of v fill partners[off[v]:off[v]+fill[v]]; off is
-	// the degree prefix sum, so every vertex owns exactly d(v) slots.
-	off := make([]int32, n)
+	off := make([]int32, n+1)
 	for v, d := range degrees {
 		off[v] = int32(len(live))
 		for i := 0; i < d; i++ {
 			live = append(live, int32(v))
 		}
 	}
-	partners := make([]int32, total)
+	off[n] = int32(total)
+	halves := make([]graph.Half, total)
+	// fill[v] counts the halves v has so far.
 	fill := make([]int32, n)
 	adjacent := func(u, v int32) bool {
-		for _, w := range partners[off[u] : off[u]+fill[u]] {
-			if w == v {
+		for _, h := range halves[off[u] : off[u]+fill[u]] {
+			if h.To == uint32(v) {
 				return true
 			}
 		}
@@ -149,23 +155,76 @@ func swAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
 			}
 			remove(i)
 			remove(j)
-			partners[off[u]+fill[u]] = v
+			id := uint32(len(edges))
+			halves[off[u]+fill[u]] = graph.Half{ID: id, To: uint32(v)}
 			fill[u]++
-			partners[off[v]+fill[v]] = u
+			halves[off[v]+fill[v]] = graph.Half{ID: id, To: uint32(u)}
 			fill[v]++
 			edges = append(edges, graph.Edge{U: int(u), V: int(v)})
 			paired = true
 			break
 		}
 		if !paired {
-			return nil, false
+			return nil
 		}
 	}
-	g, err := graph.NewFromEdges(n, edges)
+	if !slabConnected(halves, off, live[:0], fill) {
+		return nil
+	}
+	g, err := graph.NewFrozen(n, edges, off, halves)
 	if err != nil {
 		panic(err)
 	}
-	return g, true
+	return g
+}
+
+// slabConnected reports whether the CSR graph (halves, off) is
+// connected, by a breadth-first search from vertex 0 — the decision
+// Graph.IsConnected makes. It reuses the caller's buffers: queue as the
+// BFS queue and mark, one entry per vertex, as the visited flags (it
+// overwrites both).
+func slabConnected(halves []graph.Half, off, queue, mark []int32) bool {
+	n := len(off) - 1
+	for v := range mark {
+		mark[v] = 0
+	}
+	queue = append(queue[:0], 0)
+	mark[0] = 1
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, h := range halves[off[v]:off[v+1]] {
+			if mark[h.To] == 0 {
+				mark[h.To] = 1
+				queue = append(queue, int32(h.To))
+			}
+		}
+	}
+	return len(queue) == n
+}
+
+// checkDegreeSequence validates a degree sequence for the connected
+// simple generators and returns its sum. A degree-0 vertex is rejected
+// when n > 1: it is isolated in every realisation, so no attempt could
+// ever be connected.
+func checkDegreeSequence(degrees []int) (int, error) {
+	n := len(degrees)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
+	}
+	total := 0
+	for v, d := range degrees {
+		if d < 0 || d >= n {
+			return 0, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
+		}
+		if d == 0 && n > 1 {
+			return 0, fmt.Errorf("%w: vertex %d has degree 0, so no graph on %d vertices is connected", ErrDegreeSequence, v, n)
+		}
+		total += d
+	}
+	if total%2 != 0 {
+		return 0, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
+	}
+	return total, nil
 }
 
 func checkRegular(n, deg int) error {
@@ -190,23 +249,13 @@ func checkRegular(n, deg int) error {
 // always; prefer this constructor for experiments.
 func RandomDegreeSequenceSW(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 	n := len(degrees)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
-	}
-	total := 0
-	for v, d := range degrees {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
-		}
-		total += d
-	}
-	if total%2 != 0 {
-		return nil, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
+	total, err := checkDegreeSequence(degrees)
+	if err != nil {
+		return nil, err
 	}
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := swAttempt(r, degrees, total)
-		if ok && g.IsConnected() {
+		if g := swAttempt(r, degrees, total); g != nil {
 			return g, nil
 		}
 	}
@@ -222,18 +271,9 @@ func RandomDegreeSequenceSW(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 // RandomDegreeSequenceSW for the scalable variant.
 func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 	n := len(degrees)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
-	}
-	total := 0
-	for v, d := range degrees {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
-		}
-		total += d
-	}
-	if total%2 != 0 {
-		return nil, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
+	total, err := checkDegreeSequence(degrees)
+	if err != nil {
+		return nil, err
 	}
 	const maxAttempts = 20000
 	points := make([]int, 0, total)

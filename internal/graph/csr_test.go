@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func buildTestGraph(t *testing.T) *Graph {
 	t.Helper()
@@ -148,5 +151,103 @@ func TestFreezeIsolatedVertices(t *testing.T) {
 	}
 	if d := g.Degree(1); d != 2 {
 		t.Errorf("loop degree = %d, want 2", d)
+	}
+}
+
+// NewFrozen adopts a well-formed CSR as is, and rejects each kind of
+// malformed layout with ErrMalformedCSR.
+func TestNewFrozenValidates(t *testing.T) {
+	// Path 0-1-2 plus a loop at 2: edges 0={0,1}, 1={1,2}, 2={2,2}.
+	edges := func() []Edge { return []Edge{{0, 1}, {1, 2}, {2, 2}} }
+	off := func() []int32 { return []int32{0, 1, 3, 6} }
+	halves := func() []Half {
+		return []Half{
+			{ID: 0, To: 1},
+			{ID: 0, To: 0}, {ID: 1, To: 2},
+			{ID: 1, To: 1}, {ID: 2, To: 2}, {ID: 2, To: 2},
+		}
+	}
+	g, err := NewFrozen(3, edges(), off(), halves())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Frozen() || g.Degree(2) != 3 || g.M() != 3 {
+		t.Fatalf("NewFrozen built frozen=%v deg(2)=%d m=%d", g.Frozen(), g.Degree(2), g.M())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := MustFromEdges(3, edges())
+	want.Freeze()
+	for v := 0; v < 3; v++ {
+		got, exp := g.Adj(v), want.Adj(v)
+		if len(got) != len(exp) {
+			t.Fatalf("vertex %d: %v, want %v", v, got, exp)
+		}
+		for i := range got {
+			if got[i] != exp[i] {
+				t.Fatalf("vertex %d: %v, want %v", v, got, exp)
+			}
+		}
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half)
+	}{
+		{"short offsets", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) { return e, o[:3], h }},
+		{"offsets not from 0", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			o[0] = 1
+			return e, o, h
+		}},
+		{"offsets do not end at len(halves)", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) { return e, o, h[:5] }},
+		{"non-monotone offsets", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			o[1], o[2] = 4, 3
+			return e, o, h
+		}},
+		{"To out of range", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[0].To = 7
+			return e, o, h
+		}},
+		{"ID out of range", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[0].ID = 3
+			return e, o, h
+		}},
+		{"edge ID at the wrong vertex", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[3] = Half{ID: 0, To: 1} // edge {0,1} listed at vertex 2
+			return e, o, h
+		}},
+		{"half points at the wrong endpoint", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[2].To = 0 // edge {1,2} at vertex 1 must point at 2
+			return e, o, h
+		}},
+		{"edge repeated at one endpoint", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[2] = Half{ID: 0, To: 0} // vertex 1 lists edge 0 twice, edge 1 once
+			return e, o, h
+		}},
+		{"edge missing its twin", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			// A fourth edge {0,2} that no half mentions.
+			return append(e, Edge{0, 2}), o, h
+		}},
+		{"loop missing its twin", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			o[3] = 5
+			return e, o, h[:5]
+		}},
+		{"halves out of edge-ID order", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			h[1], h[2] = h[2], h[1]
+			return e, o, h
+		}},
+		{"halves no edge accounts for", func(e []Edge, o []int32, h []Half) ([]Edge, []int32, []Half) {
+			return e[:2], o, h // the loop's two halves stay at vertex 2
+		}},
+	}
+	for _, tc := range cases {
+		e, o, h := tc.mutate(edges(), off(), halves())
+		if _, err := NewFrozen(3, e, o, h); !errors.Is(err, ErrMalformedCSR) {
+			t.Errorf("%s: NewFrozen returned %v, want ErrMalformedCSR", tc.name, err)
+		}
+	}
+	if _, err := NewFrozen(0, nil, []int32{0}, nil); !errors.Is(err, ErrNoVertices) {
+		t.Errorf("n=0: %v, want ErrNoVertices", err)
 	}
 }

@@ -27,7 +27,10 @@
 // contiguous in cache, which is where simulation hot loops spend their
 // time; walk constructors Freeze their graph so every Step runs on CSR.
 // Freezing is idempotent, and a frozen graph thaws transparently when
-// mutated again (AddEdge), at O(n+m) for the first mutation.
+// mutated again (AddEdge), at O(n+m) for the first mutation. A
+// generator that already holds its adjacency in CSR order hands it to
+// NewFrozen, which validates the layout in O(n+m) and adopts it, so
+// the graph is born frozen without a builder stage.
 //
 // # The 32-bit Half contract
 //
@@ -35,8 +38,8 @@
 // per half instead of 16 — halving the bytes every adjacency scan and
 // pending-arena copy streams through cache. The price is a size bound:
 // n ≤ MaxSize (2^31−1) and m ≤ MaxEdges (so the 2m half-edges fit the
-// int32 CSR offset range), which New, NewFromEdges and AddEdge
-// validate at construction time — a successfully built graph can
+// int32 CSR offset range), which New, NewFromEdges, NewFrozen and
+// AddEdge validate at construction time — a successfully built graph can
 // always Freeze, and a Half field converts to int losslessly
 // everywhere. Callers must not assume the fields are machine-word
 // sized: code holding a Half field in an int context converts

@@ -8,17 +8,18 @@ import (
 
 // Errors returned by graph constructors and mutators.
 var (
-	ErrVertexRange = errors.New("graph: vertex out of range")
-	ErrNoVertices  = errors.New("graph: graph must have at least one vertex")
-	ErrTooLarge    = errors.New("graph: size exceeds the 32-bit half-edge layout (n ≤ MaxSize, m ≤ MaxEdges)")
+	ErrVertexRange  = errors.New("graph: vertex out of range")
+	ErrNoVertices   = errors.New("graph: graph must have at least one vertex")
+	ErrTooLarge     = errors.New("graph: size exceeds the 32-bit half-edge layout (n ≤ MaxSize, m ≤ MaxEdges)")
+	ErrMalformedCSR = errors.New("graph: malformed CSR")
 )
 
 // MaxSize bounds the vertex count and MaxEdges the edge count: Half
 // packs the edge ID and far endpoint into uint32 fields and the CSR
 // offset table is int32, so n may not exceed 2^31−1 and the 2m
 // half-edges must fit the same range (m ≤ (2^31−1)/2). New,
-// NewFromEdges and AddEdge enforce the bounds at construction time, so
-// a successfully built graph can always Freeze.
+// NewFromEdges, NewFrozen and AddEdge enforce the bounds at
+// construction time, so a successfully built graph can always Freeze.
 const (
 	MaxSize  = math.MaxInt32
 	MaxEdges = MaxSize / 2
@@ -61,8 +62,8 @@ type Half struct {
 }
 
 // Graph is an undirected multigraph with loops. The zero value is an
-// empty graph with no vertices; use New or NewFromEdges to construct a
-// usable instance.
+// empty graph with no vertices; use New, NewFromEdges or NewFrozen to
+// construct a usable instance.
 //
 // A Graph has two storage states. While mutable, adjacency lives in a
 // per-vertex builder ([][]Half) so AddEdge is O(1) amortised. Freeze
@@ -85,11 +86,6 @@ type Graph struct {
 
 	// Builder adjacency; valid while !frozen, nil once frozen.
 	adj [][]Half
-
-	// carved is the one array NewFromEdges cut every adj[v] from, in
-	// vertex order. While the lists still fill it exactly, Freeze
-	// adopts it as the CSR array instead of copying. nil otherwise.
-	carved []Half
 
 	// CSR adjacency; valid while frozen. The halves of vertex v occupy
 	// halves[off[v]:off[v+1]], in the same order the builder held them
@@ -123,8 +119,7 @@ func New(n int) *Graph {
 
 // NewFromEdges builds a graph with n vertices and the given edges.
 // Parallel edges and loops are retained. The result is the graph that
-// New(n) plus one AddEdge per edge would build, with every adjacency
-// list carved at its exact size from one backing array.
+// New(n) plus one AddEdge per edge would build.
 func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrNoVertices
@@ -133,32 +128,67 @@ func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 		return nil, fmt.Errorf("%w: n=%d", ErrTooLarge, n)
 	}
 	g := New(n)
-	// Count degrees over the edges AddEdge will accept; it reports the
-	// first out-of-range or excess edge itself, below.
-	deg := make([]int, n)
-	total := 0
-	for _, e := range edges[:min(len(edges), MaxEdges)] {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			break
-		}
-		deg[e.U]++
-		deg[e.V]++
-		total += 2
-	}
-	g.edges = make([]Edge, 0, total/2)
-	g.carved = make([]Half, total)
-	backing := g.carved
-	for v, d := range deg {
-		if d > 0 {
-			g.adj[v], backing = backing[:0:d], backing[d:]
-		}
-	}
 	for _, e := range edges {
 		if err := g.AddEdge(e.U, e.V); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// NewFrozen returns the frozen graph whose edge array is edges and
+// whose CSR adjacency is halves delimited by off: vertex v's halves are
+// halves[off[v]:off[v+1]]. It adopts the three slices, so the caller
+// must not touch them afterwards.
+//
+// The layout must be exactly the one NewFromEdges(n, edges) plus
+// Freeze builds: off has n+1 monotone entries from 0 to len(halves),
+// and each vertex lists its halves in increasing edge-ID order (the
+// edge-insertion order every Graph keeps), edge {u, v} contributing
+// {ID, v} at u and {ID, u} at v (a loop: two halves {ID, u} at u).
+// NewFrozen checks this in O(n+m), walking the edges in ID order with
+// one cursor per vertex, and reports the first defect wrapped in
+// ErrMalformedCSR.
+func NewFrozen(n int, edges []Edge, off []int32, halves []Half) (*Graph, error) {
+	if n <= 0 {
+		return nil, ErrNoVertices
+	}
+	if n > MaxSize || len(edges) > MaxEdges {
+		return nil, fmt.Errorf("%w: n=%d, m=%d", ErrTooLarge, n, len(edges))
+	}
+	if len(off) != n+1 {
+		return nil, fmt.Errorf("%w: %d offsets for %d vertices", ErrMalformedCSR, len(off), n)
+	}
+	if off[0] != 0 || int(off[n]) != len(halves) {
+		return nil, fmt.Errorf("%w: offsets span [%d, %d] for %d halves", ErrMalformedCSR, off[0], off[n], len(halves))
+	}
+	for v := 0; v < n; v++ {
+		if off[v] > off[v+1] {
+			return nil, fmt.Errorf("%w: offsets not monotone at vertex %d", ErrMalformedCSR, v)
+		}
+	}
+	// cur[v] is the position of the next half vertex v must hold.
+	cur := make([]int32, n)
+	copy(cur, off)
+	for id, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("%w: edge %d %+v has an endpoint outside [0, %d)", ErrMalformedCSR, id, e, n)
+		}
+		for _, end := range [2]Edge{e, {U: e.V, V: e.U}} {
+			at := cur[end.U]
+			if want := (Half{ID: uint32(id), To: uint32(end.V)}); at == off[end.U+1] || halves[at] != want {
+				return nil, fmt.Errorf("%w: edge %d %+v: vertex %d lacks its half %+v in edge-ID order", ErrMalformedCSR, id, e, end.U, want)
+			}
+			cur[end.U]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if cur[v] != off[v+1] {
+			h := halves[cur[v]]
+			return nil, fmt.Errorf("%w: half %+v at vertex %d belongs to no edge in edge-ID order", ErrMalformedCSR, h, v)
+		}
+	}
+	return &Graph{n: n, edges: edges, halves: halves, off: off, frozen: true}, nil
 }
 
 // MustFromEdges is NewFromEdges for statically known-valid inputs; it
@@ -198,41 +228,14 @@ func (g *Graph) Freeze() {
 		panic(fmt.Sprintf("graph: %d half-edges exceed the int32 CSR offset range", total))
 	}
 	g.off = make([]int32, g.n+1)
-	if g.carvedExactly(total) {
-		g.halves = g.carved
-		for v, hs := range g.adj {
-			g.off[v+1] = g.off[v] + int32(len(hs))
-		}
-	} else {
-		g.halves = make([]Half, 0, total)
-		for v, hs := range g.adj {
-			g.off[v] = int32(len(g.halves))
-			g.halves = append(g.halves, hs...)
-		}
-		g.off[g.n] = int32(len(g.halves))
+	g.halves = make([]Half, 0, total)
+	for v, hs := range g.adj {
+		g.off[v] = int32(len(g.halves))
+		g.halves = append(g.halves, hs...)
 	}
-	g.adj, g.carved = nil, nil
+	g.off[g.n] = int32(len(g.halves))
+	g.adj = nil
 	g.frozen = true
-}
-
-// carvedExactly reports whether the builder lists, total halves in
-// all, still lie back to back in g.carved and fill it: then carved
-// already is the CSR array. A list that grew past its carved size was
-// reallocated by append, so it no longer starts in carved.
-func (g *Graph) carvedExactly(total int) bool {
-	if g.carved == nil || total != len(g.carved) {
-		return false
-	}
-	at := 0
-	for _, hs := range g.adj {
-		if len(hs) > 0 {
-			if &hs[0] != &g.carved[at] {
-				return false
-			}
-			at += len(hs)
-		}
-	}
-	return true
 }
 
 // Frozen reports whether the graph is in its flat CSR state.

@@ -164,7 +164,7 @@ func decodeStrict(r io.Reader, v any) error {
 
 // journal appends completed units to a checkpoint directory. Writes are
 // per-unit-atomic (unique temp file, fsync, rename) and lock-free:
-// every unit owns its filename, so concurrent workers never collide.
+// every unit owns its filename, so writes never collide.
 type journal struct{ dir string }
 
 // unitFile names unit u's journal file. The fixed-width decimal keeps
@@ -194,6 +194,49 @@ func (j *journal) writeUnit(rec UnitRecord) error {
 		return err
 	}
 	return atomicWrite(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
+}
+
+// journalWriter makes completed units durable on one goroutine of its
+// own, so the sweep workers hand a record over and go on to their next
+// unit instead of waiting on its fsync. The first failed write is kept,
+// naming its unit, and calls stop so the run schedules no further
+// units; records queued after it are drained without being written.
+type journalWriter struct {
+	recs chan UnitRecord
+	done chan struct{}
+	err  error // first write error; read only after done is closed
+}
+
+// startJournalWriter starts the writer goroutine. capacity must be at
+// least the number of records the run will submit, so submit never
+// blocks a worker.
+func startJournalWriter(capacity int, write func(UnitRecord) error, stop context.CancelFunc) *journalWriter {
+	w := &journalWriter{recs: make(chan UnitRecord, capacity), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for rec := range w.recs {
+			if w.err != nil {
+				continue
+			}
+			if err := write(rec); err != nil {
+				w.err = fmt.Errorf("sim: point %q trial %d: journal: %w", rec.Point, rec.Trial, err)
+				stop()
+			}
+		}
+	}()
+	return w
+}
+
+// submit queues rec for writing. Call it only before close.
+func (w *journalWriter) submit(rec UnitRecord) { w.recs <- rec }
+
+// close waits until every submitted record is written (or drained after
+// a failure), the goroutine has finished, and returns the first write
+// error. Call it once, after the last submit.
+func (w *journalWriter) close() error {
+	close(w.recs)
+	<-w.done
+	return w.err
 }
 
 // atomicWrite writes name into dir via a hidden unique temp file, fsync

@@ -51,8 +51,10 @@
 //     fsync'd manifest pins master seed, registry name, salt namespace,
 //     scale, trials, RNG kind, step budget and the full point/arm shape
 //     — Workers is deliberately absent, journals are
-//     workers-independent like the tables). A killed run loses at most
-//     its in-flight units. Checkpoint.Resume validates the manifest
+//     workers-independent like the tables). One writer goroutine does
+//     the writes, so workers do not wait on fsync, and a run returns
+//     only once every unit it completed is durable. A killed run loses
+//     at most its in-flight and not yet written units. Checkpoint.Resume validates the manifest
 //     against the current plan — truncated, corrupted or mismatched
 //     journals are rejected with a diagnostic, never silently resumed —
 //     restores the completed units, re-derives trial-0 representative

@@ -369,8 +369,10 @@ type RunOptions struct {
 	// an uncancelled run.
 	Progress func(done, total int)
 	// Checkpoint, when non-nil, journals every completed (point, trial)
-	// unit into Checkpoint.Dir as it finishes (write-temp+rename, so a
-	// kill can lose at most the in-flight units) and, when
+	// unit into Checkpoint.Dir as it finishes (write-temp+fsync+rename,
+	// on one writer goroutine, so a kill can lose at most the in-flight
+	// and not yet written units; the run returns only once every
+	// completed unit is durable) and, when
 	// Checkpoint.Resume is set, restores the completed units of an
 	// existing journal instead of re-running them. See Checkpoint.
 	Checkpoint *Checkpoint
@@ -502,6 +504,16 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 	if opts.Progress != nil {
 		onDone = func(done int) { opts.Progress(done, len(work)) }
 	}
+	// Completed units go to one journal-writer goroutine; the run
+	// returns only once every record it was handed is durable, and a
+	// failed write cancels the units not yet started.
+	var jw *journalWriter
+	if jl != nil {
+		var stop context.CancelFunc
+		ctx, stop = context.WithCancel(ctx)
+		defer stop()
+		jw = startJournalWriter(len(work), jl.writeUnit, stop)
+	}
 	err := runUnits(ctx, cfg.Workers, len(work), onDone, func(w int, sc *walk.CoverScratch) error {
 		it := work[w]
 		if it.unit == repWork {
@@ -537,13 +549,17 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			ms[ai] = m
 			results[pi].Arms[ai].Measurements[trial] = m
 		}
-		if jl != nil {
-			if err := jl.writeUnit(UnitRecord{Unit: u, Point: pt.Key, Trial: trial, Arms: ms}); err != nil {
-				return fmt.Errorf("sim: point %q trial %d: journal: %w", pt.Key, trial, err)
-			}
+		if jw != nil {
+			jw.submit(UnitRecord{Unit: u, Point: pt.Key, Trial: trial, Arms: ms})
 		}
 		return nil
 	})
+	if jw != nil {
+		if werr := jw.close(); werr != nil {
+			// The write error, not the cancellation it caused.
+			return nil, werr
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

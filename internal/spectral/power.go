@@ -160,26 +160,44 @@ func shiftedSecond(g *graph.Graph, opts Options, top bool) (float64, error) {
 			return 0, ErrNoGap
 		}
 	}
+	// nbr[start[u]:start[u+1]] lists u's neighbours in Adj order: a flat
+	// copy made once, so the loop below never reads the graph (and
+	// never freezes it).
+	start := make([]int32, n+1)
+	nbr := make([]int32, 0, 2*g.M())
+	for u := 0; u < n; u++ {
+		for _, h := range g.Adj(u) {
+			nbr = append(nbr, int32(h.To))
+		}
+		start[u+1] = int32(len(nbr))
+	}
+	// Each iteration is Apply, the shift, the deflation, the Rayleigh
+	// quotient and the normalisation, fused into three passes that
+	// perform the same floating-point operations in the same order, so
+	// the result is bit-identical to running them one at a time. z is
+	// x·D^{-1/2}: each entry is the product Apply rounds once per
+	// neighbour (on targets where Go does not fuse that product into
+	// the sum, such as amd64).
+	inv := op.invSqrtD
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = x[i] * inv[i]
+	}
 	prev := math.Inf(-1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		op.Apply(y, x)
-		// y = (N±I)x / 2, with sign giving the requested shift.
-		if top {
-			for i := range y {
-				y[i] = (y[i] + x[i]) / 2
-			}
-		} else {
-			for i := range y {
-				y[i] = (x[i] - y[i]) / 2
-			}
-		}
-		deflate(y)
-		// Rayleigh quotient of the shifted operator at unit x is x·y.
-		rq := 0.0
+		dot := shiftedProduct(y, x, z, inv, v1, start, nbr, top)
+		// Deflate y, then take the Rayleigh quotient of the shifted
+		// operator at unit x, x·y, and y's squared norm.
+		rq, sq := 0.0, 0.0
 		for i := range y {
+			if top {
+				y[i] -= dot * v1[i]
+			}
 			rq += x[i] * y[i]
+			sq += y[i] * y[i]
 		}
-		if normalize(y) == 0 {
+		norm := math.Sqrt(sq)
+		if norm == 0 {
 			// The deflated space is annihilated: the remaining spectrum
 			// of the shifted operator is 0.
 			rq = 0
@@ -196,12 +214,49 @@ func shiftedSecond(g *graph.Graph, opts Options, top bool) (float64, error) {
 			return 1 - 2*rq, nil
 		}
 		prev = rq
+		// Normalise the new x and form the next z in one pass.
+		for i := range x {
+			x[i] /= norm
+			z[i] = x[i] * inv[i]
+		}
 	}
 	// Return the best estimate with an error so callers can decide.
 	if top {
 		return 2*prev - 1, ErrNoGap
 	}
 	return 1 - 2*prev, ErrNoGap
+}
+
+// shiftedProduct sets y = (N+I)x / 2 when top, else (I−N)x / 2, from
+// z = x·D^{-1/2} and the neighbour lists nbr[start[u]:start[u+1]], and
+// for top returns the deflation's dot product y·v1, accumulated in
+// index order. The float64 conversion keeps (N·x)[u] rounded on its
+// own, as Apply stores it, where a compiler could otherwise fuse it
+// into the shift.
+func shiftedProduct(y, x, z, inv, v1 []float64, start, nbr []int32, top bool) float64 {
+	n := len(y)
+	// Reslicing to n lets the compiler drop the per-u bounds checks.
+	x, inv, v1, start = x[:n], inv[:n], v1[:n], start[:n+1]
+	dot := 0.0
+	if top {
+		for u := range y {
+			sum := 0.0
+			for _, w := range nbr[start[u]:start[u+1]] {
+				sum += z[w]
+			}
+			y[u] = (float64(sum*inv[u]) + x[u]) / 2
+			dot += y[u] * v1[u]
+		}
+		return dot
+	}
+	for u := range y {
+		sum := 0.0
+		for _, w := range nbr[start[u]:start[u+1]] {
+			sum += z[w]
+		}
+		y[u] = (x[u] - float64(sum*inv[u])) / 2
+	}
+	return dot
 }
 
 // Gap holds the spectral summary of a graph's simple random walk.

@@ -390,12 +390,15 @@ func BenchmarkLambda2RandomRegular(b *testing.B) {
 // data race under -race), and the result must equal the frozen graph's
 // bit for bit.
 func TestComputeGapUnfrozenMatchesFrozen(t *testing.T) {
-	g, err := gen.RandomRegularSW(rand.New(rand.NewSource(4)), 300, 4)
+	sw, err := gen.RandomRegularSW(rand.New(rand.NewSource(4)), 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The generator returns a frozen graph; rebuild its edge list into
+	// an unfrozen one with the same adjacency order.
+	g := graph.MustFromEdges(sw.N(), sw.Edges())
 	if g.Frozen() {
-		t.Fatal("generator returned a frozen graph; the test needs an unfrozen one")
+		t.Fatal("NewFromEdges returned a frozen graph; the test needs an unfrozen one")
 	}
 	opts := Options{Tol: 1e-8}
 	unfrozen, err := ComputeGap(g, opts)
@@ -435,6 +438,168 @@ func BenchmarkComputeGap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ComputeGap(g, Options{Tol: 1e-8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// refShiftedSecond is the unfused power iteration shiftedSecond
+// replaced: Apply, the shift, the deflation, the Rayleigh quotient and
+// the normalisation as separate passes. The fused loop must reproduce
+// its result bit for bit.
+func refShiftedSecond(g *graph.Graph, opts Options, top bool) (float64, error) {
+	opts = opts.withDefaults()
+	op, err := NewOperator(g)
+	if err != nil {
+		return 0, err
+	}
+	n := g.N()
+	if n == 1 {
+		return 1, nil
+	}
+	v1 := op.principal()
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(float64(3*i + 1))
+	}
+	y := make([]float64, n)
+	deflate := func(vec []float64) {
+		if !top {
+			return
+		}
+		dot := 0.0
+		for i := range vec {
+			dot += vec[i] * v1[i]
+		}
+		for i := range vec {
+			vec[i] -= dot * v1[i]
+		}
+	}
+	normalize := func(vec []float64) float64 {
+		norm := 0.0
+		for _, v := range vec {
+			norm += v * v
+		}
+		norm = math.Sqrt(norm)
+		if norm == 0 {
+			return 0
+		}
+		for i := range vec {
+			vec[i] /= norm
+		}
+		return norm
+	}
+	deflate(x)
+	if normalize(x) == 0 {
+		for i := range x {
+			x[i] = math.Cos(float64(7*i + 2))
+		}
+		deflate(x)
+		if normalize(x) == 0 {
+			return 0, ErrNoGap
+		}
+	}
+	prev := math.Inf(-1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		op.Apply(y, x)
+		if top {
+			for i := range y {
+				y[i] = (y[i] + x[i]) / 2
+			}
+		} else {
+			for i := range y {
+				y[i] = (x[i] - y[i]) / 2
+			}
+		}
+		deflate(y)
+		rq := 0.0
+		for i := range y {
+			rq += x[i] * y[i]
+		}
+		if normalize(y) == 0 {
+			rq = 0
+			if top {
+				return 2*rq - 1, nil
+			}
+			return 1 - 2*rq, nil
+		}
+		x, y = y, x
+		if math.Abs(rq-prev) < opts.Tol && iter > 10 {
+			if top {
+				return 2*rq - 1, nil
+			}
+			return 1 - 2*rq, nil
+		}
+		prev = rq
+	}
+	if top {
+		return 2*prev - 1, ErrNoGap
+	}
+	return 1 - 2*prev, ErrNoGap
+}
+
+// Lambda2 and LambdaN must equal the unfused reference bit for bit,
+// including the estimate returned with ErrNoGap when the budget runs
+// out, on regular, irregular and multigraph inputs.
+func TestFusedIterationMatchesReferenceBits(t *testing.T) {
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs := map[string]*graph.Graph{
+		"circulant(64;1,5)":    must(gen.Circulant(64, []int{1, 5})),
+		"circulant(101;1,2,7)": must(gen.Circulant(101, []int{1, 2, 7})),
+		"lps(5,13)":            must(gen.LPS(5, 13)),
+		"sw(500,4)":            must(gen.RandomRegularSW(rand.New(rand.NewSource(11)), 500, 4)),
+		"sw(300,6)":            must(gen.RandomRegularSW(rand.New(rand.NewSource(12)), 300, 6)),
+		"degseq":               must(gen.RandomDegreeSequenceSW(rand.New(rand.NewSource(13)), degSeq(240, 4, 6, 8))),
+		"lollipop(8,12)":       must(gen.Lollipop(8, 12)),
+		"hypercube(5)":         must(gen.Hypercube(5)),
+		"multigraph+loops": graph.MustFromEdges(5, []graph.Edge{
+			{U: 0, V: 1}, {U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 2}, {U: 2, V: 3},
+			{U: 3, V: 4}, {U: 4, V: 0}, {U: 3, V: 3}, {U: 1, V: 4},
+		}),
+	}
+	for name, g := range graphs {
+		for _, opts := range []Options{{Tol: 1e-8}, {Tol: 1e-9}, {}, {MaxIter: 7}} {
+			for _, top := range []bool{true, false} {
+				lambda := LambdaN
+				if top {
+					lambda = Lambda2
+				}
+				got, gotErr := lambda(g, opts)
+				want, wantErr := refShiftedSecond(g, opts, top)
+				if math.Float64bits(got) != math.Float64bits(want) || gotErr != wantErr {
+					t.Errorf("%s %+v top=%v: fused (%v, %v), reference (%v, %v)", name, opts, top, got, gotErr, want, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// degSeq cycles through degs to give n vertices a degree each.
+func degSeq(n int, degs ...int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = degs[i%len(degs)]
+	}
+	return out
+}
+
+// BenchmarkLambda2 times one λ2 call, at the tolerance the sweep's
+// Finish analysis uses, on the LPS(5,13) expander.
+func BenchmarkLambda2(b *testing.B) {
+	g, err := gen.LPS(5, 13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Freeze()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Lambda2(g, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
