@@ -146,8 +146,8 @@ func TestSweepPlanShape(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, pt := range points {
-		if pt.Rep == nil || !pt.Rep.Frozen() {
-			t.Errorf("point %s: missing frozen representative graph", pt.Key)
+		if pt.Rep != nil {
+			t.Errorf("point %s: kept a representative graph no Finish reads", pt.Key)
 		}
 		if pt.Arms[0].VertexStats.Mean < 39 {
 			t.Errorf("point %s: impossible cover mean %v", pt.Key, pt.Arms[0].VertexStats.Mean)

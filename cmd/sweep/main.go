@@ -8,7 +8,7 @@
 //	sweep -list                     # list experiment names
 //	sweep -exp all -json out/       # also dump one JSON Result per experiment
 //	sweep -exp all -report r.md     # also write every table as one markdown report
-//	sweep -exp all -v               # progress (units done/total) on stderr
+//	sweep -exp all -v               # progress, wall time and peak RSS on stderr
 //	sweep -exp fig1 -scale 64 -rng mt19937  # Figure 1 at the paper's n, on its generator
 //
 // The -report document is a pure function of the flags and the
@@ -66,6 +66,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -221,6 +222,17 @@ func progressOpts(name string, verbose bool) sim.RunOptions {
 	return sim.StderrProgress(name)
 }
 
+// reportUsage prints the run's wall time since start and, where the
+// platform reports it, the process's peak RSS on stderr, so paper-scale
+// runs measure themselves without an external timer.
+func reportUsage(start time.Time) {
+	line := fmt.Sprintf("sweep: wall %.2fs", time.Since(start).Seconds())
+	if mb, ok := peakRSSMB(); ok {
+		line += fmt.Sprintf(", peak RSS %.1f MB", mb)
+	}
+	fmt.Fprintln(os.Stderr, line)
+}
+
 // printResult writes one experiment's table, notes, optional JSON dump
 // and, when md is non-nil, its markdown report section — the shared
 // output path of plain, resumed and merged runs.
@@ -263,7 +275,7 @@ func run() error {
 		jsonDir = flag.String("json", "", "also write one JSON Result per experiment into this directory")
 		report  = flag.String("report", "", "also write every table and note as one markdown report to this file")
 		rngName = flag.String("rng", "xoshiro", "generator family: xoshiro, mt19937 (the paper's Mersenne Twister) or splitmix")
-		verbose = flag.Bool("v", false, "report sweep progress (units done/total) on stderr")
+		verbose = flag.Bool("v", false, "report sweep progress (units done/total) and, at exit, wall time and peak RSS on stderr")
 	)
 	flag.Parse()
 
@@ -272,6 +284,9 @@ func run() error {
 			fmt.Printf("%-8s %s\n", e.Name, e.Desc)
 		}
 		return nil
+	}
+	if *verbose {
+		defer reportUsage(time.Now())
 	}
 
 	selected, err := selectExperiments(*expList)

@@ -4,11 +4,42 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// runMainEnv, when set, makes the test binary run the sweep command
+// itself, so tests can drive the real CLI (flags, stdout, stderr) in a
+// child process without building a separate binary.
+const runMainEnv = "SWEEP_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs the sweep command with args in a child process and
+// returns its stdout and stderr.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("sweep %v: %v\n%s", args, err, errb.String())
+	}
+	return out.String(), errb.String()
+}
 
 // The CLI no longer carries its own experiment list: everything is
 // driven by sim.Registry(). These tests pin the CLI-visible properties
@@ -193,5 +224,40 @@ func TestExitCodeClassification(t *testing.T) {
 	}
 	if c := exitCode(fmt.Errorf("wrapped: %w", usagef("bad flags"))); c != 2 {
 		t.Errorf("exitCode(wrapped usage error) = %d, want 2", c)
+	}
+}
+
+// -v reports on stderr only: stdout and the -json Results stay
+// byte-identical, and the exit report names the wall time and, on
+// Linux, the peak RSS.
+func TestVerboseLeavesOutputBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two tiny sweeps in child processes")
+	}
+	args := []string{"-exp", "eq3,hcube,thm3", "-trials", "1", "-seed", "5"}
+	quietDir, verboseDir := t.TempDir(), t.TempDir()
+	quiet, _ := runCLI(t, append(args, "-json", quietDir)...)
+	verbose, stderr := runCLI(t, append(args, "-json", verboseDir, "-v")...)
+	if quiet != verbose {
+		t.Errorf("-v changed stdout:\n--- quiet ---\n%s--- verbose ---\n%s", quiet, verbose)
+	}
+	for _, name := range []string{"eq3", "hcube", "thm3"} {
+		a, err := os.ReadFile(filepath.Join(quietDir, name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(verboseDir, name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("-v changed %s.json", name)
+		}
+	}
+	if !strings.Contains(stderr, "sweep: wall ") {
+		t.Errorf("-v stderr lacks the wall-time report:\n%s", stderr)
+	}
+	if runtime.GOOS == "linux" && !strings.Contains(stderr, ", peak RSS ") {
+		t.Errorf("-v stderr lacks the peak-RSS report:\n%s", stderr)
 	}
 }

@@ -22,8 +22,9 @@ import (
 // changes no result.
 //
 // A task must write only its own result slot, and may read the points'
-// Rep graphs (frozen before Finish runs) only through the read-only
-// accessors (Adj, Degree, Edge), never through Halves or Offsets.
+// Rep graphs (frozen before Finish runs, and present only at points that
+// declare PointSpec.KeepRep) only through the read-only accessors (Adj,
+// Degree, Edge), never through Halves or Offsets.
 func runAnalysis(workers int, tasks [][]func() error) error {
 	var flat []func() error
 	for _, pt := range tasks {

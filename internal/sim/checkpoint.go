@@ -85,8 +85,8 @@ type ManifestPoint struct {
 // checkpoint directory: the unit's canonical index, its identity for
 // validation, and one Measurement per arm in arm order. Restoring a
 // record reproduces the unit exactly — measurements (Extra channels
-// included) are injected as-is, and the trial-0 representative graph is
-// re-derived from the unit's graph seed.
+// included) are injected as-is, and at a KeepRep point the trial-0
+// representative graph is re-derived from the unit's graph seed.
 type UnitRecord struct {
 	Unit  int           `json:"unit"`
 	Point string        `json:"point"`
@@ -468,8 +468,8 @@ func ShardCoverage(e Experiment, cfg ExpConfig, dir string, shard Shard) (done, 
 // manifest must match the experiment's plan under cfg, overlapping
 // records must agree, and together the journals must cover every
 // (point, trial) unit. No walks are re-run: measurements come from the
-// journals and representative graphs are re-derived from their seeds,
-// so the merged Result — tables and JSON — is byte-identical to a plain
+// journals and the representative graphs of KeepRep points are
+// re-derived from their seeds, so the merged Result — tables and JSON — is byte-identical to a plain
 // unsharded Run at the same configuration.
 func MergeShards(ctx context.Context, e Experiment, cfg ExpConfig, dirs []string, opts RunOptions) (*Result, error) {
 	if len(dirs) == 0 {

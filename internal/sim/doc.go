@@ -30,9 +30,12 @@
 // trials. Each unit generates its graph once, freezes it into the CSR
 // layout, and hands the same read-only instance to every arm in turn —
 // compared processes always see identical instances and generation cost
-// is paid once per trial, not once per arm. Trial 0's frozen graph
-// outlives the sweep as PointResult.Rep, the representative instance
-// used for structural post-processing (spectral gaps, girth, ℓ-bounds).
+// is paid once per trial, not once per arm. At a point that declares
+// PointSpec.KeepRep, trial 0's frozen graph outlives the sweep as
+// PointResult.Rep, the representative instance used for structural
+// post-processing (spectral gaps, girth, ℓ-bounds); every other point
+// drops each trial's graph with its unit, so a sweep holds only the
+// graphs its Finish reads.
 //
 // SweepPlan.RunContext(ctx, opts) executes the plan under a context:
 // cancelling ctx stops the feed promptly, in-flight units finish,
@@ -57,9 +60,10 @@
 //     at most its in-flight and not yet written units. Checkpoint.Resume validates the manifest
 //     against the current plan — truncated, corrupted or mismatched
 //     journals are rejected with a diagnostic, never silently resumed —
-//     restores the completed units, re-derives trial-0 representative
-//     graphs from their seeds, and re-feeds only the missing units; a
-//     resumed Result is byte-identical to an uninterrupted one.
+//     restores the completed units, re-derives the trial-0
+//     representative graphs of KeepRep points from their seeds, and
+//     re-feeds only the missing units; a resumed Result is
+//     byte-identical to an uninterrupted one.
 //   - PlanShard(i, m) partitions the unit space into m contiguous
 //     blocks (exact cover, no overlap, balanced to within one unit), so
 //     one experiment can span machines below the experiment level.

@@ -118,10 +118,11 @@ func theorem1Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Theorem1Row
 		n := b * cfg.Scale
 		ns = append(ns, n)
 		plan.Points = append(plan.Points, PointSpec{
-			Key:   fmt.Sprintf("thm1 n=%d", n),
-			Salt:  Salt(saltTHM1, uint64(n)),
-			Graph: regularPointGraph(n, deg),
-			Arms:  []Arm{eprocessArmV("eprocess", walk.Uniform{})},
+			Key:     fmt.Sprintf("thm1 n=%d", n),
+			Salt:    Salt(saltTHM1, uint64(n)),
+			Graph:   regularPointGraph(n, deg),
+			Arms:    []Arm{eprocessArmV("eprocess", walk.Uniform{})},
+			KeepRep: true,
 		})
 	}
 	finish := func(points []PointResult) ([]Theorem1Row, *Table, error) {
@@ -380,10 +381,11 @@ func theorem3Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]EdgeCoverRo
 	plan := &SweepPlan{Config: cfg.config()}
 	for i, fam := range families {
 		plan.Points = append(plan.Points, PointSpec{
-			Key:   "thm3 " + fam.name,
-			Salt:  Salt(saltTHM3, uint64(i)),
-			Graph: fam.build,
-			Arms:  []Arm{eprocessArm("eprocess")},
+			Key:     "thm3 " + fam.name,
+			Salt:    Salt(saltTHM3, uint64(i)),
+			Graph:   fam.build,
+			Arms:    []Arm{eprocessArm("eprocess")},
+			KeepRep: true,
 		})
 	}
 	finish := func(points []PointResult) ([]EdgeCoverRow, *Table, error) {

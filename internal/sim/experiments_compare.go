@@ -52,18 +52,19 @@ func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeR
 		var rows []HypercubeRow
 		for i, pt := range points {
 			r := dims[i]
-			g := pt.Rep
+			// H_r has n = 2^r vertices and m = r·2^(r−1) edges.
+			nv, m := 1<<r, r<<(r-1)
 			ep, srw := pt.Arms[0], pt.Arms[1]
-			n := float64(g.N())
+			n := float64(nv)
 			lnN := math.Log(n)
 			// Lazy gap of H_r: λ2 = 1−2/r → lazy gap = 1/r.
 			rows = append(rows, HypercubeRow{
-				R: r, N: g.N(), M: g.M(),
+				R: r, N: nv, M: m,
 				EProcess:   ep.EdgeStats.Mean,
 				SRW:        srw.EdgeStats.Mean,
 				PerNLogN:   ep.EdgeStats.Mean / (n * lnN),
 				SRWPerNLg2: srw.EdgeStats.Mean / (n * lnN * lnN),
-				GRWBound:   core.GreedyWalkBound(g.N(), g.M(), 1/float64(r)),
+				GRWBound:   core.GreedyWalkBound(nv, m, 1/float64(r)),
 			})
 		}
 		t := NewTable("HCUBE: edge cover on the hypercube H_r",
@@ -221,10 +222,11 @@ func randomRegularPropertiesPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult)
 	plan := &SweepPlan{Config: cfg.config()}
 	for _, deg := range degs {
 		plan.Points = append(plan.Points, PointSpec{
-			Key:    fmt.Sprintf("p1p2 d=%d", deg),
-			Salt:   Salt(saltP1P2, uint64(deg)),
-			Graph:  regularPointGraph(n, deg),
-			Trials: 1,
+			Key:     fmt.Sprintf("p1p2 d=%d", deg),
+			Salt:    Salt(saltP1P2, uint64(deg)),
+			Graph:   regularPointGraph(n, deg),
+			Trials:  1,
+			KeepRep: true,
 		})
 	}
 	const horizon = 8
@@ -306,10 +308,11 @@ func greedyWalkPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GreedyRow
 	plan := &SweepPlan{Config: cfg.config()}
 	for _, deg := range degs {
 		plan.Points = append(plan.Points, PointSpec{
-			Key:   fmt.Sprintf("grw d=%d", deg),
-			Salt:  Salt(saltGRW, uint64(deg)),
-			Graph: regularPointGraph(n, deg),
-			Arms:  []Arm{eprocessArm("grw")},
+			Key:     fmt.Sprintf("grw d=%d", deg),
+			Salt:    Salt(saltGRW, uint64(deg)),
+			Graph:   regularPointGraph(n, deg),
+			Arms:    []Arm{eprocessArm("grw")},
+			KeepRep: true,
 		})
 	}
 	finish := func(points []PointResult) ([]GreedyRow, *Table, error) {
@@ -367,12 +370,13 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 	nReg := 400 * cfg.Scale
 	type fam struct {
 		name  string
+		n     int // vertex count of every instance build makes
 		build GraphFactory
 	}
 	families := []fam{
-		{"torus", func(r *rand.Rand) (*graph.Graph, error) { return gen.Torus(side, side) }},
-		{"rgg", func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomGeometricConnected(r, nRGG, 0) }},
-		{"random-4-regular", regularPointGraph(nReg, 4)},
+		{"torus", side * side, func(r *rand.Rand) (*graph.Graph, error) { return gen.Torus(side, side) }},
+		{"rgg", nRGG, func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomGeometricConnected(r, nRGG, 0) }},
+		{"random-4-regular", nReg, regularPointGraph(nReg, 4)},
 	}
 	type proc struct {
 		name  string
@@ -409,7 +413,7 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 		for fi, pt := range points {
 			for pi, res := range pt.Arms {
 				rows = append(rows, CompareRow{
-					Process: procs[pi].name, Family: families[fi].name, N: pt.Rep.N(),
+					Process: procs[pi].name, Family: families[fi].name, N: families[fi].n,
 					Vertex: res.VertexStats.Mean,
 					Edge:   res.EdgeStats.Mean,
 				})

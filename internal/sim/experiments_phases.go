@@ -86,7 +86,7 @@ func phaseStructurePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Phase
 			rows = append(rows, PhaseRow{
 				Degree:      deg,
 				N:           nns[di],
-				M:           points[di].Rep.M(),
+				M:           nns[di] * deg / 2,
 				Phases:      phases / tr,
 				FirstFrac:   firstFrac / tr,
 				MedianLen:   medianLen / tr,

@@ -96,12 +96,13 @@ const (
 
 // ArmFunc measures one arm of an experiment point on one trial. g is
 // the trial's shared frozen graph (read-only: the same instance is
-// handed to every arm of the trial, and trial 0's graph outlives the
-// sweep as the point's representative instance), r is the arm's private
-// generator, and sc is the worker's reusable cover scratch. The
-// returned Measurement feeds the arm's Vertex/Edge summaries; arms with
-// richer outputs return them in Measurement.Extra, which travels with
-// the (point, trial) unit through checkpoint journals and shard merges.
+// handed to every arm of the trial, and at a KeepRep point trial 0's
+// graph outlives the sweep as the representative instance), r is the
+// arm's private generator, and sc is the worker's reusable cover
+// scratch. The returned Measurement feeds the arm's Vertex/Edge
+// summaries; arms with richer outputs return them in Measurement.Extra,
+// which travels with the (point, trial) unit through checkpoint
+// journals and shard merges.
 // Arms must NOT smuggle results through closure-captured side arrays:
 // a unit restored from a checkpoint is not re-run, so closure state
 // would silently stay zero on a resumed or merged run.
@@ -171,12 +172,18 @@ type PointSpec struct {
 	Graph GraphFactory
 	// Arms are measured in order on the trial's shared frozen graph.
 	// A point may have zero arms when only the representative instance
-	// is wanted (structural experiments).
+	// is wanted (structural experiments, which set KeepRep).
 	Arms []Arm
 	// Trials overrides the plan-level trial count when positive.
 	Trials int
 	// MaxSteps overrides the plan-level step budget when positive.
 	MaxSteps int64
+	// KeepRep declares that the plan's Finish reads this point's
+	// PointResult.Rep. Only declaring points keep their trial-0 graph
+	// past its unit, and only they regenerate it when trial 0 was
+	// restored from a journal. It is a plan-internal declaration: it
+	// changes no result byte and is not part of the run identity.
+	KeepRep bool
 }
 
 func (pt *PointSpec) trials(cfg Config) int {
@@ -210,9 +217,10 @@ type PointResult struct {
 	// Key echoes the PointSpec.
 	Key string
 	// Rep is trial 0's frozen graph — the representative instance for
-	// structural post-processing (spectral gaps, girth, ℓ-bounds). It
-	// is literally the graph arm measurements ran on, not a re-rolled
-	// lookalike.
+	// structural post-processing (spectral gaps, girth, ℓ-bounds) — when
+	// the PointSpec declares KeepRep, and nil otherwise, so a sweep
+	// holds only the graphs its Finish reads. It is literally the graph
+	// arm measurements ran on, not a re-rolled lookalike.
 	Rep *graph.Graph
 	// Arms holds one ArmResult per PointSpec arm, in order.
 	Arms []ArmResult
@@ -391,8 +399,8 @@ func (pl *SweepPlan) Run() ([]PointResult, error) {
 // identical to Run(): results are a pure function of the Config's
 // master seed either way — including runs resumed from a checkpoint,
 // whose restored units carry the same measurements the original run
-// derived and whose representative graphs are re-derived from the same
-// seeds.
+// derived and whose representative graphs (KeepRep points only) are
+// re-derived from the same seeds.
 func (pl *SweepPlan) RunContext(ctx context.Context, opts RunOptions) ([]PointResult, error) {
 	return pl.runSpan(ctx, opts, Shard{}, nil)
 }
@@ -414,7 +422,7 @@ func (pl *SweepPlan) RunShard(ctx context.Context, shard Shard, opts RunOptions)
 	return err
 }
 
-// repWork marks a work item that regenerates a restored point's
+// repWork marks a work item that regenerates a restored KeepRep point's
 // representative graph instead of running a (point, trial) unit.
 const repWork = -1
 
@@ -478,10 +486,11 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 	}
 	// Feed: the block's units minus the restored ones (their
 	// measurements are injected as-is), plus — on a full span — the
-	// representative-graph regenerations for points whose trial-0 unit
-	// was restored: PointResult.Rep must be the literal trial-0
-	// instance, and it is a pure function of the graph seed, so
-	// re-deriving it reproduces the original exactly.
+	// representative-graph regenerations for KeepRep points whose
+	// trial-0 unit was restored: PointResult.Rep must be the literal
+	// trial-0 instance, and it is a pure function of the graph seed, so
+	// re-deriving it reproduces the original exactly. A point whose
+	// Finish reads no Rep regenerates nothing.
 	var work []workItem
 	for u := lo; u < hi; u++ {
 		if rec, ok := restored[u]; ok {
@@ -495,7 +504,7 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 	}
 	if full {
 		for pi := range pl.Points {
-			if _, ok := restored[firstUnit[pi]]; ok {
+			if _, ok := restored[firstUnit[pi]]; ok && pl.Points[pi].KeepRep {
 				work = append(work, workItem{unit: repWork, rep: pi})
 			}
 		}
@@ -534,7 +543,7 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			return fmt.Errorf("sim: point %q trial %d graph: %w", pt.Key, trial, err)
 		}
 		g.Freeze()
-		if trial == 0 {
+		if trial == 0 && pt.KeepRep {
 			// Each (point, 0) unit is the unique writer of its Rep slot.
 			results[pi].Rep = g
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -160,7 +161,7 @@ func TestSweepErrorAggregationAcrossPoints(t *testing.T) {
 }
 
 // Every arm of a trial must receive the same frozen graph instance, and
-// the point's Rep must be literally trial 0's graph.
+// a KeepRep point's Rep must be literally trial 0's graph.
 func TestSweepSharesOneFrozenGraphPerTrial(t *testing.T) {
 	const trials = 3
 	var mu sync.Mutex
@@ -179,7 +180,7 @@ func TestSweepSharesOneFrozenGraphPerTrial(t *testing.T) {
 	plan := &SweepPlan{
 		Config: Config{Seed: 7, Trials: trials, Workers: 4},
 		Points: []PointSpec{{Key: "spy", Salt: Salt(9), Graph: regularFactory(24, 4),
-			Arms: []Arm{spy("a"), spy("b"), spy("c")}}},
+			Arms: []Arm{spy("a"), spy("b"), spy("c")}, KeepRep: true}},
 	}
 	points, err := plan.Run()
 	if err != nil {
@@ -199,6 +200,173 @@ func TestSweepSharesOneFrozenGraphPerTrial(t *testing.T) {
 	}
 	if points[0].Rep != got[0][0] {
 		t.Error("Rep is not the literal trial-0 graph")
+	}
+}
+
+// repCountingExperiment is a two-point experiment whose graph factories
+// count their calls: point 0 declares KeepRep, point 1 does not. Its
+// Finish checks that exactly the declaring point carries a frozen Rep.
+func repCountingExperiment(t *testing.T, calls *[2]atomic.Int64) Experiment {
+	t.Helper()
+	counted := func(pi int) GraphFactory {
+		build := regularFactory(24, 4)
+		return func(r *rand.Rand) (*graph.Graph, error) {
+			calls[pi].Add(1)
+			return build(r)
+		}
+	}
+	arm := Arm{Name: "n", Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {
+		return Measurement{Vertex: float64(trial), Edge: float64(r.Intn(1000))}, nil
+	}}
+	plan := func(cfg ExpConfig) (*SweepPlan, Finish, error) {
+		pl := &SweepPlan{Config: cfg.config(), Points: []PointSpec{
+			{Key: "keep", Salt: Salt(saltRun, 1), Graph: counted(0), Arms: []Arm{arm}, KeepRep: true},
+			{Key: "drop", Salt: Salt(saltRun, 2), Graph: counted(1), Arms: []Arm{arm}},
+		}}
+		finish := func(points []PointResult) (*Result, error) {
+			if points[0].Rep == nil || !points[0].Rep.Frozen() {
+				t.Error("declaring point has no frozen Rep")
+			}
+			if points[1].Rep != nil {
+				t.Error("non-declaring point kept a Rep")
+			}
+			tb := NewTable("repcount", "point", "C_E")
+			for _, pt := range points {
+				tb.AddRow(pt.Key, pt.Arms[0].EdgeStats.Mean)
+			}
+			return &Result{Table: tb}, nil
+		}
+		return pl, finish, nil
+	}
+	return Experiment{Name: "repcount", Salt: saltRun, Plan: plan}
+}
+
+// Only a KeepRep point keeps its trial-0 graph, and a restored run —
+// resumed or merged from shards — regenerates trial-0 graphs for the
+// declaring points only: nothing is rebuilt that no Finish reads.
+func TestRepKeptAndRegeneratedOnlyWhereDeclared(t *testing.T) {
+	var calls [2]atomic.Int64
+	e := repCountingExperiment(t, &calls)
+	cfg := ExpConfig{Seed: 11, Trials: 3, Workers: 2}
+	counts := func() [2]int64 {
+		c := [2]int64{calls[0].Load(), calls[1].Load()}
+		calls[0].Store(0)
+		calls[1].Store(0)
+		return c
+	}
+
+	clean, err := e.Run(context.Background(), cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counts(); c != [2]int64{3, 3} {
+		t.Fatalf("plain run built %v graphs per point, want one per trial", c)
+	}
+	cleanJSON, cleanTable := resultBytes(t, clean)
+	same := func(what string, res *Result) {
+		t.Helper()
+		if j, tb := resultBytes(t, res); j != cleanJSON || tb != cleanTable {
+			t.Errorf("%s differs from the plain run", what)
+		}
+	}
+
+	dir := t.TempDir()
+	if _, err := e.Run(context.Background(), cfg, RunOptions{Checkpoint: &Checkpoint{Dir: dir}}); err != nil {
+		t.Fatal(err)
+	}
+	counts()
+	resumed, err := e.Run(context.Background(), cfg, RunOptions{Checkpoint: &Checkpoint{Dir: dir, Resume: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counts(); c != [2]int64{1, 0} {
+		t.Errorf("fully restored resume built %v graphs per point, want [1 0]", c)
+	}
+	same("resumed run", resumed)
+
+	var dirs []string
+	for s := 0; s < 2; s++ {
+		d := t.TempDir()
+		if err := e.RunShard(context.Background(), cfg, Shard{Index: s, Count: 2}, RunOptions{Checkpoint: &Checkpoint{Dir: d}}); err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, d)
+	}
+	counts()
+	merged, err := MergeShards(context.Background(), e, cfg, dirs, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counts(); c != [2]int64{1, 0} {
+		t.Errorf("merge built %v graphs per point, want [1 0]", c)
+	}
+	same("merged run", merged)
+}
+
+// hcube, compare and phases report n and m from their plan parameters,
+// not from a representative graph. Guard that substitution against the
+// generators: every row's n/m must equal its point's trial-0 graph's.
+// Finish runs on empty measurements and nil Reps, so it also proves
+// these experiments read no Rep.
+func TestPlanDerivedSizesMatchGenerators(t *testing.T) {
+	for _, scale := range []int{1, 2} {
+		cfg := ExpConfig{Seed: 3, Trials: 1, Scale: scale}
+		for _, name := range []string{"hcube", "compare", "phases"} {
+			e, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			plan, finish, err := e.Plan(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg := plan.Config.withDefaults()
+			type size struct{ n, m int }
+			want := make(map[string]size)
+			points := make([]PointResult, len(plan.Points))
+			for i := range plan.Points {
+				pt := &plan.Points[i]
+				if pt.KeepRep {
+					t.Errorf("%s: point %q declares KeepRep", name, pt.Key)
+				}
+				g, err := pt.Graph(rand.New(rng.NewSource(rcfg.Kind, pt.graphSeed(rcfg, 0))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[pt.Key] = size{g.N(), g.M()}
+				points[i] = PointResult{Key: pt.Key, Arms: make([]ArmResult, len(pt.Arms))}
+			}
+			res, err := finish(points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(key string, n, m int) {
+				t.Helper()
+				w := want[key]
+				if n != w.n || (m >= 0 && m != w.m) {
+					t.Errorf("scale %d %s: row n=%d m=%d, trial-0 graph has n=%d m=%d", scale, key, n, m, w.n, w.m)
+				}
+			}
+			switch rows := res.Rows.(type) {
+			case []HypercubeRow:
+				for _, r := range rows {
+					check(fmt.Sprintf("hcube r=%d", r.R), r.N, r.M)
+				}
+			case []CompareRow:
+				for _, r := range rows {
+					check("compare "+r.Family, r.N, -1) // compare reports no m
+				}
+			case []PhaseRow:
+				for _, r := range rows {
+					check(fmt.Sprintf("phases d=%d", r.Degree), r.N, r.M)
+				}
+			default:
+				t.Fatalf("%s rows are %T", name, res.Rows)
+			}
+			if got := len(want); got != len(plan.Points) {
+				t.Fatalf("%s: duplicate point keys", name)
+			}
+		}
 	}
 }
 
