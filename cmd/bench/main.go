@@ -4,6 +4,13 @@
 // engine is tracked as an artifact (BENCH_1.json, BENCH_2.json, ...)
 // rather than scattered across PR descriptions.
 //
+// The report's sections are the step benchmarks (benchmarks), the
+// end-to-end cover metric of one sweep point (cover), the resident hot
+// state of one cover trial (footprint), the churned-overlay step next to
+// the static one (churn) and full covers at a cache-overflowing n
+// (large_n). Whole sweeps and the reprod daemon are measured by the
+// perfbench module's registry, walks and serve workloads instead.
+//
 // Usage:
 //
 //	go run ./cmd/bench -o BENCH_1.json [-n 10000] [-d 4] [-trials 5]
@@ -17,30 +24,21 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/walk"
 )
@@ -64,25 +62,6 @@ type CoverResult struct {
 	MeanEdgeSteps    float64 `json:"mean_edge_steps"`
 	VertexStepsPerN  float64 `json:"vertex_steps_per_n"`
 	WallSecondsTotal float64 `json:"wall_seconds_total"`
-}
-
-// SweepResult reports the sweep-level benchmark: the same multi-point,
-// multi-arm workload run in the BENCH_1-era shape (every arm as its own
-// serial batch, regenerating its graph) and as one SweepPlan (points ×
-// trials on the worker pool, one frozen graph per trial shared by all
-// arms). The speedup combines graph-reuse (visible even on one core,
-// since generation dominates short covers) with point-parallelism
-// (visible on multicore).
-type SweepResult struct {
-	Points          int     `json:"points"`
-	ArmsPerPoint    int     `json:"arms_per_point"`
-	TrialsPerPoint  int     `json:"trials_per_point"`
-	N               int     `json:"n"`
-	Degree          int     `json:"degree"`
-	Workers         int     `json:"workers"`
-	BaselineSeconds float64 `json:"baseline_seconds"`
-	SweepSeconds    float64 `json:"sweep_seconds"`
-	Speedup         float64 `json:"speedup"`
 }
 
 // FootprintResult reports the resident memory of one cover trial's hot
@@ -123,29 +102,6 @@ type ChurnResult struct {
 	ChurnPenaltyPct float64     `json:"churn_penalty_pct"` // churned step vs zero-churn dyn step
 }
 
-// ServeResult is the reprod-daemon section, measured over a real
-// loopback TCP listener rather than in-process handler calls so the
-// numbers include what a client actually pays. cold_ms is the first
-// request for a key (plans and runs the sweep, encodes the result);
-// hit is the steady-state latency of the identical request answered
-// from the exact result cache — the daemon's whole point is the gap
-// between the two (cold_over_hit_x). The fan-in rows replay the
-// acceptance scenario as a benchmark: fan_in concurrent identical
-// cold requests must collapse onto fan_in_runs = 1 experiment run
-// (counted from the server's own run histogram, not inferred), with
-// the rest joining as single-flight followers (fan_in_shared).
-type ServeResult struct {
-	Exp          string      `json:"exp"`
-	Trials       int         `json:"trials"`
-	ColdMs       float64     `json:"cold_ms"`
-	Hit          BenchResult `json:"hit"`
-	ColdOverHitX float64     `json:"cold_over_hit_x"`
-	FanIn        int         `json:"fan_in"`
-	FanInRuns    int         `json:"fan_in_runs"`
-	FanInShared  int         `json:"fan_in_shared"`
-	FanInWallMs  float64     `json:"fan_in_wall_ms"`
-}
-
 // LargeNResult is the large-n scaling section: the same full-cover
 // benchmark at an n whose hot state overflows mid-level caches, where
 // the compact layout's smaller working set pays the most.
@@ -164,10 +120,8 @@ type Report struct {
 	NumCPU     int             `json:"num_cpu"`
 	Benchmarks []BenchResult   `json:"benchmarks"`
 	Cover      CoverResult     `json:"cover"`
-	Sweep      SweepResult     `json:"sweep"`
 	Footprint  FootprintResult `json:"footprint"`
 	Churn      ChurnResult     `json:"churn"`
-	Serve      ServeResult     `json:"serve"`
 	LargeN     LargeNResult    `json:"large_n"`
 }
 
@@ -327,7 +281,8 @@ func runCompare(benches []namedBench, baselinePath string, rounds int) int {
 
 // loadBaseline reads a BENCH_*.json report and indexes its step
 // benchmarks by name. Sections this version no longer writes (the
-// former "batch" section of BENCH_6 and earlier) are ignored.
+// former "batch", "sweep" and "serve" sections of BENCH_6 and earlier)
+// are ignored.
 func loadBaseline(path string) (map[string]BenchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -342,200 +297,6 @@ func loadBaseline(path string) (map[string]BenchResult, error) {
 		baseBy[b.Name] = b
 	}
 	return baseBy, nil
-}
-
-// benchArms are the processes compared per point in the sweep
-// benchmark, mirroring the multi-arm compare/ablation experiments.
-func benchArms() []sim.Arm {
-	return []sim.Arm{
-		sim.VertexArm("eprocess", func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
-			return walk.NewEProcess(g, r, nil, start)
-		}),
-		sim.VertexArm("rwc(2)", func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
-			return walk.NewChoice(g, r, 2, start)
-		}),
-		sim.VertexArm("vprocess", func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
-			return walk.NewVProcess(g, r, start)
-		}),
-	}
-}
-
-// sweepPlan builds the multi-point multi-arm benchmark sweep. If
-// shared is true the arms of a point share one frozen graph per trial
-// (the SweepPlan design); otherwise every arm becomes its own
-// single-arm point that regenerates the graph — the shape every
-// comparison experiment had before the sweep runner existed.
-func sweepPlan(points, n, d, trials, workers int, shared bool) *sim.SweepPlan {
-	plan := &sim.SweepPlan{Config: sim.Config{Seed: 1, Trials: trials, Workers: workers}}
-	gf := func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomRegularSW(r, n, d) }
-	for p := 0; p < points; p++ {
-		if shared {
-			plan.Points = append(plan.Points, sim.PointSpec{
-				Key:   fmt.Sprintf("bench point %d", p),
-				Salt:  sim.Salt(uint64(p)),
-				Graph: gf,
-				Arms:  benchArms(),
-			})
-			continue
-		}
-		for ai, arm := range benchArms() {
-			plan.Points = append(plan.Points, sim.PointSpec{
-				Key:   fmt.Sprintf("bench point %d arm %d", p, ai),
-				Salt:  sim.Salt(uint64(p), uint64(ai)),
-				Graph: gf,
-				Arms:  []sim.Arm{arm},
-			})
-		}
-	}
-	return plan
-}
-
-// benchSweep times the same workload in the BENCH_1-era shape and as
-// one point-parallel, graph-reusing sweep, reporting the best of three
-// runs each. The baseline is a faithful emulation of the old runner:
-// each (point, arm) batch regenerates its graph and runs as its own
-// serial step, with only its trials parallelised across the worker
-// pool — exactly what every experiment did before SweepPlan. Both
-// sides get NumCPU workers, so the reported speedup isolates what the
-// sweep design adds (graph reuse + cross-point parallelism) rather
-// than re-crediting trial parallelism the old code already had.
-func benchSweep(points, n, d, trials int) SweepResult {
-	workers := runtime.NumCPU()
-	res := SweepResult{
-		Points:         points,
-		ArmsPerPoint:   len(benchArms()),
-		TrialsPerPoint: trials,
-		N:              n,
-		Degree:         d,
-		Workers:        workers,
-	}
-	best := func(run func()) float64 {
-		b := math.Inf(1)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			run()
-			if s := time.Since(start).Seconds(); s < b {
-				b = s
-			}
-		}
-		return b
-	}
-	res.BaselineSeconds = best(func() {
-		// One single-arm plan per (point, arm), run back to back: batch
-		// boundaries are serial, trials within a batch are parallel.
-		full := sweepPlan(points, n, d, trials, workers, false)
-		for i := range full.Points {
-			batch := &sim.SweepPlan{Config: full.Config, Points: full.Points[i : i+1]}
-			if _, err := batch.Run(); err != nil {
-				panic(err)
-			}
-		}
-	})
-	res.SweepSeconds = best(func() {
-		if _, err := sweepPlan(points, n, d, trials, workers, true).Run(); err != nil {
-			panic(err)
-		}
-	})
-	res.Speedup = res.BaselineSeconds / res.SweepSeconds
-	return res
-}
-
-// benchServe boots a serve.Server on a loopback TCP listener and
-// measures the request path end to end: one cold compute, the
-// cache-hit steady state (median of benchReps testing.Benchmark
-// runs, every response checked byte-identical to the cold bytes),
-// and an 8-way fan-in of identical cold requests whose run count is
-// read back from the server's own run histogram — the benchmark
-// fails loudly if single-flight ever lets a duplicate sweep through.
-func benchServe(expName string, trials, fanIn int) ServeResult {
-	s := serve.New(serve.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	defer func() {
-		s.Drain()
-		hs.Close()
-	}()
-	base := "http://" + ln.Addr().String()
-
-	get := func(url string) []byte {
-		resp, err := http.Get(url)
-		if err != nil {
-			panic(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			panic(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			panic(fmt.Sprintf("bench serve: %s: %s: %s", url, resp.Status, body))
-		}
-		return body
-	}
-	// Completed runs so far, from the daemon's own latency histogram —
-	// the one counter that only moves when an experiment actually ran
-	// (cache hits and single-flight joins leave it alone).
-	runsTotal := func() int {
-		for _, line := range strings.Split(string(get(base+"/metrics")), "\n") {
-			if v, ok := strings.CutPrefix(line, "reprod_run_seconds_count "); ok {
-				n, err := strconv.Atoi(strings.TrimSpace(v))
-				if err != nil {
-					panic(err)
-				}
-				return n
-			}
-		}
-		panic("bench serve: reprod_run_seconds_count missing from /metrics")
-	}
-
-	res := ServeResult{Exp: expName, Trials: trials, FanIn: fanIn}
-	url := fmt.Sprintf("%s/v1/run?exp=%s&seed=41&trials=%d", base, expName, trials)
-	start := time.Now()
-	cold := get(url)
-	res.ColdMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	res.Hit = run("ServeCacheHit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !bytes.Equal(get(url), cold) {
-				b.Fatal("cache hit differs from cold response")
-			}
-		}
-	})
-	if res.Hit.NsPerOp > 0 {
-		res.ColdOverHitX = res.ColdMs * 1e6 / res.Hit.NsPerOp
-	}
-
-	// Fan-in at a fresh key: every request arrives before the bytes
-	// exist, so all are misses, exactly one may run.
-	fanURL := fmt.Sprintf("%s/v1/run?exp=%s&seed=43&trials=%d", base, expName, trials)
-	runs0 := runsTotal()
-	shared0 := s.Metrics().SharedRuns.Load()
-	bodies := make([][]byte, fanIn)
-	var wg sync.WaitGroup
-	start = time.Now()
-	for i := 0; i < fanIn; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bodies[i] = get(fanURL)
-		}(i)
-	}
-	wg.Wait()
-	res.FanInWallMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	res.FanInRuns = runsTotal() - runs0
-	res.FanInShared = int(s.Metrics().SharedRuns.Load() - shared0)
-	for i := 1; i < fanIn; i++ {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			panic("bench serve: fan-in responses diverge")
-		}
-	}
-	if res.FanInRuns != 1 {
-		panic(fmt.Sprintf("bench serve: %d-way fan-in ran the experiment %d times, want 1", fanIn, res.FanInRuns))
-	}
-	return res
 }
 
 func mustRegular(n, d int, seed int64) *graph.Graph {
@@ -637,8 +398,6 @@ func main() {
 	d := flag.Int("d", 4, "degree for benchmark graphs")
 	coverN := flag.Int("cover-n", 5000, "vertices for the cover benchmark")
 	trials := flag.Int("trials", 5, "trials for the cover metric")
-	sweepPoints := flag.Int("sweep-points", 8, "points in the sweep benchmark")
-	sweepN := flag.Int("sweep-n", 2000, "vertices per point in the sweep benchmark")
 	largeN := flag.Int("large-n", 100000, "vertices for the large-n cover section")
 	reps := flag.Int("reps", benchReps, "repetitions per benchmark (median reported)")
 	compare := flag.String("compare", "", "baseline BENCH_*.json: print interleaved A/B deltas instead of writing a report")
@@ -733,10 +492,8 @@ func main() {
 		}
 	})
 	report.Cover.WallSecondsTotal = coverBench.T.Seconds() / float64(coverBench.N)
-	report.Sweep = benchSweep(*sweepPoints, *sweepN, *d, *trials)
 	report.Footprint = measureFootprint(*coverN, *d)
 	report.Churn = benchChurn(stepGraph, *d, report.Benchmarks[0].NsPerOp)
-	report.Serve = benchServe("eq3", 2, 8)
 
 	// Large-n section: full covers on a graph whose hot state dwarfs
 	// mid-level caches. The footprint probe runs first (it builds and
@@ -780,10 +537,6 @@ func main() {
 	fmt.Printf("  cover n=%d d=%d: %.0f vertex steps (%.2f·n), %.0f edge steps\n",
 		report.Cover.N, report.Cover.Degree, report.Cover.MeanVertexSteps,
 		report.Cover.VertexStepsPerN, report.Cover.MeanEdgeSteps)
-	fmt.Printf("  sweep %d points × %d arms × %d trials (n=%d d=%d): per-arm-serial %.3fs, shared-graph ×%d workers %.3fs (%.2fx)\n",
-		report.Sweep.Points, report.Sweep.ArmsPerPoint, report.Sweep.TrialsPerPoint,
-		report.Sweep.N, report.Sweep.Degree, report.Sweep.BaselineSeconds,
-		report.Sweep.Workers, report.Sweep.SweepSeconds, report.Sweep.Speedup)
 	fmt.Printf("  footprint n=%d: sizeof(Half)=%dB, hot state %.0f KiB (%.1f B/half), build+cover %d allocs\n",
 		report.Footprint.N, report.Footprint.HalfBytes, float64(report.Footprint.HeapBytes)/1024,
 		report.Footprint.BytesPerHalf, report.Footprint.PeakAllocObjs)
@@ -791,10 +544,6 @@ func main() {
 		report.Churn.N, report.Churn.ChurnRate, report.Churn.DynStepZero.NsPerOp,
 		report.Churn.DynOverheadPct, report.Churn.DynStepChurn.NsPerOp,
 		report.Churn.ChurnPenaltyPct, report.Churn.OverlayMutate.NsPerOp)
-	fmt.Printf("  serve %s trials=%d: cold %.2f ms, cache hit %.1f µs (%.0fx), %d-way fan-in %d run %d joins in %.2f ms\n",
-		report.Serve.Exp, report.Serve.Trials, report.Serve.ColdMs,
-		report.Serve.Hit.NsPerOp/1e3, report.Serve.ColdOverHitX,
-		report.Serve.FanIn, report.Serve.FanInRuns, report.Serve.FanInShared, report.Serve.FanInWallMs)
 	fmt.Printf("  large-n n=%d: cover %.2f ms/op, hot state %.1f MiB (%.1f B/half)\n",
 		report.LargeN.N, report.LargeN.Cover.NsPerOp/1e6,
 		float64(report.LargeN.Footprint.HeapBytes)/(1<<20), report.LargeN.Footprint.BytesPerHalf)

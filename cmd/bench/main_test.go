@@ -122,35 +122,3 @@ func TestMustRegularDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// The sweep benchmark's plan must be runnable and derive a distinct
-// seed for every (point, stream, trial).
-func TestSweepPlanShape(t *testing.T) {
-	plan := sweepPlan(3, 40, 4, 2, 2, true)
-	seeds := plan.Seeds()
-	if want := 3 * 2 * (1 + len(benchArms())); len(seeds) != want { // points × trials × (graph + arms)
-		t.Fatalf("seeds = %d, want %d", len(seeds), want)
-	}
-	uniq := map[uint64]bool{}
-	for _, s := range seeds {
-		if uniq[s] {
-			t.Fatalf("duplicate derived seed %#x", s)
-		}
-		uniq[s] = true
-	}
-	points, err := plan.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, pt := range points {
-		if pt.Rep != nil {
-			t.Errorf("point %s: kept a representative graph no Finish reads", pt.Key)
-		}
-		if pt.Arms[0].VertexStats.Mean < 39 {
-			t.Errorf("point %s: impossible cover mean %v", pt.Key, pt.Arms[0].VertexStats.Mean)
-		}
-	}
-}

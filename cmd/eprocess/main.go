@@ -47,6 +47,10 @@ func run() error {
 		spectrum  = flag.Bool("spectral", true, "compute the eigenvalue gap and print theorem bounds")
 	)
 	flag.Parse()
+	ruleA, err := ruleByName(*rule)
+	if err != nil {
+		return err
+	}
 
 	r := rand.New(rng.New(rng.KindXoshiro, *seed))
 	g, err := buildGraph(*graphKind, *n, *degree, *dim, r)
@@ -64,7 +68,7 @@ func run() error {
 		if *process != "eprocess" {
 			return fmt.Errorf("-verify requires -process eprocess")
 		}
-		e := walk.NewEProcess(g, r, ruleByName(*rule), *start)
+		e := walk.NewEProcess(g, r, ruleA, *start)
 		ct, st, err := core.VerifiedRun(e, 0)
 		if err != nil {
 			return err
@@ -72,7 +76,7 @@ func run() error {
 		report(g, ct, &st)
 		fmt.Println("invariants: Observations 10, 11, 12 verified ✓")
 	} else {
-		p, err := buildProcess(*process, *rule, g, r, *start)
+		p, err := buildProcess(*process, ruleA, g, r, *start)
 		if err != nil {
 			return err
 		}
@@ -156,27 +160,31 @@ func buildGraph(kind string, n, degree, dim int, r *rand.Rand) (*graph.Graph, er
 	}
 }
 
-func ruleByName(name string) walk.Rule {
+// ruleByName resolves the -rule flag; an unknown name is an error
+// rather than a silent fall-back to the uniform rule.
+func ruleByName(name string) (walk.Rule, error) {
 	switch name {
+	case "uniform":
+		return walk.Uniform{}, nil
 	case "lowest":
-		return walk.LowestEdgeFirst{}
+		return walk.LowestEdgeFirst{}, nil
 	case "highest":
-		return walk.HighestEdgeFirst{}
+		return walk.HighestEdgeFirst{}, nil
 	case "round-robin":
-		return &walk.RoundRobin{}
+		return &walk.RoundRobin{}, nil
 	case "adversary":
-		return walk.TowardVisited{}
+		return walk.TowardVisited{}, nil
 	case "greedy":
-		return walk.TowardUnvisited{}
+		return walk.TowardUnvisited{}, nil
 	default:
-		return walk.Uniform{}
+		return nil, fmt.Errorf("unknown rule %q (want uniform | lowest | highest | round-robin | adversary | greedy)", name)
 	}
 }
 
-func buildProcess(name, rule string, g *graph.Graph, r *rand.Rand, start int) (walk.Process, error) {
+func buildProcess(name string, rule walk.Rule, g *graph.Graph, r *rand.Rand, start int) (walk.Process, error) {
 	switch name {
 	case "eprocess":
-		return walk.NewEProcess(g, r, ruleByName(rule), start), nil
+		return walk.NewEProcess(g, r, rule, start), nil
 	case "srw":
 		return walk.NewSimple(g, r, start), nil
 	case "lazy":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -50,11 +51,26 @@ func TestRuleByName(t *testing.T) {
 		"round-robin": "round-robin",
 		"adversary":   "adversary-toward-visited",
 		"greedy":      "toward-unvisited",
-		"other":       "uniform", // default
 	}
 	for arg, want := range names {
-		if got := ruleByName(arg).Name(); got != want {
+		rule, err := ruleByName(arg)
+		if err != nil {
+			t.Fatalf("ruleByName(%q): %v", arg, err)
+		}
+		if got := rule.Name(); got != want {
 			t.Errorf("ruleByName(%q) = %q, want %q", arg, got, want)
+		}
+	}
+	// An unknown -rule must fail and name the valid rules, not silently
+	// run the uniform rule.
+	for _, arg := range []string{"nope", "", "Uniform"} {
+		rule, err := ruleByName(arg)
+		if err == nil {
+			t.Errorf("ruleByName(%q) = %v, want an error", arg, rule)
+			continue
+		}
+		if !strings.Contains(err.Error(), "round-robin") {
+			t.Errorf("ruleByName(%q) error %q does not name the valid rules", arg, err)
 		}
 	}
 }
@@ -66,7 +82,7 @@ func TestBuildProcessKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"eprocess", "srw", "lazy", "rwc2", "rwc3", "rotor", "least-used", "oldest-first"} {
-		p, err := buildProcess(name, "uniform", g, r, 0)
+		p, err := buildProcess(name, walk.Uniform{}, g, r, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -74,7 +90,7 @@ func TestBuildProcessKinds(t *testing.T) {
 			t.Fatalf("%s cover: %v", name, err)
 		}
 	}
-	if _, err := buildProcess("nope", "uniform", g, r, 0); err == nil {
+	if _, err := buildProcess("nope", walk.Uniform{}, g, r, 0); err == nil {
 		t.Error("unknown process should fail")
 	}
 }

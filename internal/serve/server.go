@@ -171,9 +171,6 @@ func New(opts Options) *Server {
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's counters (for tests and cmd/bench).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Drain cancels every inflight run's context and flips /healthz to
 // 503, so load balancers stop routing here while http.Server.Shutdown
 // reaps the (now promptly-returning) handlers. Runs cancelled by a

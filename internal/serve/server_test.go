@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,7 +88,7 @@ func TestColdAndHitByteIdenticalAllExperiments(t *testing.T) {
 			t.Errorf("%s: cache hit not byte-identical to cold response", e.Name)
 		}
 	}
-	if n, want := s.Metrics().CacheHits.Load(), int64(len(sim.Registry())); n != want {
+	if n, want := s.metrics.CacheHits.Load(), int64(len(sim.Registry())); n != want {
 		t.Errorf("cache hits = %d, want %d", n, want)
 	}
 }
@@ -108,6 +109,7 @@ func TestSingleFlightFanIn(t *testing.T) {
 
 	const fanIn = 8
 	url := ts.URL + "/v1/run?exp=eq3&seed=3&trials=1"
+	runs0 := runSecondsCount(t, ts.URL)
 	var wg sync.WaitGroup
 	bodies := make([][]byte, fanIn)
 	statuses := make([]int, fanIn)
@@ -132,7 +134,7 @@ func TestSingleFlightFanIn(t *testing.T) {
 	// cache inside its own flight and serves the stored bytes — either
 	// way exactly one sweep runs.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().CacheMisses.Load() < fanIn && time.Now().Before(deadline) {
+	for s.metrics.CacheMisses.Load() < fanIn && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -140,6 +142,11 @@ func TestSingleFlightFanIn(t *testing.T) {
 
 	if n := runs.Load(); n != 1 {
 		t.Errorf("%d concurrent identical requests ran %d sweeps, want 1", fanIn, n)
+	}
+	// The daemon's own run histogram must agree with the hook: it is the
+	// counter an operator reads, and it moves only when a run completed.
+	if n := runSecondsCount(t, ts.URL) - runs0; n != 1 {
+		t.Errorf("reprod_run_seconds_count rose by %d across the %d-way fan-in, want 1", n, fanIn)
 	}
 	for i := 0; i < fanIn; i++ {
 		if statuses[i] != http.StatusOK {
@@ -149,9 +156,26 @@ func TestSingleFlightFanIn(t *testing.T) {
 			t.Errorf("request %d body differs from request 0", i)
 		}
 	}
-	if miss := s.Metrics().CacheMisses.Load(); miss != fanIn {
+	if miss := s.metrics.CacheMisses.Load(); miss != fanIn {
 		t.Errorf("cache misses = %d, want %d (all arrived before the bytes existed)", miss, fanIn)
 	}
+}
+
+// runSecondsCount reads reprod_run_seconds_count from /metrics.
+func runSecondsCount(t *testing.T, base string) int {
+	t.Helper()
+	_, _, body := get(t, base+"/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "reprod_run_seconds_count "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("reprod_run_seconds_count %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("reprod_run_seconds_count missing from /metrics:\n%s", body)
+	return 0
 }
 
 // TestClientDisconnectCancelsRun pins the cancellation contract under
@@ -227,7 +251,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Error("recomputed response not byte-identical to a direct run")
 	}
-	if n := s.Metrics().CacheEntries.Load(); n != 1 {
+	if n := s.metrics.CacheEntries.Load(); n != 1 {
 		t.Errorf("cache entries = %d, want 1 (only the recompute landed)", n)
 	}
 }
@@ -270,7 +294,7 @@ func TestRateLimit(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if n := s.Metrics().RateLimited.Load(); n != 1 {
+	if n := s.metrics.RateLimited.Load(); n != 1 {
 		t.Errorf("rate-limited counter = %d, want 1", n)
 	}
 }
@@ -303,7 +327,7 @@ func TestInflightLimit(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("second distinct run: status %d: %s, want 503", status, body)
 	}
-	if n := s.Metrics().Saturated.Load(); n != 1 {
+	if n := s.metrics.Saturated.Load(); n != 1 {
 		t.Errorf("saturated counter = %d, want 1", n)
 	}
 }

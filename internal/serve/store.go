@@ -310,7 +310,7 @@ func (s *diskStore) put(key string, body []byte) {
 		return
 	}
 	name := spillName(key)
-	if err := atomicWriteFile(s.dir, name, data); err != nil {
+	if err := sim.AtomicWrite(s.dir, name, data, true); err != nil {
 		s.logf("reprod: cache: spill %s: %v", name, err)
 		return
 	}
@@ -363,39 +363,4 @@ func (s *diskStore) removeFile(name string, size int64) {
 func (s *diskStore) publishGauges() {
 	s.metrics.DiskEntries.Store(int64(s.order.Len()))
 	s.metrics.DiskBytes.Store(s.total)
-}
-
-// atomicWriteFile writes name into dir with the journal layer's
-// discipline: hidden unique temp file, fsync, rename, fsync'd parent
-// directory — so a crash at any point leaves either the old state or
-// the complete new file, plus at most some ".…tmp-" debris that the
-// boot scan deletes.
-func atomicWriteFile(dir, name string, data []byte) error {
-	f, err := os.CreateTemp(dir, "."+name+".tmp-")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

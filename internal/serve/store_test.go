@@ -56,7 +56,7 @@ func TestDiskColdRestartHitByteIdenticalAllExperiments(t *testing.T) {
 			t.Errorf("%s: cold response differs from direct run", e.Name)
 		}
 	}
-	if n, want := a.Metrics().SpillWrites.Load(), int64(len(reg)); n != want {
+	if n, want := a.metrics.SpillWrites.Load(), int64(len(reg)); n != want {
 		t.Errorf("spill writes = %d, want %d", n, want)
 	}
 	if got := len(spillFiles(t, dir)); got != len(reg) {
@@ -66,7 +66,7 @@ func TestDiskColdRestartHitByteIdenticalAllExperiments(t *testing.T) {
 	// Restart: the warm-booted server answers from memory without a
 	// single sweep, byte-identical to a direct recomputation.
 	b, tsB := testServer(t, Options{CacheDir: dir})
-	if n, want := b.Metrics().WarmedEntries.Load(), int64(len(reg)); n != want {
+	if n, want := b.metrics.WarmedEntries.Load(), int64(len(reg)); n != want {
 		t.Fatalf("warm-boot entries = %d, want %d", n, want)
 	}
 	for _, e := range reg {
@@ -96,7 +96,7 @@ func TestDiskColdRestartHitByteIdenticalAllExperiments(t *testing.T) {
 			t.Errorf("%s: disk response differs from direct run", e.Name)
 		}
 	}
-	if n, want := c.Metrics().DiskHits.Load(), int64(len(reg)); n != want {
+	if n, want := c.metrics.DiskHits.Load(), int64(len(reg)); n != want {
 		t.Errorf("disk hits = %d, want %d", n, want)
 	}
 	if n := c.metrics.runSeconds.count.Load(); n != 0 {
@@ -185,10 +185,10 @@ func TestCorruptSpillsRejectedAndRecomputed(t *testing.T) {
 			d.do(t, filepath.Join(dir, name))
 
 			s, ts := testServer(t, Options{CacheDir: dir})
-			if n := s.Metrics().WarmedEntries.Load(); n != 0 {
+			if n := s.metrics.WarmedEntries.Load(); n != 0 {
 				t.Errorf("damaged spill warmed %d entries, want 0", n)
 			}
-			if n := s.Metrics().CorruptSpills.Load(); n < 1 {
+			if n := s.metrics.CorruptSpills.Load(); n < 1 {
 				t.Errorf("corrupt-reject counter = %d, want >= 1", n)
 			}
 			status, source, body := get(t, ts.URL+"/v1/run?exp=eq3&seed=7&trials=1")
@@ -236,7 +236,7 @@ func TestCorruptSpillRejectedOnRead(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Error("recomputed response not byte-identical")
 	}
-	if n := s.Metrics().CorruptSpills.Load(); n != 1 {
+	if n := s.metrics.CorruptSpills.Load(); n != 1 {
 		t.Errorf("corrupt-reject counter = %d, want 1", n)
 	}
 	// The rejected file was replaced by the recompute's spill and now
@@ -260,10 +260,10 @@ func TestCrashDebrisIgnoredAndCleaned(t *testing.T) {
 	if _, err := os.Stat(debris); !os.IsNotExist(err) {
 		t.Errorf("crash debris %s survived the boot scan (err=%v)", debris, err)
 	}
-	if n := s.Metrics().WarmedEntries.Load(); n != 1 {
+	if n := s.metrics.WarmedEntries.Load(); n != 1 {
 		t.Errorf("warm-boot entries = %d, want 1 (only the complete spill)", n)
 	}
-	if n := s.Metrics().CorruptSpills.Load(); n != 0 {
+	if n := s.metrics.CorruptSpills.Load(); n != 0 {
 		t.Errorf("debris counted as corrupt spill (%d), want 0", n)
 	}
 	status, source, body := get(t, ts.URL+"/v1/run?exp=eq3&seed=7&trials=1")

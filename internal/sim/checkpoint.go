@@ -193,7 +193,7 @@ func (j *journal) writeUnit(rec UnitRecord) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
+	return AtomicWrite(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
 }
 
 // journalWriter makes completed units durable on one goroutine of its
@@ -239,11 +239,13 @@ func (w *journalWriter) close() error {
 	return w.err
 }
 
-// atomicWrite writes name into dir via a hidden unique temp file, fsync
-// and rename, so a reader (or crash recovery) only ever sees a complete
-// file; syncDir additionally fsyncs the directory entry (used for the
-// manifest, which anchors the whole journal).
-func atomicWrite(dir, name string, data []byte, syncDir bool) error {
+// AtomicWrite writes name into dir via a hidden unique temp file
+// ("."+name+".tmp-…"), fsync and rename, so a reader (or crash
+// recovery) only ever sees a complete file; a crash leaves at most some
+// temp debris. syncDir additionally fsyncs the directory entry: the
+// manifest, which anchors the whole journal, and reprod's disk-tier
+// spills use it; unit records do not.
+func AtomicWrite(dir, name string, data []byte, syncDir bool) error {
 	f, err := os.CreateTemp(dir, "."+name+".tmp-")
 	if err != nil {
 		return err
@@ -327,7 +329,7 @@ func openCheckpoint(pl *SweepPlan, cfg Config, ck *Checkpoint) (map[int]UnitReco
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := atomicWrite(ck.Dir, manifestFile, append(mdata, '\n'), true); err != nil {
+		if err := AtomicWrite(ck.Dir, manifestFile, append(mdata, '\n'), true); err != nil {
 			return nil, nil, fmt.Errorf("sim: checkpoint manifest: %w", err)
 		}
 		return nil, &journal{dir: ck.Dir}, nil

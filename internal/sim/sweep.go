@@ -315,10 +315,9 @@ func (pl *SweepPlan) Seeds() []uint64 {
 // Cancelling ctx stops the feed promptly: in-flight items finish,
 // queued items are skipped, every worker exits, and ctx.Err() is
 // returned. onDone, when non-nil, is invoked once per completed item
-// with the cumulative completion count. Calls are serialised by a
-// mutex but may originate from any worker, so unit order is not
-// implied.
-func runUnits(ctx context.Context, workers, n int, onDone func(done int), fn func(unit int, sc *walk.CoverScratch) error) error {
+// with that item's index. Calls are serialised by a mutex but may
+// originate from any worker, so unit order is not implied.
+func runUnits(ctx context.Context, workers, n int, onDone func(unit int), fn func(unit int, sc *walk.CoverScratch) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -326,7 +325,6 @@ func runUnits(ctx context.Context, workers, n int, onDone func(done int), fn fun
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	completed := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -342,8 +340,7 @@ func runUnits(ctx context.Context, workers, n int, onDone func(done int), fn fun
 					// are serialised, as RunOptions.Progress documents;
 					// callbacks should therefore be quick.
 					mu.Lock()
-					completed++
-					onDone(completed)
+					onDone(u)
 					mu.Unlock()
 				}
 			}
@@ -502,6 +499,7 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 		}
 		work = append(work, workItem{unit: u, rep: repWork})
 	}
+	executed := len(work)
 	if full {
 		for pi := range pl.Points {
 			if _, ok := restored[firstUnit[pi]]; ok && pl.Points[pi].KeepRep {
@@ -509,9 +507,17 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			}
 		}
 	}
+	// Progress counts executed units only: a representative-graph
+	// regeneration restores work, it does not run any.
 	var onDone func(int)
 	if opts.Progress != nil {
-		onDone = func(done int) { opts.Progress(done, len(work)) }
+		done := 0
+		onDone = func(w int) {
+			if work[w].unit != repWork {
+				done++
+				opts.Progress(done, executed)
+			}
+		}
 	}
 	// Completed units go to one journal-writer goroutine; the run
 	// returns only once every record it was handed is durable, and a

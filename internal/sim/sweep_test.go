@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,14 +278,44 @@ func TestRepKeptAndRegeneratedOnlyWhereDeclared(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts()
-	resumed, err := e.Run(context.Background(), cfg, RunOptions{Checkpoint: &Checkpoint{Dir: dir, Resume: true}})
+	// Progress counts executed units only; the Rep regeneration a
+	// restore adds is not one.
+	var progress [][2]int
+	resume := RunOptions{
+		Checkpoint: &Checkpoint{Dir: dir, Resume: true},
+		Progress:   func(done, total int) { progress = append(progress, [2]int{done, total}) },
+	}
+	resumed, err := e.Run(context.Background(), cfg, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c := counts(); c != [2]int64{1, 0} {
 		t.Errorf("fully restored resume built %v graphs per point, want [1 0]", c)
 	}
+	if len(progress) != 0 {
+		t.Errorf("fully restored resume reported progress %v, want none", progress)
+	}
 	same("resumed run", resumed)
+
+	// Partial restore: re-run (keep, 1) and (drop, 0); (keep, 0) stays
+	// restored, so keep's Rep is regenerated alongside.
+	for _, u := range []int{1, 3} {
+		if err := os.Remove(filepath.Join(dir, unitFile(u))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	progress = nil
+	partial, err := e.Run(context.Background(), cfg, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counts(); c != [2]int64{2, 1} {
+		t.Errorf("partially restored resume built %v graphs per point, want [2 1]", c)
+	}
+	if want := [][2]int{{1, 2}, {2, 2}}; !reflect.DeepEqual(progress, want) {
+		t.Errorf("partially restored resume reported progress %v, want %v", progress, want)
+	}
+	same("partially resumed run", partial)
 
 	var dirs []string
 	for s := 0; s < 2; s++ {

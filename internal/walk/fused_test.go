@@ -305,12 +305,12 @@ func coverBoth(t *testing.T, name string, sc *CoverScratch, g *graph.Graph, seed
 // sweep's trial count, and many.
 var coverWalkCounts = []int{1, 3, 8, 64}
 
-// TestBatchMatchesSequentialPerLaneGraphs is the sweep-runner shape:
+// TestFusedCoverPerWalkGraphs is the sweep-runner shape:
 // each walk carries its own graph (different sizes, degrees and
 // families) and its own seed, all through one CoverScratch, and each
 // fused outcome must equal per-Step driving on the same (graph, seed,
 // budget): full and censored runs, Cover and VertexCoverSteps.
-func TestBatchMatchesSequentialPerLaneGraphs(t *testing.T) {
+func TestFusedCoverPerWalkGraphs(t *testing.T) {
 	var pool []*graph.Graph
 	for i, shape := range []struct{ n, d int }{
 		{40, 4}, {61, 4}, {50, 3}, {96, 6}, {33, 4},
@@ -336,11 +336,11 @@ func TestBatchMatchesSequentialPerLaneGraphs(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialSharedGraph is the many-walks-on-one-graph
+// TestFusedCoverSharedGraph is the many-walks-on-one-graph
 // shape: every walk shares one frozen graph, distinguished only by seed
 // and start. One CoverScratch serves every run, and a second
 // identically seeded pass must reproduce the first exactly.
-func TestBatchMatchesSequentialSharedGraph(t *testing.T) {
+func TestFusedCoverSharedGraph(t *testing.T) {
 	g := mustRegular(t, newRand(7), 120, 4)
 	var sc CoverScratch
 	for _, w := range coverWalkCounts {
@@ -359,10 +359,10 @@ func TestBatchMatchesSequentialSharedGraph(t *testing.T) {
 	}
 }
 
-// TestBatchShapeChurn re-runs one CoverScratch across walks whose graph
+// TestFusedCoverShapeChurn re-runs one CoverScratch across walks whose graph
 // sizes grow and shrink, so its reused vertex set cannot leak state
 // between shapes.
-func TestBatchShapeChurn(t *testing.T) {
+func TestFusedCoverShapeChurn(t *testing.T) {
 	small := mustRegular(t, newRand(31), 36, 4)
 	big := mustRegular(t, newRand(32), 200, 4)
 	var sc CoverScratch
@@ -378,11 +378,11 @@ func TestBatchShapeChurn(t *testing.T) {
 	}
 }
 
-// TestBatchTrivialGraph: a walk whose graph is already covered at step
+// TestFusedCoverTrivialGraph: a walk whose graph is already covered at step
 // 0 (one vertex, no edges) must finish with zero steps and no error,
 // like per-Step driving, and the CoverScratch must serve a normal walk
 // correctly afterwards.
-func TestBatchTrivialGraph(t *testing.T) {
+func TestFusedCoverTrivialGraph(t *testing.T) {
 	normal := mustRegular(t, newRand(41), 30, 4)
 	var sc CoverScratch
 	for _, edges := range []bool{true, false} {
