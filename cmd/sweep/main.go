@@ -44,8 +44,9 @@
 // An interrupt (Ctrl-C) cancels the run promptly: in-flight units
 // finish, queued work is dropped, and the process exits with an error.
 // With -checkpoint DIR every completed unit is journaled under
-// DIR/<exp>/ as it finishes (atomic write-temp+rename, fsync'd
-// manifest), so an interrupted run loses at most its in-flight units;
+// DIR/<exp>/ as it finishes (checksummed records appended and fsync'd
+// to the run's own segment beside an fsync'd manifest), so an
+// interrupted run loses at most its in-flight units;
 // re-running the same command with -resume validates the journals
 // against the current plan (mismatched or corrupted journals are
 // rejected, never silently resumed) and re-runs only the missing

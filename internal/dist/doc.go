@@ -20,13 +20,17 @@
 // # Why duplicate execution is safe
 //
 // Every measurement is a pure function of (master seed, point salt,
-// trial), so a unit recomputed by any worker journals the same bytes.
-// Journal writes are per-unit atomic (write-temp+fsync+rename to a
-// filename owned by the unit), so two workers racing on a reassigned
-// block — the original holder was slow, not dead — interleave
-// harmlessly: the duplicated records are byte-identical and
-// sim.MergeShards verifies overlapping records agree
-// (unitRecordsEqual) before stitching. The merged tables and Result
+// trial), so a unit recomputed by any worker journals the same record.
+// Every RunShard that runs units of a block appends to a segment of
+// its own (created O_EXCL under a random name; the shared manifest is
+// written atomically and identically by whichever worker starts the
+// journal), so two workers racing on a reassigned block — the original
+// holder was slow, not dead — never write the same file. Readers take
+// the union of the segments: a record repeated across segments must
+// equal the first (unitRecordsEqual), and a segment another worker is
+// still appending to can only end in a torn line, which is skipped
+// until it is complete. sim.MergeShards verifies overlapping records
+// agree in the same way before stitching. The merged tables and Result
 // JSON are therefore byte-identical to an uninterrupted single-process
 // run, whatever the failure schedule.
 //

@@ -3,9 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,27 +20,38 @@ import (
 // long sweep survive interruption (Checkpoint + Resume) and lets one
 // experiment span machines below the experiment level (RunShard over
 // PlanShard blocks + MergeShards). The journal's unit of durability is
-// the canonical (point, trial) unit: every completed unit is written as
-// its own JSON file via write-temp+fsync+rename, so readers and crash
-// recovery only ever see complete records, and a killed run loses at
-// most its in-flight units. The manifest pins the identity of the run
-// the journal belongs to — master seed, registry name, salt namespace,
-// scale, trials, RNG kind, step budget, and the full point/arm shape of
-// the plan — and is fsync'd before any unit is journaled. Workers is
-// deliberately absent everywhere: like the tables, checkpoints are
-// workers-independent, so a journal written at Workers=1 resumes at
-// Workers=8 and vice versa. Resuming validates the manifest against the
-// current plan and re-feeds only the missing units; truncated,
-// corrupted or mismatched journals are rejected with a diagnostic,
-// never silently resumed.
+// the canonical (point, trial) unit. A journal directory holds one
+// manifest and one append-only segment per writer incarnation: every
+// run that executes units under the journal (fresh, resumed, or a
+// second worker on a reassigned block) creates a segment of its own,
+// and a run with nothing left to execute creates none, so no two writers
+// ever share a file. A segment line is one unit record framed with its
+// length and CRC-32C; the writer group-commits — each batch of queued
+// records is one write and one fsync — so a killed run loses at most
+// its in-flight and not yet committed units. A killed process can only
+// cut its segment short, tearing the final line, whose unit then simply
+// re-runs. A power loss during a batch's fsync usually leaves the same
+// cut-short tail; the disk need not persist an unsynced write in order,
+// though, so it can also leave a damaged line followed by intact ones,
+// and that journal is refused like any other damage (safe, but its run
+// must start over in a fresh directory). The manifest
+// pins the identity of the run the journal belongs to — master seed,
+// registry name, salt namespace, scale, trials, RNG kind, step budget,
+// and the full point/arm shape of the plan — and is fsync'd before any
+// segment exists. Workers is deliberately absent everywhere: like the
+// tables, checkpoints are workers-independent, so a journal written at
+// Workers=1 resumes at Workers=8 and vice versa. Resuming validates the
+// manifest and every record against the current plan and re-feeds only
+// the missing units; corrupted or mismatched journals are rejected
+// with a diagnostic naming the file and line, never silently resumed.
 
 // Checkpoint configures the durable-run journal of RunContext /
 // RunShard (via RunOptions.Checkpoint).
 type Checkpoint struct {
-	// Dir is the journal directory: one manifest plus one JSON file per
-	// completed (point, trial) unit. Use one directory per (experiment,
-	// configuration, shard) — the CLIs key subdirectories by experiment
-	// name under their -checkpoint flag.
+	// Dir is the journal directory: one manifest plus one append-only
+	// segment (units-<nonce>.log) per run that wrote to it. Use one
+	// directory per (experiment, configuration, shard) — the CLIs key
+	// subdirectories by experiment name under their -checkpoint flag.
 	Dir string
 	// Name, Salt and Scale stamp the manifest with the registry
 	// identity of the run. Experiment.Run and Experiment.RunShard fill
@@ -48,16 +62,19 @@ type Checkpoint struct {
 	Scale int
 	// Resume restores the completed units of an existing journal
 	// (validating its manifest against the current plan first) and
-	// re-feeds only the missing units. Without Resume, an existing
-	// journal in Dir is an error — a fresh run never silently mixes
-	// with or overwrites an old journal. Resuming an empty Dir starts a
-	// fresh journal: there is nothing to restore yet.
+	// re-feeds only the missing units, journaling them into a new
+	// segment. Without Resume, an existing journal in Dir is an error —
+	// a fresh run never silently mixes with or overwrites an old
+	// journal. Resuming an empty Dir starts a fresh journal: there is
+	// nothing to restore yet.
 	Resume bool
 }
 
 // manifestVersion is the checkpoint format version; bump on any change
-// to the manifest or unit-record encoding.
-const manifestVersion = 1
+// to the manifest, the segment framing or the unit-record encoding.
+// Version 1 journaled each unit as its own unit-NNNNNNNN.json file;
+// version 2 appends framed records to per-writer segments.
+const manifestVersion = 2
 
 // manifestFile is the manifest's filename inside a checkpoint dir.
 const manifestFile = "manifest.json"
@@ -137,16 +154,6 @@ func ReadCheckpointManifest(r io.Reader) (*CheckpointManifest, error) {
 	return &m, nil
 }
 
-// readUnitRecord parses one journaled unit with the same strictness as
-// ReadCheckpointManifest; plan-level validation happens in loadUnits.
-func readUnitRecord(r io.Reader) (*UnitRecord, error) {
-	var rec UnitRecord
-	if err := decodeStrict(r, &rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
 // decodeStrict decodes exactly one JSON document into v, rejecting
 // unknown fields and trailing data.
 func decodeStrict(r io.Reader, v any) error {
@@ -162,64 +169,174 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// journal appends completed units to a checkpoint directory. Writes are
-// per-unit-atomic (unique temp file, fsync, rename) and lock-free:
-// every unit owns its filename, so writes never collide.
-type journal struct{ dir string }
+// Segment files are named units-<nonce>.log; version-1 journals named
+// one file per unit unit-NNNNNNNN.json.
+const (
+	segmentPrefix = "units-"
+	segmentSuffix = ".log"
+)
 
-// unitFile names unit u's journal file. The fixed-width decimal keeps
-// directory listings in canonical unit order.
-func unitFile(u int) string { return fmt.Sprintf("unit-%08d.json", u) }
-
-// unitFileIndex parses a journal filename back to its unit index.
-func unitFileIndex(name string) (int, bool) {
-	body, ok := strings.CutPrefix(name, "unit-")
-	if !ok {
-		return 0, false
-	}
-	body, ok = strings.CutSuffix(body, ".json")
-	if !ok {
-		return 0, false
-	}
-	u, err := strconv.Atoi(body)
-	if err != nil || u < 0 {
-		return 0, false
-	}
-	return u, true
+func isSegment(name string) bool {
+	return strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix)
 }
 
-func (j *journal) writeUnit(rec UnitRecord) error {
+func isV1UnitFile(name string) bool {
+	return strings.HasPrefix(name, "unit-") && strings.HasSuffix(name, ".json")
+}
+
+// A segment line is one framed unit record:
+//
+//	<length> <crc> <json>\n
+//
+// where length is the byte length of the record's JSON encoding and crc
+// its CRC-32C (Castagnoli), both as 8 lowercase hex digits. encoding/json
+// escapes newlines inside strings, so the record never contains one.
+const frameHeader = len("00000000 00000000 ")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame appends rec's framed segment line to dst.
+func appendFrame(dst []byte, rec *UnitRecord) ([]byte, error) {
 	data, err := json.Marshal(rec)
 	if err != nil {
+		return dst, err
+	}
+	dst = fmt.Appendf(dst, "%08x %08x ", len(data), crc32.Checksum(data, castagnoli))
+	dst = append(dst, data...)
+	return append(dst, '\n'), nil
+}
+
+// checkFrame verifies one segment line (without its newline) and
+// returns the record's JSON.
+func checkFrame(line []byte) ([]byte, error) {
+	if len(line) < frameHeader || line[8] != ' ' || line[17] != ' ' {
+		return nil, errors.New("malformed frame header")
+	}
+	n, err1 := strconv.ParseUint(string(line[:8]), 16, 32)
+	sum, err2 := strconv.ParseUint(string(line[9:17]), 16, 32)
+	if err1 != nil || err2 != nil {
+		return nil, errors.New("malformed frame header")
+	}
+	data := line[frameHeader:]
+	if uint64(len(data)) != n {
+		return nil, fmt.Errorf("frame says %d bytes, record has %d", n, len(data))
+	}
+	if crc32.Checksum(data, castagnoli) != uint32(sum) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return data, nil
+}
+
+// readSegment decodes a segment's records in file order, calling visit
+// with each record. Only the final line may be torn — cut short before
+// its newline or failing its frame check, as an interrupted write
+// leaves it — and is skipped: its unit was never durable, so it
+// re-runs. Any other defect, a damaged line before intact ones
+// included, and any error from visit, is returned naming the 1-based
+// line.
+func readSegment(data []byte, visit func(rec *UnitRecord) error) error {
+	for line := 1; len(data) > 0; line++ {
+		text, rest, complete := bytes.Cut(data, []byte{'\n'})
+		body, err := checkFrame(text)
+		if !complete || (err != nil && len(rest) == 0) {
+			return nil // torn final line
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		var rec UnitRecord
+		if err := decodeStrict(bytes.NewReader(body), &rec); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		if err := visit(&rec); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		data = rest
+	}
+	return nil
+}
+
+// createSegment creates a new segment in dir under a random name with
+// O_EXCL, so it can never be a file another writer holds, and fsyncs
+// dir so the segment's entry survives a crash. Only its creator appends
+// to it.
+func createSegment(dir string) (*os.File, error) {
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, err
+	}
+	name := segmentPrefix + hex.EncodeToString(nonce[:]) + segmentSuffix
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := fsyncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// commitFrames appends a batch of framed records to segment f with one
+// write and makes it durable with one fsync.
+func commitFrames(f *os.File, frames []byte) error {
+	if _, err := f.Write(frames); err != nil {
 		return err
 	}
-	return AtomicWrite(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
+	return f.Sync()
 }
 
 // journalWriter makes completed units durable on one goroutine of its
 // own, so the sweep workers hand a record over and go on to their next
-// unit instead of waiting on its fsync. The first failed write is kept,
-// naming its unit, and calls stop so the run schedules no further
-// units; records queued after it are drained without being written.
+// unit instead of waiting on an fsync. It group-commits: each time it
+// wakes it drains every queued record, frames them and commits them as
+// one batch. The first failure — a record that cannot be encoded, or a
+// failed commit, which names the batch's first unit — is kept and calls
+// stop so the run schedules no further units; a failed batch is not
+// written, and records queued after it are drained without being
+// written.
 type journalWriter struct {
-	recs chan UnitRecord
-	done chan struct{}
-	err  error // first write error; read only after done is closed
+	records chan UnitRecord
+	done    chan struct{}
+	err     error // first failure; read only after done is closed
 }
 
 // startJournalWriter starts the writer goroutine. capacity must be at
 // least the number of records the run will submit, so submit never
 // blocks a worker.
-func startJournalWriter(capacity int, write func(UnitRecord) error, stop context.CancelFunc) *journalWriter {
-	w := &journalWriter{recs: make(chan UnitRecord, capacity), done: make(chan struct{})}
+func startJournalWriter(capacity int, commit func(frames []byte) error, stop context.CancelFunc) *journalWriter {
+	w := &journalWriter{records: make(chan UnitRecord, capacity), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
-		for rec := range w.recs {
+		var batch []UnitRecord
+		var buf []byte
+		for first := range w.records {
 			if w.err != nil {
 				continue
 			}
-			if err := write(rec); err != nil {
-				w.err = fmt.Errorf("sim: point %q trial %d: journal: %w", rec.Point, rec.Trial, err)
+			batch = append(batch[:0], first)
+		drain:
+			for {
+				select {
+				case rec, ok := <-w.records:
+					if !ok {
+						break drain
+					}
+					batch = append(batch, rec)
+				default:
+					break drain
+				}
+			}
+			if buf, w.err = frameBatch(buf[:0], batch); w.err == nil {
+				if err := commit(buf); err != nil {
+					what := fmt.Sprintf("point %q trial %d", first.Point, first.Trial)
+					if len(batch) > 1 {
+						what += fmt.Sprintf(" and %d later units", len(batch)-1)
+					}
+					w.err = fmt.Errorf("sim: %s: journal: %w", what, err)
+				}
+			}
+			if w.err != nil {
 				stop()
 			}
 		}
@@ -227,14 +344,27 @@ func startJournalWriter(capacity int, write func(UnitRecord) error, stop context
 	return w
 }
 
-// submit queues rec for writing. Call it only before close.
-func (w *journalWriter) submit(rec UnitRecord) { w.recs <- rec }
+// frameBatch appends the framed segment lines of batch to dst. A record
+// that cannot be encoded is an error naming its unit.
+func frameBatch(dst []byte, batch []UnitRecord) ([]byte, error) {
+	for i := range batch {
+		var err error
+		if dst, err = appendFrame(dst, &batch[i]); err != nil {
+			return dst, fmt.Errorf("sim: point %q trial %d: journal: %w", batch[i].Point, batch[i].Trial, err)
+		}
+	}
+	return dst, nil
+}
 
-// close waits until every submitted record is written (or drained after
-// a failure), the goroutine has finished, and returns the first write
-// error. Call it once, after the last submit.
+// submit queues a completed unit's record for the writer. Call it only
+// before close.
+func (w *journalWriter) submit(rec UnitRecord) { w.records <- rec }
+
+// close waits until every submitted record is committed (or drained
+// after a failure), the goroutine has finished, and returns the first
+// failure. Call it once, after the last submit.
 func (w *journalWriter) close() error {
-	close(w.recs)
+	close(w.records)
 	<-w.done
 	return w.err
 }
@@ -243,8 +373,8 @@ func (w *journalWriter) close() error {
 // ("."+name+".tmp-…"), fsync and rename, so a reader (or crash
 // recovery) only ever sees a complete file; a crash leaves at most some
 // temp debris. syncDir additionally fsyncs the directory entry: the
-// manifest, which anchors the whole journal, and reprod's disk-tier
-// spills use it; unit records do not.
+// checkpoint manifest, which anchors the whole journal, and reprod's
+// disk-tier spills use it.
 func AtomicWrite(dir, name string, data []byte, syncDir bool) error {
 	f, err := os.CreateTemp(dir, "."+name+".tmp-")
 	if err != nil {
@@ -268,135 +398,150 @@ func AtomicWrite(dir, name string, data []byte, syncDir bool) error {
 		return err
 	}
 	if syncDir {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		return d.Sync()
+		return fsyncDir(dir)
 	}
 	return nil
 }
 
+// fsyncDir fsyncs a directory, making its entries durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 // openCheckpoint opens ck.Dir for the plan: on resume it validates the
-// existing manifest against the plan and loads the completed units;
+// existing journal against the plan and returns its completed units;
 // otherwise it refuses an existing journal and starts a fresh one
-// (manifest written and fsync'd before any unit). It returns the
-// restored units (nil on a fresh journal) and the journal to append to.
-func openCheckpoint(pl *SweepPlan, cfg Config, ck *Checkpoint) (map[int]UnitRecord, *journal, error) {
+// (manifest written and fsync'd, so every segment created after it has
+// a manifest). The caller creates its own segment only when it has
+// units to journal, so a run with nothing left to execute leaves the
+// directory as it found it.
+func openCheckpoint(pl *SweepPlan, cfg Config, ck *Checkpoint) (map[int]UnitRecord, error) {
 	if ck.Dir == "" {
-		return nil, nil, errors.New("sim: checkpoint: empty Dir")
+		return nil, errors.New("sim: checkpoint: empty Dir")
+	}
+	if !ck.Resume {
+		if _, err := os.Stat(filepath.Join(ck.Dir, manifestFile)); err == nil {
+			return nil, fmt.Errorf("sim: checkpoint %s already holds a journal; resume it (-resume) or use a fresh directory", ck.Dir)
+		}
 	}
 	want := pl.manifest(cfg, ck)
-	path := filepath.Join(ck.Dir, manifestFile)
-	data, err := os.ReadFile(path)
+	restored, err := readJournal(ck.Dir, pl, cfg, want)
 	switch {
 	case err == nil:
-		if !ck.Resume {
-			return nil, nil, fmt.Errorf("sim: checkpoint %s already holds a journal; resume it (-resume) or use a fresh directory", ck.Dir)
-		}
-		got, err := ReadCheckpointManifest(bytes.NewReader(data))
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: %s: %w — refusing to resume", path, err)
-		}
-		if err := got.matches(want); err != nil {
-			return nil, nil, fmt.Errorf("sim: checkpoint %s does not match the current run: %w — refusing to resume", ck.Dir, err)
-		}
-		restored, err := loadUnits(ck.Dir, pl, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return restored, &journal{dir: ck.Dir}, nil
+		return restored, nil
 	case errors.Is(err, os.ErrNotExist):
 		// Fresh journal. Resume tolerates a missing journal — there is
 		// nothing to restore, so the run starts from scratch (the CLIs
 		// rely on this when a multi-experiment run was interrupted
 		// before reaching an experiment).
 		if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("sim: checkpoint: %w", err)
-		}
-		// A manifest-less directory that already holds unit records is
-		// the debris of an older journal (e.g. a hand-deleted manifest
-		// after a mismatch refusal). Writing a new manifest over it
-		// would let a later resume adopt the stale records — they carry
-		// no seed of their own — so refuse instead of mixing journals.
-		if stale, err := hasUnitFiles(ck.Dir); err != nil {
-			return nil, nil, fmt.Errorf("sim: checkpoint: %w", err)
-		} else if stale {
-			return nil, nil, fmt.Errorf("sim: checkpoint %s holds unit records but no manifest; refusing to start a journal over debris of an older one — use a fresh directory", ck.Dir)
+			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 		mdata, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := AtomicWrite(ck.Dir, manifestFile, append(mdata, '\n'), true); err != nil {
-			return nil, nil, fmt.Errorf("sim: checkpoint manifest: %w", err)
+			return nil, fmt.Errorf("sim: checkpoint manifest: %w", err)
 		}
-		return nil, &journal{dir: ck.Dir}, nil
+		return nil, nil
 	default:
-		return nil, nil, fmt.Errorf("sim: checkpoint: %w", err)
-	}
-}
-
-// hasUnitFiles reports whether dir already holds any unit records.
-func hasUnitFiles(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
-	}
-	for _, ent := range entries {
-		if _, ok := unitFileIndex(ent.Name()); ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// loadUnits reads every journaled unit in dir and validates it against
-// the plan's canonical unit space. Any unreadable, corrupt or
-// mismatched record is an error naming the file — a journal that has
-// drifted from its manifest must never be silently resumed.
-func loadUnits(dir string, pl *SweepPlan, cfg Config) (map[int]UnitRecord, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	units := pl.unitList(cfg)
-	restored := make(map[int]UnitRecord)
+}
+
+// readJournal reads the journal in dir: its manifest must match want,
+// and the union of its segments must pass the unit checks against the
+// plan — index in range, point key, trial and arm count — with every
+// repeated unit recorded identically. An error wrapping os.ErrNotExist
+// means dir holds no journal at all. A directory with segments but no
+// manifest is the debris of an older journal (for example a
+// hand-deleted manifest after a mismatch refusal): starting a fresh
+// journal over it would let a later resume adopt records that carry no
+// seed of their own, so it is an error, as is a version-1 unit file.
+//
+// The directory is listed before the manifest is read. Every writer
+// creates its segment only after the manifest is durable, so a segment
+// in the listing always has a manifest to be read, even when a
+// concurrent writer (a reassigned dist block) is starting the journal.
+func readJournal(dir string, pl *SweepPlan, cfg Config, want *CheckpointManifest) (map[int]UnitRecord, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segments []string
 	for _, ent := range entries {
 		name := ent.Name()
-		idx, ok := unitFileIndex(name)
-		if !ok {
-			continue // manifest, temp files, stray notes
+		switch {
+		case isSegment(name):
+			segments = append(segments, name)
+		case isV1UnitFile(name):
+			return nil, fmt.Errorf("%s is a format version 1 unit file, this binary reads version %d journals — rerun into a fresh directory",
+				filepath.Join(dir, name), manifestVersion)
 		}
+	}
+	mpath := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(mpath)
+	if errors.Is(err, os.ErrNotExist) && len(segments) > 0 {
+		return nil, fmt.Errorf("%s holds unit records but no manifest; refusing to use debris of an older journal — use a fresh directory", dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	got, err := ReadCheckpointManifest(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", mpath, err)
+	}
+	if err := got.matches(want); err != nil {
+		return nil, fmt.Errorf("journal %s does not match the current run: %w", dir, err)
+	}
+	units := pl.unitList(cfg)
+	recs := make(map[int]UnitRecord)
+	for _, name := range segments {
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint: %w — refusing to resume", err)
+			return nil, err
 		}
-		rec, err := readUnitRecord(bytes.NewReader(data))
+		err = readSegment(data, func(rec *UnitRecord) error {
+			if err := checkUnit(pl, units, rec); err != nil {
+				return err
+			}
+			if prev, dup := recs[rec.Unit]; dup && !unitRecordsEqual(prev, *rec) {
+				return fmt.Errorf("segments disagree on unit %d (%q trial %d)", rec.Unit, rec.Point, rec.Trial)
+			}
+			recs[rec.Unit] = *rec
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint unit %s: %w — refusing to resume", path, err)
+			return nil, fmt.Errorf("%s %w", path, err)
 		}
-		if rec.Unit != idx {
-			return nil, fmt.Errorf("sim: checkpoint unit %s records unit %d — refusing to resume", path, rec.Unit)
-		}
-		if rec.Unit >= len(units) {
-			return nil, fmt.Errorf("sim: checkpoint unit %s is outside the plan's %d units — refusing to resume", path, len(units))
-		}
-		un := units[rec.Unit]
-		pt := &pl.Points[un.point]
-		if rec.Point != pt.Key || rec.Trial != un.trial {
-			return nil, fmt.Errorf("sim: checkpoint unit %s is %q trial %d, the plan's unit %d is %q trial %d — refusing to resume",
-				path, rec.Point, rec.Trial, rec.Unit, pt.Key, un.trial)
-		}
-		if len(rec.Arms) != len(pt.Arms) {
-			return nil, fmt.Errorf("sim: checkpoint unit %s has %d arm measurements, point %q has %d arms — refusing to resume",
-				path, len(rec.Arms), pt.Key, len(pt.Arms))
-		}
-		restored[rec.Unit] = *rec
 	}
-	return restored, nil
+	return recs, nil
+}
+
+// checkUnit validates one journaled record against the plan's canonical
+// unit space.
+func checkUnit(pl *SweepPlan, units []unit, rec *UnitRecord) error {
+	if rec.Unit < 0 || rec.Unit >= len(units) {
+		return fmt.Errorf("unit %d is outside the plan's %d units", rec.Unit, len(units))
+	}
+	un := units[rec.Unit]
+	pt := &pl.Points[un.point]
+	if rec.Point != pt.Key || rec.Trial != un.trial {
+		return fmt.Errorf("unit %d is %q trial %d, the plan's unit %d is %q trial %d",
+			rec.Unit, rec.Point, rec.Trial, rec.Unit, pt.Key, un.trial)
+	}
+	if len(rec.Arms) != len(pt.Arms) {
+		return fmt.Errorf("unit %d has %d arm measurements, point %q has %d arms",
+			rec.Unit, len(rec.Arms), pt.Key, len(pt.Arms))
+	}
+	return nil
 }
 
 // unitRecordsEqual reports whether two journal records agree exactly
@@ -419,12 +564,13 @@ func unitRecordsEqual(a, b UnitRecord) bool {
 // for the whole unit space). A directory that does not exist, or holds
 // no manifest yet, is simply empty coverage — not an error — so a
 // coordinator can probe blocks that were never started. A journal that
-// exists but is corrupt, truncated, or belongs to a different run is an
-// error with a diagnostic, exactly as resume validation would report
-// it: coverage must never be counted from records the run could not
-// safely restore. This is the completion check of the distributed
-// coordinator (internal/dist): a lease's block is done if and only if
-// its journal validates and covers the block.
+// exists but is corrupt or belongs to a different run is an error with
+// a diagnostic, exactly as resume validation would report it: coverage
+// must never be counted from records the run could not safely restore.
+// A torn final segment line is not coverage: its unit re-runs. This is
+// the completion check of the distributed coordinator (internal/dist):
+// a lease's block is done if and only if its journal validates and
+// covers the block.
 func ShardCoverage(e Experiment, cfg ExpConfig, dir string, shard Shard) (done, total int, err error) {
 	plan, _, err := e.Plan(cfg)
 	if err != nil {
@@ -436,25 +582,13 @@ func ShardCoverage(e Experiment, cfg ExpConfig, dir string, shard Shard) (done, 
 		return 0, 0, err
 	}
 	total = hi - lo
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	want := plan.manifest(rcfg, &Checkpoint{Name: e.Name, Salt: e.Salt, Scale: cfg.withDefaults().Scale})
+	recs, err := readJournal(dir, plan, rcfg, want)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, total, nil
 	}
 	if err != nil {
 		return 0, total, fmt.Errorf("sim: coverage: %w", err)
-	}
-	got, err := ReadCheckpointManifest(bytes.NewReader(data))
-	if err != nil {
-		return 0, total, fmt.Errorf("sim: coverage %s: %w", dir, err)
-	}
-	d := cfg.withDefaults()
-	want := plan.manifest(rcfg, &Checkpoint{Name: e.Name, Salt: e.Salt, Scale: d.Scale})
-	if err := got.matches(want); err != nil {
-		return 0, total, fmt.Errorf("sim: coverage: journal %s does not match the current run: %w", dir, err)
-	}
-	recs, err := loadUnits(dir, plan, rcfg)
-	if err != nil {
-		return 0, total, err
 	}
 	for u := range recs {
 		if u >= lo && u < hi {
@@ -471,8 +605,8 @@ func ShardCoverage(e Experiment, cfg ExpConfig, dir string, shard Shard) (done, 
 // records must agree, and together the journals must cover every
 // (point, trial) unit. No walks are re-run: measurements come from the
 // journals and the representative graphs of KeepRep points are
-// re-derived from their seeds, so the merged Result — tables and JSON — is byte-identical to a plain
-// unsharded Run at the same configuration.
+// re-derived from their seeds, so the merged Result — tables and JSON —
+// is byte-identical to a plain unsharded Run at the same configuration.
 func MergeShards(ctx context.Context, e Experiment, cfg ExpConfig, dirs []string, opts RunOptions) (*Result, error) {
 	if len(dirs) == 0 {
 		return nil, errors.New("sim: MergeShards: no shard directories")
@@ -486,21 +620,9 @@ func MergeShards(ctx context.Context, e Experiment, cfg ExpConfig, dirs []string
 	want := plan.manifest(rcfg, &Checkpoint{Name: e.Name, Salt: e.Salt, Scale: d.Scale})
 	merged := make(map[int]UnitRecord)
 	for _, dir := range dirs {
-		path := filepath.Join(dir, manifestFile)
-		data, err := os.ReadFile(path)
+		recs, err := readJournal(dir, plan, rcfg, want)
 		if err != nil {
 			return nil, fmt.Errorf("sim: merge: %w", err)
-		}
-		got, err := ReadCheckpointManifest(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("sim: merge %s: %w", path, err)
-		}
-		if err := got.matches(want); err != nil {
-			return nil, fmt.Errorf("sim: merge: shard journal %s does not match the current run: %w", dir, err)
-		}
-		recs, err := loadUnits(dir, plan, rcfg)
-		if err != nil {
-			return nil, err
 		}
 		for u, rec := range recs {
 			if prev, dup := merged[u]; dup && !unitRecordsEqual(prev, rec) {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -202,13 +203,128 @@ func copyJournal(t *testing.T, src string) string {
 	return dst
 }
 
-// Truncated, corrupted or mismatched checkpoint files must be rejected
-// with a diagnostic, never silently resumed.
+// segmentsIn lists the segment files of a checkpoint directory.
+func segmentsIn(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ent := range entries {
+		if isSegment(ent.Name()) {
+			out = append(out, filepath.Join(dir, ent.Name()))
+		}
+	}
+	return out
+}
+
+// segmentRecords decodes one segment file's records in file order.
+func segmentRecords(t *testing.T, path string) []UnitRecord {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []UnitRecord
+	if err := readSegment(data, collectRecords(&recs)); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return recs
+}
+
+// frameRecords encodes records as a segment body.
+func frameRecords(t *testing.T, recs []UnitRecord) []byte {
+	t.Helper()
+	var out []byte
+	for i := range recs {
+		var err error
+		if out, err = appendFrame(out, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// editSegments rewrites every segment of a checkpoint directory with
+// edit applied to its records, framed as the writer frames them.
+func editSegments(t *testing.T, dir string, edit func([]UnitRecord) []UnitRecord) {
+	t.Helper()
+	for _, path := range segmentsIn(t, dir) {
+		if err := os.WriteFile(path, frameRecords(t, edit(segmentRecords(t, path))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dropRecords removes the records of the given units from a checkpoint
+// directory's segments: the partial journal of a run that stopped
+// before journaling them.
+func dropRecords(t *testing.T, dir string, units ...int) {
+	t.Helper()
+	editSegments(t, dir, func(recs []UnitRecord) []UnitRecord {
+		return slices.DeleteFunc(recs, func(rec UnitRecord) bool { return slices.Contains(units, rec.Unit) })
+	})
+}
+
+// journaledUnits counts the distinct units a checkpoint directory's
+// segments hold.
+func journaledUnits(t *testing.T, dir string) int {
+	t.Helper()
+	seen := make(map[int]bool)
+	for _, path := range segmentsIn(t, dir) {
+		for _, rec := range segmentRecords(t, path) {
+			seen[rec.Unit] = true
+		}
+	}
+	return len(seen)
+}
+
+// soleSegment returns the one non-empty segment of a checkpoint
+// directory.
+func soleSegment(t *testing.T, dir string) string {
+	t.Helper()
+	var found []string
+	for _, path := range segmentsIn(t, dir) {
+		if info, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if info.Size() > 0 {
+			found = append(found, path)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%s holds %d non-empty segments, want 1", dir, len(found))
+	}
+	return found[0]
+}
+
+// damageLine rewrites line n (1-based) of a segment file through f.
+func damageLine(t *testing.T, path string, n int, f func(line []byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	lines[n-1] = f(bytes.Clone(lines[n-1]))
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Corrupted or mismatched checkpoint journals must be rejected with a
+// diagnostic naming the file and line, never silently resumed; only a
+// segment's torn final line is tolerated, and its unit re-runs.
 func TestResumeRejectsDamagedOrMismatchedJournals(t *testing.T) {
 	e, cfg, pristine := writeCompleteJournal(t)
+	clean, err := e.Run(context.Background(), cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanJSON, cleanTable := resultBytes(t, clean)
 
 	// The pristine journal itself resumes cleanly.
-	if _, err := e.Run(context.Background(), cfg, RunOptions{Checkpoint: &Checkpoint{Dir: pristine, Resume: true}}); err != nil {
+	if _, err := e.Run(context.Background(), cfg, RunOptions{Checkpoint: &Checkpoint{Dir: copyJournal(t, pristine), Resume: true}}); err != nil {
 		t.Fatalf("pristine journal did not resume: %v", err)
 	}
 	// A fresh (non-resume) run must refuse an existing journal.
@@ -216,24 +332,56 @@ func TestResumeRejectsDamagedOrMismatchedJournals(t *testing.T) {
 		!strings.Contains(err.Error(), "already holds a journal") {
 		t.Fatalf("fresh run over an existing journal: %v", err)
 	}
+	if n := len(segmentRecords(t, soleSegment(t, pristine))); n < 3 {
+		t.Fatalf("journal holds %d records, the damage cases need 3", n)
+	}
 
-	unitFiles := func(dir string) []string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, ent := range entries {
-			if _, ok := unitFileIndex(ent.Name()); ok {
-				out = append(out, ent.Name())
+	// A torn final line — cut short before its newline, or failing its
+	// checksum — was never durable: the resume re-runs its unit and is
+	// byte-identical to a clean run.
+	for _, torn := range []struct {
+		name   string
+		damage func(line []byte) []byte
+	}{
+		{"torn final line", func(line []byte) []byte { return line[:len(line)/2] }},
+		{"bad checksum on the final line", func(line []byte) []byte { line[len(line)-3] ^= 0x20; return line }},
+	} {
+		t.Run(torn.name, func(t *testing.T) {
+			dir := copyJournal(t, pristine)
+			seg := soleSegment(t, dir)
+			n := len(segmentRecords(t, seg))
+			damageLine(t, seg, n, torn.damage)
+			if got := len(segmentRecords(t, seg)); got != n-1 {
+				t.Fatalf("damaged segment reads %d records, want %d", got, n-1)
 			}
-		}
-		return out
-	}
-	if n := len(unitFiles(pristine)); n == 0 {
-		t.Fatal("journal holds no unit files")
+			var ran int
+			res, err := e.Run(context.Background(), cfg, RunOptions{
+				Checkpoint: &Checkpoint{Dir: dir, Resume: true},
+				Progress:   func(done, _ int) { ran = done },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran != 1 {
+				t.Errorf("resume re-ran %d units, want the torn one", ran)
+			}
+			if j, tb := resultBytes(t, res); j != cleanJSON || tb != cleanTable {
+				t.Errorf("resume over a torn final line differs from the clean run:\n--- clean ---\n%s--- resumed ---\n%s", cleanTable, tb)
+			}
+		})
 	}
 
+	// reframe rewrites a line's record through f under a valid frame.
+	reframe := func(f func(*UnitRecord)) func(line []byte) []byte {
+		return func(line []byte) []byte {
+			var recs []UnitRecord
+			if err := readSegment(line, collectRecords(&recs)); err != nil || len(recs) != 1 {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			f(&recs[0])
+			return frameRecords(t, recs)
+		}
+	}
 	cases := []struct {
 		name    string
 		cfg     ExpConfig
@@ -263,7 +411,7 @@ func TestResumeRejectsDamagedOrMismatchedJournals(t *testing.T) {
 			corrupt: func(dir string) {
 				path := filepath.Join(dir, manifestFile)
 				data, _ := os.ReadFile(path)
-				os.WriteFile(path, bytes.Replace(data, []byte(`"version": 1`), []byte(`"version": 99`), 1), 0o644)
+				os.WriteFile(path, bytes.Replace(data, []byte(`"version": 2`), []byte(`"version": 99`), 1), 0o644)
 			},
 			wantErr: "version",
 		},
@@ -280,31 +428,74 @@ func TestResumeRejectsDamagedOrMismatchedJournals(t *testing.T) {
 			wantErr: "trials",
 		},
 		{
-			name: "truncated unit file",
+			name: "record truncated before the last line",
 			corrupt: func(dir string) {
-				name := unitFiles(dir)[0]
-				data, _ := os.ReadFile(filepath.Join(dir, name))
-				os.WriteFile(filepath.Join(dir, name), data[:len(data)/2], 0o644)
+				damageLine(t, soleSegment(t, dir), 1, func(line []byte) []byte {
+					return append(line[:len(line)/2], '\n')
+				})
 			},
-			wantErr: "unit-",
+			wantErr: ".log line 1: frame says",
 		},
 		{
-			name: "unit file renamed to another index",
+			name: "flipped byte before the last line",
 			corrupt: func(dir string) {
-				names := unitFiles(dir)
-				os.Remove(filepath.Join(dir, names[1]))
-				os.Rename(filepath.Join(dir, names[0]), filepath.Join(dir, names[1]))
+				damageLine(t, soleSegment(t, dir), 2, func(line []byte) []byte {
+					line[len(line)/2] ^= 0x01
+					return line
+				})
 			},
-			wantErr: "records unit",
+			wantErr: ".log line 2: checksum mismatch",
 		},
 		{
-			name: "unit file beyond the plan",
+			name: "bad checksum before the last line",
 			corrupt: func(dir string) {
-				rec := UnitRecord{Unit: 999, Point: "nope", Trial: 0}
-				data, _ := json.Marshal(rec)
-				os.WriteFile(filepath.Join(dir, unitFile(999)), data, 0o644)
+				damageLine(t, soleSegment(t, dir), 1, func(line []byte) []byte {
+					copy(line[9:17], "00000000")
+					return line
+				})
+			},
+			wantErr: ".log line 1: checksum mismatch",
+		},
+		{
+			name: "record relabelled to another unit",
+			corrupt: func(dir string) {
+				damageLine(t, soleSegment(t, dir), 1, reframe(func(rec *UnitRecord) { rec.Unit = 1 - min(rec.Unit, 1) }))
+			},
+			wantErr: "the plan's unit",
+		},
+		{
+			name: "record beyond the plan",
+			corrupt: func(dir string) {
+				seg := soleSegment(t, dir)
+				f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				f.Write(frameRecords(t, []UnitRecord{{Unit: 999, Point: "nope", Trial: 0}}))
 			},
 			wantErr: "outside the plan",
+		},
+		{
+			name: "two segments disagree on a unit",
+			corrupt: func(dir string) {
+				recs := segmentRecords(t, soleSegment(t, dir))
+				recs[0].Arms[0].Vertex++
+				other := filepath.Join(dir, segmentPrefix+"other"+segmentSuffix)
+				os.WriteFile(other, frameRecords(t, recs[:1]), 0o644)
+			},
+			wantErr: "segments disagree on unit",
+		},
+		{
+			name: "format version 1 directory",
+			corrupt: func(dir string) {
+				path := filepath.Join(dir, manifestFile)
+				data, _ := os.ReadFile(path)
+				os.WriteFile(path, bytes.Replace(data, []byte(`"version": 2`), []byte(`"version": 1`), 1), 0o644)
+				os.Remove(soleSegment(t, dir))
+				os.WriteFile(filepath.Join(dir, "unit-00000000.json"), []byte(`{"unit":0,"point":"p","trial":0}`+"\n"), 0o644)
+			},
+			wantErr: "format version 1",
 		},
 	}
 	for _, tc := range cases {
@@ -329,7 +520,7 @@ func TestResumeRejectsDamagedOrMismatchedJournals(t *testing.T) {
 // A directory holding unit records but no manifest is the debris of an
 // older journal (e.g. a hand-deleted manifest after a mismatch
 // refusal). Starting a fresh journal over it would let a later resume
-// adopt the stale records — unit files carry no seed of their own — so
+// adopt the stale records — segments carry no seed of their own — so
 // it must be refused, with or without Resume.
 func TestFreshJournalRefusesManifestlessUnitDebris(t *testing.T) {
 	e, cfg, pristine := writeCompleteJournal(t)
@@ -436,9 +627,9 @@ func validManifestBytes(tb testing.TB) []byte {
 func FuzzReadCheckpointManifest(f *testing.F) {
 	valid := validManifestBytes(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                    // truncated
-	f.Add(append(append([]byte{}, valid...), '{')) // trailing garbage
-	f.Add(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 2`), 1))
+	f.Add(valid[:len(valid)/2])                                                    // truncated
+	f.Add(append(append([]byte{}, valid...), '{'))                                 // trailing garbage
+	f.Add(bytes.Replace(valid, []byte(`"version": 2`), []byte(`"version": 1`), 1)) // a version-1 journal
 	f.Add(bytes.Replace(valid, []byte(`"trials": 2`), []byte(`"trials": 0`), 1))
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))
@@ -459,6 +650,72 @@ func FuzzReadCheckpointManifest(f *testing.F) {
 		}
 		if _, err := ReadCheckpointManifest(bytes.NewReader(re)); err != nil {
 			t.Fatalf("re-encoded manifest rejected: %v", err)
+		}
+	})
+}
+
+// collectRecords returns a readSegment visitor appending to *recs.
+func collectRecords(recs *[]UnitRecord) func(*UnitRecord) error {
+	return func(rec *UnitRecord) error {
+		*recs = append(*recs, *rec)
+		return nil
+	}
+}
+
+// FuzzReadJournalSegment: segments are a trust boundary like the
+// manifest. A segment reader that panics, or accepts a damaged line
+// anywhere but at the end, would let a corrupted journal slip into a
+// resume. Every accepted segment must re-frame to bytes that read back
+// to the same records, and every prefix of it — the file a crash
+// mid-write leaves — must read as a prefix of its records.
+func FuzzReadJournalSegment(f *testing.F) {
+	valid, err := appendFrame(nil, &UnitRecord{Unit: 0, Point: "eq3 n=200", Trial: 0, Arms: []Measurement{{Vertex: 412, Edge: 1033}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err = appendFrame(valid, &UnitRecord{Unit: 1, Point: "phases n=200", Trial: 1, Arms: []Measurement{{Vertex: 1, Extra: []float64{0.5, -2}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])             // final newline lost
+	f.Add(valid[:len(valid)/2])             // torn mid-record
+	f.Add(append(bytes.Clone(valid), '\n')) // empty final line
+	flipped := bytes.Clone(valid)
+	flipped[30] ^= 0x01
+	f.Add(flipped) // flipped byte in the first of two lines
+	f.Add([]byte(""))
+	f.Add([]byte("\n\n"))
+	f.Add([]byte("00000002 00000000 {}\n00000002 00000000 {}\n"))
+	f.Add([]byte("00000002 297bd0aa {}\n")) // a valid frame around an empty record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []UnitRecord
+		if readSegment(data, collectRecords(&recs)) != nil {
+			return
+		}
+		same := func(got []UnitRecord, n int) bool {
+			if len(got) != n {
+				return false
+			}
+			for i := range got {
+				if !unitRecordsEqual(got[i], recs[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		var again []UnitRecord
+		if err := readSegment(frameRecords(t, recs), collectRecords(&again)); err != nil || !same(again, len(recs)) {
+			t.Fatalf("re-framed records read back as %v (%v), want %v", again, err, recs)
+		}
+		for _, cut := range []int{len(data) / 3, len(data) / 2, len(data) - 1} {
+			if cut < 0 {
+				continue
+			}
+			var prefix []UnitRecord
+			if err := readSegment(data[:cut], collectRecords(&prefix)); err != nil || len(prefix) > len(recs) || !same(prefix, len(prefix)) {
+				t.Fatalf("%d-byte prefix of an accepted segment read as %v (%v), want a prefix of %v", cut, prefix, err, recs)
+			}
 		}
 	})
 }
@@ -504,39 +761,15 @@ func TestMergeShardsDuplicateAndConflictingUnits(t *testing.T) {
 
 	// Tamper with one duplicated record: the merge must refuse, naming
 	// the unit it caught.
-	var victim string
-	entries, err := os.ReadDir(firstHalf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if _, ok := unitFileIndex(ent.Name()); ok {
-			victim = filepath.Join(firstHalf, ent.Name())
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("overlap journal holds no unit files")
-	}
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rec UnitRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Arms) == 0 {
-		t.Fatalf("unit record %s has no arms to tamper with", victim)
-	}
-	rec.Arms[0].Vertex++
-	tampered, err := json.Marshal(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(victim, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	editSegments(t, firstHalf, func(recs []UnitRecord) []UnitRecord {
+		if len(recs) == 0 || len(recs[0].Arms) == 0 {
+			t.Fatal("overlap journal holds no record with arms to tamper with")
+		}
+		recs[0].Arms[0].Vertex++
+		rec = recs[0]
+		return recs
+	})
 	_, err = MergeShards(context.Background(), e, cfg, []string{full, firstHalf}, RunOptions{})
 	if err == nil {
 		t.Fatal("merge aggregated conflicting duplicate records")

@@ -50,20 +50,28 @@
 // Seeds() walks) makes long runs durable and divisible:
 //
 //   - A Checkpoint in RunOptions journals every completed unit into a
-//     directory as it finishes (atomic write-temp+fsync+rename; one
-//     fsync'd manifest pins master seed, registry name, salt namespace,
-//     scale, trials, RNG kind, step budget and the full point/arm shape
-//     — Workers is deliberately absent, journals are
-//     workers-independent like the tables). One writer goroutine does
-//     the writes, so workers do not wait on fsync, and a run returns
-//     only once every unit it completed is durable. A killed run loses
-//     at most its in-flight and not yet written units. Checkpoint.Resume validates the manifest
-//     against the current plan — truncated, corrupted or mismatched
-//     journals are rejected with a diagnostic, never silently resumed —
-//     restores the completed units, re-derives the trial-0
-//     representative graphs of KeepRep points from their seeds, and
-//     re-feeds only the missing units; a resumed Result is
-//     byte-identical to an uninterrupted one.
+//     directory as it finishes. The directory holds one fsync'd
+//     manifest (master seed, registry name, salt namespace, scale,
+//     trials, RNG kind, step budget and the full point/arm shape —
+//     Workers is deliberately absent, journals are workers-independent
+//     like the tables) and one append-only segment per run that wrote
+//     to it, each line a unit record framed with its length and
+//     CRC-32C. One writer goroutine group-commits the records — every
+//     record queued while it was busy goes out in one write and one
+//     fsync — so workers do not wait on fsync, and a run returns only
+//     once every unit it completed is durable. A killed run loses at
+//     most its in-flight and not yet committed units, and can tear only
+//     its segment's final line; a power loss mid-fsync usually does the
+//     same, but may leave damage before intact lines, which is refused
+//     (the run then starts over in a fresh directory).
+//     Checkpoint.Resume validates the manifest and every record
+//     against the current plan — corrupted or mismatched journals are
+//     rejected with a diagnostic naming the file and line, never
+//     silently resumed; a torn final line's unit
+//     simply re-runs — restores the completed units, re-derives the
+//     trial-0 representative graphs of KeepRep points from their seeds,
+//     and re-feeds only the missing units into a new segment; a resumed
+//     Result is byte-identical to an uninterrupted one.
 //   - PlanShard(i, m) partitions the unit space into m contiguous
 //     blocks (exact cover, no overlap, balanced to within one unit), so
 //     one experiment can span machines below the experiment level.

@@ -177,7 +177,7 @@ func TestManifestEncodingStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"version": 1`, `"name": "eq3"`, `"seed": 7`, `"trials": 1`, `"kind": 1`, `"points"`} {
+	for _, field := range []string{`"version": 2`, `"name": "eq3"`, `"seed": 7`, `"trials": 1`, `"kind": 1`, `"points"`} {
 		if !bytes.Contains(data, []byte(field)) {
 			t.Errorf("manifest missing %s:\n%s", field, data)
 		}

@@ -374,12 +374,13 @@ type RunOptions struct {
 	// an uncancelled run.
 	Progress func(done, total int)
 	// Checkpoint, when non-nil, journals every completed (point, trial)
-	// unit into Checkpoint.Dir as it finishes (write-temp+fsync+rename,
-	// on one writer goroutine, so a kill can lose at most the in-flight
-	// and not yet written units; the run returns only once every
-	// completed unit is durable) and, when
-	// Checkpoint.Resume is set, restores the completed units of an
-	// existing journal instead of re-running them. See Checkpoint.
+	// unit into this run's own segment in Checkpoint.Dir as it finishes
+	// (one writer goroutine appends each batch of queued records with
+	// one write and one fsync, so a kill can lose at most the in-flight
+	// and not yet committed units; the run returns only once every
+	// completed unit is durable) and, when Checkpoint.Resume is set,
+	// restores the completed units of an existing journal instead of
+	// re-running them. See Checkpoint.
 	Checkpoint *Checkpoint
 }
 
@@ -470,13 +471,11 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 		}
 	}
 	full := lo == 0 && hi == len(units)
-	var jl *journal
 	if opts.Checkpoint != nil {
-		fromDisk, j, err := openCheckpoint(pl, cfg, opts.Checkpoint)
+		fromDisk, err := openCheckpoint(pl, cfg, opts.Checkpoint)
 		if err != nil {
 			return nil, err
 		}
-		jl = j
 		if restored == nil {
 			restored = fromDisk
 		}
@@ -519,15 +518,24 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			}
 		}
 	}
-	// Completed units go to one journal-writer goroutine; the run
+	// Completed units go to one journal-writer goroutine, which
+	// group-commits them into a segment of this run's own; the run
 	// returns only once every record it was handed is durable, and a
-	// failed write cancels the units not yet started.
+	// failed commit cancels the units not yet started. A run with no
+	// unit to execute creates no segment.
 	var jw *journalWriter
-	if jl != nil {
+	if opts.Checkpoint != nil && executed > 0 {
+		seg, err := createSegment(opts.Checkpoint.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("sim: checkpoint: %w", err)
+		}
+		// Every commit was fsync'd, so closing loses nothing; it runs
+		// after the writer has drained.
+		defer seg.Close()
 		var stop context.CancelFunc
 		ctx, stop = context.WithCancel(ctx)
 		defer stop()
-		jw = startJournalWriter(len(work), jl.writeUnit, stop)
+		jw = startJournalWriter(executed, func(frames []byte) error { return commitFrames(seg, frames) }, stop)
 	}
 	err := runUnits(ctx, cfg.Workers, len(work), onDone, func(w int, sc *walk.CoverScratch) error {
 		it := work[w]

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -299,11 +297,7 @@ func TestRepKeptAndRegeneratedOnlyWhereDeclared(t *testing.T) {
 
 	// Partial restore: re-run (keep, 1) and (drop, 0); (keep, 0) stays
 	// restored, so keep's Rep is regenerated alongside.
-	for _, u := range []int{1, 3} {
-		if err := os.Remove(filepath.Join(dir, unitFile(u))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dropRecords(t, dir, 1, 3)
 	progress = nil
 	partial, err := e.Run(context.Background(), cfg, resume)
 	if err != nil {
