@@ -159,8 +159,10 @@ type namedBench struct {
 	fn   func(b *testing.B)
 }
 
-// stepBenches is the frozen hot-path list every BENCH_N report carries.
-// Order matters to -compare's interleaving: one round samples each
+// stepBenches is the hot-path list every BENCH_N report carries. It
+// only grows at the end, so SimpleStep stays the control and entries
+// newer than a baseline print "not in baseline" under -compare. Order
+// matters to -compare's interleaving: one round samples each
 // entry once, in order, so consecutive samples of the same benchmark
 // are separated by the whole list and slow host drift is spread across
 // all of them instead of biasing whichever ran last.
@@ -207,6 +209,27 @@ func stepBenches(stepGraph, coverGraph *graph.Graph) []namedBench {
 			for i := 0; i < b.N; i++ {
 				e.Reset(0)
 				if _, err := sc.VertexCoverSteps(e, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"SRWFullVertexCover", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := walk.NewSimple(coverGraph, rng.NewXoshiro256(uint64(i)), 0)
+				if _, err := walk.VertexCoverSteps(w, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"ChoiceFullCover", func(b *testing.B) {
+			c := walk.NewChoice(coverGraph, rng.NewXoshiro256(13), 2, 0)
+			var sc walk.CoverScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Reset(0)
+				if _, err := sc.Cover(c, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -122,3 +122,38 @@ func TestCoverLoopZeroAllocs(t *testing.T) {
 		t.Errorf("Reset+Cover trial loop allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// The choice loop's trial is allocation-free too: Reset plus either
+// cover driver with reused scratch, for RWC(2) and the simple walk,
+// which both run through coverChoice with its draws held in locals.
+func TestChoiceCoverLoopZeroAllocs(t *testing.T) {
+	g := mustRegular(t, newRand(17), 200, 4)
+	for name, p := range map[string]Process{
+		"rwc2":   NewChoice(g, rng.NewXoshiro256(18), 2, 0),
+		"simple": NewSimple(g, rng.NewXoshiro256(19), 0),
+	} {
+		var sc CoverScratch
+		p.Reset(0)
+		if _, err := sc.Cover(p, 0); err != nil { // warm scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			p.Reset(0)
+			if _, err := sc.Cover(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Reset+Cover allocates %.1f objects, want 0", name, allocs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			p.Reset(0)
+			if _, err := sc.VertexCoverSteps(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Reset+VertexCoverSteps allocates %.1f objects, want 0", name, allocs)
+		}
+	}
+}

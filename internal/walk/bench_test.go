@@ -152,3 +152,20 @@ func BenchmarkSRWFullVertexCover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChoiceCover measures an RWC(2) cover trial as the compare
+// experiment runs it: Reset plus a full vertex-and-edge Cover with
+// reused scratch, which every *Choice runs through coverChoice.
+func BenchmarkChoiceCover(b *testing.B) {
+	g := mustRegular(b, newRand(12), 5000, 4)
+	c := NewChoice(g, rng.NewXoshiro256(13), 2, 0)
+	var sc CoverScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reset(0)
+		if _, err := sc.Cover(c, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

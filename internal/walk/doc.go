@@ -24,7 +24,7 @@
 //
 // All processes implement Process: one edge transition per Step call,
 // reporting the edge traversed, so that the generic drivers
-// (VertexCoverSteps, EdgeCoverSteps, CoverTimes) can measure vertex and
+// (VertexCoverSteps, EdgeCoverSteps, Cover) can measure vertex and
 // edge cover times for any of them without knowing their internals.
 //
 // # Memory discipline
@@ -70,8 +70,20 @@
 // edges with a bare counter (a blue step always covers a new edge, a
 // red step never does) and probes no seen-edge set. It takes the same
 // steps per-Step driving takes and leaves the process in the same
-// state; golden_test.go and fused_test.go pin that. Every other process
-// is driven one Step at a time.
+// state; golden_test.go and fused_test.go pin that.
+//
+// The same two drivers run every *Choice, and every non-lazy *Simple as
+// RWC(1), whose source is an xoshiro256** (bare or inside an
+// *rng.Rand) through a second fused loop, coverChoice: the same hoisted
+// draws in Choice.Step's order (d samples over the CSR block, a
+// reservoir draw only on a tie with the best visit count so far) and
+// the same visit-count updates, leaving Current, Visits and the
+// generator as per-Step driving does. fused_test.go pins it against
+// per-Step driving. Every other process (a Simple or Choice on any
+// other source, a lazy Simple, Rotor, the locally fair walks, Weighted,
+// Biased, VProcess, a non-fusable EProcess) is driven one Step at a
+// time, and so is every process under EdgeCoverSteps and
+// VertexCoverCensored.
 //
 // # Randomness
 //

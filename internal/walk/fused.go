@@ -11,7 +11,7 @@ import (
 // fusable reports whether the cover drivers may run e through
 // coverFused: a fresh (no step taken since construction or Reset),
 // static-graph, Uniform-rule process that is not recording phases.
-// Every other process is driven one Step at a time.
+// Every other E-process is driven one Step at a time.
 func (e *EProcess) fusable() bool {
 	return e.fastUniform && e.ov == nil && !e.recordPhases && e.stats.Total() == 0
 }
@@ -51,15 +51,7 @@ func (sc *CoverScratch) coverFused(e *EProcess, maxSteps int64, edges bool) (ct 
 	}
 
 	r := e.ri
-	var st *[4]uint64
-	switch s := r.(type) {
-	case *rng.Xoshiro256:
-		st = s.State()
-	case *rng.Rand:
-		if x, ok := s.Source().(*rng.Xoshiro256); ok {
-			st = x.State()
-		}
-	}
+	st := xoshiroState(r)
 	var s0, s1, s2, s3 uint64
 	if st != nil {
 		s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
@@ -217,6 +209,195 @@ func (sc *CoverScratch) coverFused(e *EProcess, maxSteps int64, edges bool) (ct 
 		}
 	}
 	return ct, steps, leftV, leftE
+}
+
+// coverFusedAny runs p through the fused loop that fits it and reports
+// whether one did: a fusable *EProcess takes coverFused, and every
+// *Choice and every non-lazy *Simple (RWC(1): the same single draw over
+// its CSR block, with no visit counts) whose source is an xoshiro256**
+// takes coverChoice. Every other process is left to per-Step driving.
+func (sc *CoverScratch) coverFusedAny(p Process, maxSteps int64, edges bool) (ct CoverTimes, steps int64, leftV, leftE int, ok bool) {
+	switch w := p.(type) {
+	case *EProcess:
+		if w.fusable() {
+			ct, steps, leftV, leftE = sc.coverFused(w, maxSteps, edges)
+			return ct, steps, leftV, leftE, true
+		}
+	case *Choice:
+		if st := xoshiroState(w.ri); st != nil {
+			ct, steps, leftV, leftE = sc.coverChoice(w.g, st, w.halves, w.off, w.visits, w.d, &w.cur, maxSteps, edges)
+			return ct, steps, leftV, leftE, true
+		}
+	case *Simple:
+		if st := xoshiroState(w.ri); st != nil && !w.lazy {
+			ct, steps, leftV, leftE = sc.coverChoice(w.g, st, w.halves, w.off, nil, 1, &w.cur, maxSteps, edges)
+			return ct, steps, leftV, leftE, true
+		}
+	}
+	return ct, steps, leftV, leftE, false
+}
+
+// coverChoice runs an RWC(d) walk toward cover in one loop, taking
+// exactly the steps per-Step driving takes: Choice.Step's d draws of
+// Intn(deg) over the current CSR block, a reservoir draw Intn(ties)
+// only when a sampled vertex's visit count equals the best so far, and
+// the same visit-count updates. visits is nil for the simple walk
+// (d = 1), which keeps none. The first sample is drawn ahead of the
+// d > 1 branch, so the simple walk's step runs none of the choice code.
+// The xoshiro256** words st points at live in locals, with the update
+// and Lemire's reduction written out at each of the three draw sites,
+// as in coverFused.
+//
+// The run stops when every vertex (and, when edges is set, every edge)
+// is covered, or after maxSteps steps. On return *cur, visits and the
+// generator hold what per-Step driving leaves.
+func (sc *CoverScratch) coverChoice(g *graph.Graph, st *[4]uint64, halves []graph.Half, off []int32, visits []int64, d int, cur *int, maxSteps int64, edges bool) (ct CoverTimes, steps int64, leftV, leftE int) {
+	v := *cur
+	seenV := sc.vertexSeen(g.N())
+	seenV.Set(v)
+	leftV = g.N() - 1
+	seenE := &sc.seenE
+	if edges {
+		leftE = g.M()
+		seenE = sc.edgeSeen(leftE)
+	}
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	trace := sc.trace
+	for leftV|leftE != 0 && steps < maxSteps {
+		lo := off[v]
+		deg := off[v+1] - lo
+		if deg <= 0 {
+			// Isolated vertex: per-Step driving's Intn(0) panics.
+			panic("rng: Intn with non-positive bound")
+		}
+		un := uint64(deg)
+		res := mbits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = mbits.RotateLeft64(s3, 45)
+		hi64, lo64 := mbits.Mul64(res, un)
+		if lo64 < un {
+			thresh := -un % un
+			for lo64 < thresh {
+				res = mbits.RotateLeft64(s1*5, 7) * 9
+				t = s1 << 17
+				s2 ^= s0
+				s3 ^= s1
+				s1 ^= s2
+				s0 ^= s3
+				s2 ^= t
+				s3 = mbits.RotateLeft64(s3, 45)
+				hi64, lo64 = mbits.Mul64(res, un)
+			}
+		}
+		best := halves[lo+int32(hi64)]
+		if d > 1 {
+			bestVisits := visits[best.To]
+			ties := 1
+			for i := 1; i < d; i++ {
+				un := uint64(deg)
+				res := mbits.RotateLeft64(s1*5, 7) * 9
+				t := s1 << 17
+				s2 ^= s0
+				s3 ^= s1
+				s1 ^= s2
+				s0 ^= s3
+				s2 ^= t
+				s3 = mbits.RotateLeft64(s3, 45)
+				hi64, lo64 := mbits.Mul64(res, un)
+				if lo64 < un {
+					thresh := -un % un
+					for lo64 < thresh {
+						res = mbits.RotateLeft64(s1*5, 7) * 9
+						t = s1 << 17
+						s2 ^= s0
+						s3 ^= s1
+						s1 ^= s2
+						s0 ^= s3
+						s2 ^= t
+						s3 = mbits.RotateLeft64(s3, 45)
+						hi64, lo64 = mbits.Mul64(res, un)
+					}
+				}
+				h := halves[lo+int32(hi64)]
+				switch vc := visits[h.To]; {
+				case vc < bestVisits:
+					best, bestVisits, ties = h, vc, 1
+				case vc == bestVisits:
+					ties++
+					un := uint64(ties)
+					res := mbits.RotateLeft64(s1*5, 7) * 9
+					t := s1 << 17
+					s2 ^= s0
+					s3 ^= s1
+					s1 ^= s2
+					s0 ^= s3
+					s2 ^= t
+					s3 = mbits.RotateLeft64(s3, 45)
+					hi64, lo64 := mbits.Mul64(res, un)
+					if lo64 < un {
+						thresh := -un % un
+						for lo64 < thresh {
+							res = mbits.RotateLeft64(s1*5, 7) * 9
+							t = s1 << 17
+							s2 ^= s0
+							s3 ^= s1
+							s1 ^= s2
+							s0 ^= s3
+							s2 ^= t
+							s3 = mbits.RotateLeft64(s3, 45)
+							hi64, lo64 = mbits.Mul64(res, un)
+						}
+					}
+					if hi64 == 0 {
+						best = h
+					}
+				}
+			}
+		}
+		v = int(best.To)
+		if visits != nil {
+			visits[v]++
+		}
+		steps++
+		if trace != nil {
+			trace(int(best.ID), v)
+		}
+		if leftV > 0 && !seenV.Test(v) {
+			seenV.Set(v)
+			if leftV--; leftV == 0 {
+				ct.Vertex = steps
+			}
+		}
+		if leftE > 0 && !seenE.Test(int(best.ID)) {
+			seenE.Set(int(best.ID))
+			if leftE--; leftE == 0 {
+				ct.Edge = steps
+			}
+		}
+	}
+	st[0], st[1], st[2], st[3] = s0, s1, s2, s3
+	*cur = v
+	return ct, steps, leftV, leftE
+}
+
+// xoshiroState returns the state words of r's generator when it is an
+// xoshiro256** (bare or inside an *rng.Rand), for the fused loops to
+// hoist into locals, and nil for any other source.
+func xoshiroState(r Intner) *[4]uint64 {
+	switch s := r.(type) {
+	case *rng.Xoshiro256:
+		return s.State()
+	case *rng.Rand:
+		if x, ok := s.Source().(*rng.Xoshiro256); ok {
+			return x.State()
+		}
+	}
+	return nil
 }
 
 // budgetError is the cover drivers' censoring error for a run stopped

@@ -181,25 +181,39 @@ func TestFusedCoverMatchesStepDriving(t *testing.T) {
 	}
 }
 
-// TestFusedCoverOnlyForFreshUniform: a process that has already stepped,
-// records phases or follows another rule is driven per Step, so its
-// cover drivers' results are the per-Step ones (the trace hook, which
-// only the fused loop calls, stays silent).
+// TestFusedCoverOnlyForFreshUniform: an E-process that has already
+// stepped, records phases or follows another rule, a lazy simple walk,
+// and a simple walk or RWC(d) on a source that is not an xoshiro256**,
+// are driven per Step, so their cover drivers' results are the per-Step
+// ones (the trace hook, which only the fused loops call, stays silent).
 func TestFusedCoverOnlyForFreshUniform(t *testing.T) {
 	g := mustRegular(t, newRand(8), 60, 4)
 	stepped := NewEProcess(g, rng.NewXoshiro256(1), nil, 0)
 	stepped.Step()
 	phases := NewEProcess(g, rng.NewXoshiro256(1), nil, 0)
 	phases.RecordPhases(true)
-	for name, e := range map[string]*EProcess{
+	procs := map[string]Process{
 		"stepped":      stepped,
 		"phases":       phases,
 		"round-robin":  NewEProcess(g, rng.NewXoshiro256(1), &RoundRobin{}, 0),
 		"generic-rule": NewEProcess(g, rng.NewXoshiro256(1), uniformViaInterface{}, 0),
-	} {
+		"lazy-simple":  NewLazy(g, rng.NewXoshiro256(1), 0),
+	}
+	for _, src := range fusedSources {
+		if xoshiroState(src.make(1)) != nil {
+			continue
+		}
+		for _, proc := range choiceTwins {
+			procs[src.name+"/"+proc.name] = proc.make(g, src.make(1), 0)
+		}
+	}
+	for name, e := range procs {
 		var sc CoverScratch
 		sc.trace = func(int, int) { t.Fatalf("%s: took the fused loop", name) }
 		if _, err := sc.Cover(e, 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := sc.VertexCoverSteps(e, 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -391,5 +405,136 @@ func TestFusedCoverTrivialGraph(t *testing.T) {
 			t.Errorf("trivial walk (edges=%v): %+v, want zero steps and nil error", edges, out)
 		}
 		coverBoth(t, fmt.Sprintf("after-trivial/edges=%v", edges), &sc, normal, 2, 0, 0, edges)
+	}
+}
+
+// choiceTwins are the processes coverChoice runs, each built twice on
+// twin generators: the non-lazy simple walk (RWC(1) without visit
+// counts) and RWC(d) for d = 1, 2 and 3.
+var choiceTwins = []struct {
+	name string
+	make func(g *graph.Graph, r Intner, start int) Process
+}{
+	{"simple", func(g *graph.Graph, r Intner, s int) Process { return NewSimple(g, r, s) }},
+	{"rwc1", func(g *graph.Graph, r Intner, s int) Process { return NewChoice(g, r, 1, s) }},
+	{"rwc2", func(g *graph.Graph, r Intner, s int) Process { return NewChoice(g, r, 2, s) }},
+	{"rwc3", func(g *graph.Graph, r Intner, s int) Process { return NewChoice(g, r, 3, s) }},
+}
+
+// TestChoiceCoverMatchesStepDriving pits coverChoice against per-Step
+// driving of an identically seeded twin behind recorder, which the
+// drivers cannot fuse. Over every shape, source, process, driver and
+// budget (default, and budgets that censor) the cover times, step
+// counts, error texts and trajectories must be identical, and so must
+// Current and every visit count afterwards. One CoverScratch serves
+// every fused run, and each process runs twice with a Reset in between;
+// after each run both twins take further Steps, which must agree too
+// (the loop wrote its generator state back). Only the xoshiro256**
+// sources reach the loop; TestFusedCoverOnlyForFreshUniform pins that
+// the others do not.
+func TestChoiceCoverMatchesStepDriving(t *testing.T) {
+	var sc CoverScratch
+	for gi, g := range fusedShapes(t) {
+		for _, src := range fusedSources {
+			if xoshiroState(src.make(0)) == nil {
+				continue
+			}
+			for _, proc := range choiceTwins {
+				for _, edges := range []bool{true, false} {
+					for _, budget := range []int64{0, 1, int64(g.M() / 2), int64(g.N() + g.M())} {
+						seed := uint64(1000*gi) + uint64(budget)
+						start := int(seed) % g.N()
+						fused := proc.make(g, src.make(seed), start)
+						stepped := proc.make(g, src.make(seed), start)
+						ref := &recorder{Process: stepped}
+						for run := 0; run < 2; run++ {
+							name := fmt.Sprintf("graph%d/%s/%s/edges=%v/budget=%d/run%d", gi, src.name, proc.name, edges, budget, run)
+							var traj []step
+							sc.trace = func(e, v int) { traj = append(traj, step{e, v}) }
+							ref.log = ref.log[:0]
+							var refSC CoverScratch
+							var got, want any
+							var gotErr, wantErr error
+							if edges {
+								got, gotErr = sc.Cover(fused, budget)
+								want, wantErr = refSC.Cover(ref, budget)
+							} else {
+								got, gotErr = sc.VertexCoverSteps(fused, budget)
+								want, wantErr = refSC.VertexCoverSteps(ref, budget)
+							}
+							sc.trace = nil
+							if got != want {
+								t.Fatalf("%s: fused %+v, per-Step %+v", name, got, want)
+							}
+							if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+								t.Fatalf("%s: fused error %v, per-Step error %v", name, gotErr, wantErr)
+							}
+							if !slices.Equal(traj, ref.log) {
+								t.Fatalf("%s: fused trajectory (%d steps) differs from per-Step (%d steps)", name, len(traj), len(ref.log))
+							}
+							checkSameVisits(t, name, fused, stepped)
+							if g.M() > 0 {
+								for i := 0; i < 20; i++ {
+									a1, b1 := fused.Step()
+									a2, b2 := stepped.Step()
+									if a1 != a2 || b1 != b2 {
+										t.Fatalf("%s: step %d after the run: fused (%d,%d), per-Step (%d,%d)", name, i, a1, b1, a2, b2)
+									}
+								}
+								checkSameVisits(t, name+"/after", fused, stepped)
+							}
+							fused.Reset(start)
+							stepped.Reset(start)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSameVisits compares Current and, for a *Choice, every visit
+// count of the two twins.
+func checkSameVisits(t *testing.T, name string, got, want Process) {
+	t.Helper()
+	if got.Current() != want.Current() {
+		t.Fatalf("%s: fused left the walk at %d, per-Step at %d", name, got.Current(), want.Current())
+	}
+	c, ok := got.(*Choice)
+	if !ok {
+		return
+	}
+	for v := 0; v < c.g.N(); v++ {
+		if a, b := c.Visits(v), want.(*Choice).Visits(v); a != b {
+			t.Fatalf("%s: Visits(%d) = %d, per-Step %d", name, v, a, b)
+		}
+	}
+}
+
+// TestChoiceCoverIsolatedPanics: a walk on an isolated vertex panics
+// under either cover driver with the value its own Step panics with,
+// for every source kind (the xoshiro256** ones in coverChoice).
+func TestChoiceCoverIsolatedPanics(t *testing.T) {
+	g := graph.New(2)
+	catch := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for _, src := range fusedSources {
+		for _, proc := range choiceTwins {
+			name := src.name + "/" + proc.name
+			want := catch(func() { proc.make(g, src.make(1), 0).Step() })
+			if want == nil {
+				t.Fatalf("%s: Step on an isolated vertex did not panic", name)
+			}
+			var sc CoverScratch
+			if got := catch(func() { sc.Cover(proc.make(g, src.make(1), 0), 0) }); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: Cover panicked with %v, Step with %v", name, got, want)
+			}
+			if got := catch(func() { sc.VertexCoverSteps(proc.make(g, src.make(1), 0), 0) }); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: VertexCoverSteps panicked with %v, Step with %v", name, got, want)
+			}
+		}
 	}
 }

@@ -68,8 +68,8 @@ func (sc *CoverScratch) edgeSeen(m int) *bits.Set {
 // VertexCoverSteps runs p until every vertex of its graph has been
 // visited (the start vertex counts as visited at step 0) and returns
 // the number of steps taken. maxSteps caps the run; maxSteps <= 0 means
-// a default of 10000·n·ceil(log2 n) steps, far beyond any process here
-// on connected graphs.
+// a default of 10000·n·(floor(log2 n)+1) steps (11 for n = 1024), far
+// beyond any process here on connected graphs.
 func VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 	sc := scratchPool.Get().(*CoverScratch)
 	defer scratchPool.Put(sc)
@@ -78,15 +78,16 @@ func VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 
 // VertexCoverSteps is the scratch-reusing form of the package-level
 // function. A fresh static Uniform-rule *EProcess runs through the fused
-// cover loop (coverFused); every other process is driven by Step.
+// cover loop coverFused, and every *Choice and non-lazy *Simple on an
+// xoshiro256** source through coverChoice; every other process is
+// driven by Step.
 func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 	g := p.Graph()
 	n := g.N()
 	if maxSteps <= 0 {
 		maxSteps = defaultBudget(n)
 	}
-	if e, ok := p.(*EProcess); ok && e.fusable() {
-		_, steps, leftV, _ := sc.coverFused(e, maxSteps, false)
+	if _, steps, leftV, _, ok := sc.coverFusedAny(p, maxSteps, false); ok {
 		if leftV > 0 {
 			return steps, budgetError(false, leftV, 0, steps)
 		}
@@ -112,6 +113,8 @@ func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, erro
 
 // EdgeCoverSteps runs p until every edge of its graph has been
 // traversed at least once and returns the number of steps taken.
+// maxSteps <= 0 means the default budget over n+m: 10000·(n+m)·
+// (floor(log2(n+m))+1) steps.
 func EdgeCoverSteps(p Process, maxSteps int64) (int64, error) {
 	sc := scratchPool.Get().(*CoverScratch)
 	defer scratchPool.Put(sc)
@@ -151,7 +154,9 @@ type CoverTimes struct {
 	Edge   int64 // steps to traverse all edges
 }
 
-// Cover runs p until both vertices and edges are covered.
+// Cover runs p until both vertices and edges are covered. maxSteps
+// caps the run; maxSteps <= 0 means the default budget over n+m, as
+// for EdgeCoverSteps.
 func Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	sc := scratchPool.Get().(*CoverScratch)
 	defer scratchPool.Put(sc)
@@ -160,15 +165,15 @@ func Cover(p Process, maxSteps int64) (CoverTimes, error) {
 
 // Cover is the scratch-reusing form of the package-level function. A
 // fresh static Uniform-rule *EProcess runs through the fused cover loop
-// (coverFused); every other process is driven by Step.
+// coverFused, and every *Choice and non-lazy *Simple on an xoshiro256**
+// source through coverChoice; every other process is driven by Step.
 func (sc *CoverScratch) Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	g := p.Graph()
 	n, m := g.N(), g.M()
 	if maxSteps <= 0 {
 		maxSteps = defaultBudget(n + m)
 	}
-	if e, ok := p.(*EProcess); ok && e.fusable() {
-		ct, steps, leftV, leftE := sc.coverFused(e, maxSteps, true)
+	if ct, steps, leftV, leftE, ok := sc.coverFusedAny(p, maxSteps, true); ok {
 		if leftV|leftE != 0 {
 			return ct, budgetError(true, leftV, leftE, steps)
 		}
@@ -268,6 +273,9 @@ func HitSteps(p Process, target int, maxSteps int64) (int64, error) {
 	}
 }
 
+// defaultBudget is the cover drivers' step budget for maxSteps <= 0:
+// 10000·size·(floor(log2 size)+1), where size is n for vertex cover and
+// hitting and n+m when edges are covered too.
 func defaultBudget(size int) int64 {
 	b := int64(size) * 10000
 	log := 1

@@ -18,7 +18,6 @@ type Simple struct {
 	halves []graph.Half // graph CSR adjacency, rebound at each Reset
 	off    []int32
 	cur    int
-	start  int
 	// Laziness: stay put with probability 1/2 (the paper's lazy walk,
 	// Section 2.1). Lazy stays are reported with edge ID −1 since no
 	// edge is traversed.
@@ -64,7 +63,6 @@ func (s *Simple) Step() (int, int) {
 // arrays, so a walk Reset after a graph mutation sees the new edges.
 func (s *Simple) Reset(start int) {
 	s.cur = start
-	s.start = start
 	s.halves = s.g.Halves()
 	s.off = s.g.Offsets()
 }
