@@ -79,7 +79,8 @@ type Half struct {
 // freeze/thaw transitions are unsynchronized writes — and note that
 // walk constructors and the Halves/Offsets accessors freeze lazily.
 // Call Freeze once before sharing a graph across goroutines (the sim
-// harness builds one graph per trial, so it never shares).
+// harness freezes each graph before any arm sees it, including the one
+// instance of a deterministic family that every trial of a run reads).
 type Graph struct {
 	edges []Edge
 	n     int

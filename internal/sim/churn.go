@@ -30,6 +30,10 @@ type ChurnSchedule struct {
 	Freeze bool
 }
 
+// removesOnly reports whether the schedule can only remove edges: it
+// freezes failures, or it never repairs.
+func (c ChurnSchedule) removesOnly() bool { return c.Freeze || c.Repair == 0 }
+
 // Step applies one step of churn to o using r. The coin draws happen
 // unconditionally in a fixed order (fail coin, then repair coin unless
 // frozen), so the generator stream consumed per step has a fixed shape

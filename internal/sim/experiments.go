@@ -368,15 +368,15 @@ func theorem3Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]EdgeCoverRo
 	k := int(math.Sqrt(float64(n)))
 	families := []family{
 		// Girth 3: tightest circulant.
-		{"circulant(n;1,2)", func(r *rand.Rand) (*graph.Graph, error) { return gen.Circulant(n, []int{1, 2}) }},
+		{"circulant(n;1,2)", buildOnce(func() (*graph.Graph, error) { return gen.Circulant(n, []int{1, 2}) })},
 		// Girth 4: spreading the second offset to √n removes triangles
 		// (any two offsets still close a 4-cycle via +1,+k,−1,−k) and
 		// improves the gap over C_n(1,2).
-		{fmt.Sprintf("circulant(n;1,%d)", k), func(r *rand.Rand) (*graph.Graph, error) { return gen.Circulant(n, []int{1, k}) }},
+		{fmt.Sprintf("circulant(n;1,%d)", k), buildOnce(func() (*graph.Graph, error) { return gen.Circulant(n, []int{1, k}) })},
 		{"random-4-regular", regularPointGraph(n, 4)},
 		// The paper's citation [11]: an actual Ramanujan graph —
 		// 6-regular, girth ≥ 2·log_5 q, optimal spectral gap.
-		{"lps(5,13)", func(r *rand.Rand) (*graph.Graph, error) { return gen.LPS(5, 13) }},
+		{"lps(5,13)", buildOnce(func() (*graph.Graph, error) { return gen.LPS(5, 13) })},
 	}
 	plan := &SweepPlan{Config: cfg.config()}
 	for i, fam := range families {

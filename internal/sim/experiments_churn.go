@@ -47,12 +47,15 @@ func init() {
 // budget when censored) and Extra[0] the vertices left unvisited. The
 // overlay is private to the trial — the shared graph is never mutated —
 // and every churn draw interleaves on the arm's own generator, so the
-// trajectory is a pure function of the derived seed.
+// trajectory is a pure function of the derived seed. A schedule that
+// never restores an edge lets the driver end a run once its outcome is
+// settled; the arm's generator and overlay are discarded with the run,
+// so the churn draws it skips change no measurement.
 func churnArm(name string, sched ChurnSchedule) Arm {
 	return Arm{Name: name, Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {
 		ov := graph.NewOverlay(g)
 		e := walk.NewEProcessOn(ov, r, nil, 0)
-		out := sc.VertexCoverCensored(e, maxSteps, func() { sched.Step(ov, r) })
+		out := sc.VertexCoverCensored(e, maxSteps, func() { sched.Step(ov, r) }, sched.removesOnly())
 		return Measurement{Vertex: float64(out.Steps), Extra: []float64{float64(out.Uncovered)}}, nil
 	}}
 }

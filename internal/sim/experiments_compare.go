@@ -44,7 +44,7 @@ func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeR
 		plan.Points = append(plan.Points, PointSpec{
 			Key:   fmt.Sprintf("hcube r=%d", r),
 			Salt:  Salt(saltHCUBE, uint64(r)),
-			Graph: func(*rand.Rand) (*graph.Graph, error) { return gen.Hypercube(r) },
+			Graph: buildOnce(func() (*graph.Graph, error) { return gen.Hypercube(r) }),
 			Arms:  []Arm{eprocessArm("eprocess"), srwArm},
 		})
 	}
@@ -374,7 +374,7 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 		build GraphFactory
 	}
 	families := []fam{
-		{"torus", side * side, func(r *rand.Rand) (*graph.Graph, error) { return gen.Torus(side, side) }},
+		{"torus", side * side, buildOnce(func() (*graph.Graph, error) { return gen.Torus(side, side) })},
 		{"rgg", nRGG, func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomGeometricConnected(r, nRGG, 0) }},
 		{"random-4-regular", nReg, regularPointGraph(nReg, 4)},
 	}

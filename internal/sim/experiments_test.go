@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -351,6 +352,37 @@ func TestExpDegreeSequence(t *testing.T) {
 	}
 	if growth.Verdict == "" {
 		t.Error("no growth verdict")
+	}
+	renderOK(t, tb)
+}
+
+// SCALECOVER: one row per planned n, with n and m those of the plan's
+// 4-regular points and positive normalised cover times (vertex cover
+// never later than edge cover).
+func TestExpScaleCover(t *testing.T) {
+	cfg := expCfg()
+	rows, tb := runRows[[]ScaleCoverRow](t, "scalecover", cfg)
+	e, _ := Lookup("scalecover")
+	plan, _, err := e.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(plan.Points) {
+		t.Fatalf("rows = %d, plan has %d points", len(rows), len(plan.Points))
+	}
+	for i, r := range rows {
+		if key := fmt.Sprintf("scalecover n=%d", r.N); key != plan.Points[i].Key {
+			t.Errorf("row %d: n=%d, plan point %q", i, r.N, plan.Points[i].Key)
+		}
+		if r.M != 2*r.N {
+			t.Errorf("n=%d: m=%d, want 2n for 4-regular", r.N, r.M)
+		}
+		if r.PerN <= 0 || r.PerM <= 0 || r.VertexCover > r.EdgeCover {
+			t.Errorf("n=%d: implausible cover times %+v", r.N, r)
+		}
+		if r.HotKiB <= 0 || r.Shrink <= 1 {
+			t.Errorf("n=%d: implausible footprint %+v", r.N, r)
+		}
 	}
 	renderOK(t, tb)
 }

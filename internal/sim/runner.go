@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -13,8 +14,32 @@ import (
 
 // GraphFactory builds a graph instance for one trial from the trial's
 // private generator. It receives the plain math/rand view so generator
-// determinism is independent of the walk layer's fast RNG path.
+// determinism is independent of the walk layer's fast RNG path. A
+// factory for a family that reads no randomness may hand every trial
+// the same frozen instance (see buildOnce); arms treat it as read-only,
+// as they already must within a unit.
 type GraphFactory func(r *rand.Rand) (*graph.Graph, error)
+
+// buildOnce returns the GraphFactory of a deterministic family, one
+// whose instance reads no randomness (a torus, a hypercube, a
+// circulant, an LPS graph): the first call builds and freezes the
+// graph, and every call, from any unit and any worker, returns that one
+// instance or its build error. Every trial would rebuild exactly this
+// graph, so sharing it changes no byte. Plans call buildOnce inside
+// Plan, so each plan, and each run of it, owns its own instance.
+func buildOnce(build func() (*graph.Graph, error)) GraphFactory {
+	var once sync.Once
+	var g *graph.Graph
+	var err error
+	return func(*rand.Rand) (*graph.Graph, error) {
+		once.Do(func() {
+			if g, err = build(); err == nil {
+				g.Freeze()
+			}
+		})
+		return g, err
+	}
+}
 
 // ProcessFactory builds the process under test on g, starting at start,
 // using the trial's private generator. The *rng.Rand exposes both the

@@ -96,8 +96,9 @@ const (
 
 // ArmFunc measures one arm of an experiment point on one trial. g is
 // the trial's shared frozen graph (read-only: the same instance is
-// handed to every arm of the trial, and at a KeepRep point trial 0's
-// graph outlives the sweep as the representative instance), r is the
+// handed to every arm of the trial, a deterministic family's factory
+// may hand it to every trial of the run, and at a KeepRep point trial
+// 0's graph outlives the sweep as the representative instance), r is the
 // arm's private generator, and sc is the worker's reusable cover
 // scratch. The returned Measurement feeds the arm's Vertex/Edge
 // summaries; arms with richer outputs return them in Measurement.Extra,
@@ -160,7 +161,10 @@ func VertexArm(name string, pf ProcessFactory) Arm {
 // it. Each trial generates one graph, freezes it into its CSR layout,
 // and hands the same instance to every arm, so compared processes see
 // identical instances and the generation cost is paid once per trial
-// rather than once per arm.
+// rather than once per arm. A family that reads no randomness pays it
+// once per run: its factory (buildOnce) hands every trial one frozen
+// instance, which arms treat as read-only, as they already must within
+// a unit.
 type PointSpec struct {
 	// Key names the point in error messages.
 	Key string
@@ -168,7 +172,8 @@ type PointSpec struct {
 	// experiment's namespace constant and the point coordinates.
 	Salt uint64
 	// Graph builds the trial's instance from the trial's private graph
-	// generator.
+	// generator, or returns the run's one instance of a deterministic
+	// family.
 	Graph GraphFactory
 	// Arms are measured in order on the trial's shared frozen graph.
 	// A point may have zero arms when only the representative instance
@@ -218,9 +223,11 @@ type PointResult struct {
 	Key string
 	// Rep is trial 0's frozen graph — the representative instance for
 	// structural post-processing (spectral gaps, girth, ℓ-bounds) — when
-	// the PointSpec declares KeepRep, and nil otherwise, so a sweep
-	// holds only the graphs its Finish reads. It is literally the graph
-	// arm measurements ran on, not a re-rolled lookalike.
+	// the PointSpec declares KeepRep, and nil otherwise. A random
+	// family's other trial graphs are dropped with their units; a
+	// deterministic family's one instance lives as long as its plan and
+	// is built at most once per run. It is literally the graph arm
+	// measurements ran on, not a re-rolled lookalike.
 	Rep *graph.Graph
 	// Arms holds one ArmResult per PointSpec arm, in order.
 	Arms []ArmResult

@@ -169,3 +169,21 @@ func BenchmarkChoiceCover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFrozenChurnCover measures one pcfcover trial at its largest
+// freeze rate: a censored vertex cover of a fresh overlay under
+// permanent edge failures at rate 0.25 per step (the fail coin of the
+// sim layer's frozen ChurnSchedule), budget 256·n, declared
+// remove-only so the run ends once the walker is stranded.
+func BenchmarkFrozenChurnCover(b *testing.B) {
+	const n, rate = 1920, 0.25
+	g := mustRegular(b, newRand(14), n, 4)
+	var sc CoverScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := graph.NewOverlay(g)
+		e := NewEProcessOn(o, rng.NewXoshiro256(uint64(i)), nil, 0)
+		sc.VertexCoverCensored(e, 256*n, removeAtRate(rate, int64(i))(o), true)
+	}
+}

@@ -85,6 +85,14 @@
 // time, and so is every process under EdgeCoverSteps and
 // VertexCoverCensored.
 //
+// VertexCoverCensored drives walks on churning overlays, and its caller
+// may declare that the churn only removes edges. Such a run ends once
+// its outcome is settled, when a search over the live edges from the
+// walker reaches no unvisited vertex; it reports the full budget and
+// the same Uncovered count the whole run would. The search runs only
+// after n steps with no new vertex, and after every doubling of that
+// idle count, so it costs O(1) per step amortised.
+//
 // # Randomness
 //
 // Randomised processes draw bounded ints through the minimal Intner

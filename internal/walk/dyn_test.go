@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -160,68 +161,150 @@ func TestDynEProcessIsolatedLazyStay(t *testing.T) {
 	}
 }
 
+// removeAtRate returns a seeded remove-only churn hook: before each
+// step it removes a uniformly random live edge with probability rate,
+// keeping at least one live edge, as the sim layer's frozen schedule
+// does.
+func removeAtRate(rate float64, seed int64) func(o *graph.Overlay) func() {
+	return func(o *graph.Overlay) func() {
+		churn := rand.New(rand.NewSource(seed))
+		return func() {
+			if churn.Float64() < rate && o.LiveEdges() > 1 {
+				if err := o.RemoveEdge(o.LiveEdgeAt(churn.Intn(o.LiveEdges()))); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+}
+
 // VertexCoverCensored: budget exhaustion on a disconnected topology is
 // a censored outcome, not an error, and the hook fires before every
-// step (the injection point for churn).
+// step it runs (the injection point for churn). A run whose hook is
+// declared remove-only may stop once its outcome is settled; it must
+// report exactly what the same hook driven over the whole budget
+// reports (declared able to restore edges, so the run cannot stop
+// early), and it must stop early once the walker is stranded. A hook
+// that may restore edges always runs to cover or budget.
 func TestVertexCoverCensored(t *testing.T) {
-	g := dynRing(8)
-	o := graph.NewOverlay(g)
-	// Cut vertex 4 off entirely: {3,4} is edge 3, {4,5} is edge 4.
-	if err := o.RemoveEdge(3); err != nil {
-		t.Fatal(err)
+	severed := func() *graph.Overlay {
+		o := graph.NewOverlay(dynRing(8))
+		// Cut vertex 4 off entirely: {3,4} is edge 3, {4,5} is edge 4.
+		for _, id := range []int{3, 4} {
+			if err := o.RemoveEdge(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return o
 	}
-	if err := o.RemoveEdge(4); err != nil {
-		t.Fatal(err)
+	noop := func(*graph.Overlay) func() { return func() {} }
+	type tcase struct {
+		name       string
+		overlay    func() *graph.Overlay
+		hook       func(o *graph.Overlay) func() // nil: no hook
+		removeOnly bool
+		budget     int64
+		seed       uint64
+		want       *CoverOutcome // pinned outcome, when non-nil
+		covers     bool          // the run must cover before its budget
 	}
-	e := NewEProcessOn(o, rng.NewXoshiro256(17), nil, 0)
+	cases := []tcase{
+		{"severed-ring/remove-only", severed, noop, true, 300, 17, &CoverOutcome{Steps: 300, Uncovered: 1}, false},
+		{"severed-ring/restoring", severed, noop, false, 300, 17, &CoverOutcome{Steps: 300, Uncovered: 1}, false},
+		// With the ring intact the same driver reports full cover with
+		// Uncovered == 0 and strictly fewer steps than the budget.
+		{"intact-ring", func() *graph.Overlay { return graph.NewOverlay(dynRing(8)) }, nil, true, 10_000, 17, nil, true},
+		// Churn that severs and restores: it must run to cover or budget
+		// without panicking and leave a consistent overlay.
+		{"ring/sever-and-restore", func() *graph.Overlay { return graph.NewOverlay(dynRing(8)) }, func(o *graph.Overlay) func() {
+			churn := rand.New(rand.NewSource(29))
+			step := 0
+			return func() {
+				step++
+				if step%7 == 0 && o.LiveEdges() > 1 {
+					if err := o.RemoveEdge(o.LiveEdgeAt(churn.Intn(o.LiveEdges()))); err != nil {
+						panic(err)
+					}
+				}
+				if step%11 == 0 && o.RemovedEdges() > 0 {
+					if err := o.RestoreEdge(o.RemovedEdgeAt(churn.Intn(o.RemovedEdges()))); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}, false, 5_000, 23, nil, false},
+	}
+	// Remove-only churn on a 4-regular graph, and on a ring, where a
+	// walker turned back by a removed edge red-walks its visited arc for
+	// far longer than n steps before it reaches the other frontier: an
+	// exit taken while unvisited vertices are still reachable would
+	// report a different outcome.
+	for _, base := range []*graph.Graph{mustRegular(t, newRand(41), 64, 4), dynRing(32)} {
+		for _, rate := range []float64{0, 0.01, 0.02, 0.05, 0.1, 0.25} {
+			for seed := int64(1); seed <= 6; seed++ {
+				cases = append(cases, tcase{
+					name:       fmt.Sprintf("n=%d,m=%d/rate=%g/seed=%d", base.N(), base.M(), rate, seed),
+					overlay:    func() *graph.Overlay { return graph.NewOverlay(base) },
+					hook:       removeAtRate(rate, seed),
+					removeOnly: true,
+					budget:     256 * int64(base.N()),
+					seed:       uint64(100 + seed),
+					// With no churn the graph stays connected.
+					covers: rate == 0,
+				})
+			}
+		}
+	}
 	var sc CoverScratch
-	var hookCalls int64
-	out := sc.VertexCoverCensored(e, 300, func() { hookCalls++ })
-	if out.Steps != 300 {
-		t.Fatalf("censored run took %d steps, want the full budget 300", out.Steps)
-	}
-	if out.Uncovered != 1 {
-		t.Fatalf("Uncovered = %d, want 1 (the severed vertex)", out.Uncovered)
-	}
-	if hookCalls != out.Steps {
-		t.Fatalf("hook fired %d times over %d steps", hookCalls, out.Steps)
-	}
-
-	// With the ring intact the same driver reports full cover with
-	// Uncovered == 0 and strictly fewer steps than the budget.
-	e2 := NewEProcessOn(graph.NewOverlay(g), rng.NewXoshiro256(17), nil, 0)
-	out2 := sc.VertexCoverCensored(e2, 10_000, nil)
-	if out2.Uncovered != 0 {
-		t.Fatalf("intact ring left %d uncovered", out2.Uncovered)
-	}
-	if out2.Steps <= 0 || out2.Steps >= 10_000 {
-		t.Fatalf("intact cover took %d steps", out2.Steps)
-	}
-
-	// A hook that churns mid-run: repeatedly sever and restore one edge.
-	// The run must terminate (cover or budget) without panicking and the
-	// walk must still be consistent with its topology.
-	o3 := graph.NewOverlay(g)
-	e3 := NewEProcessOn(o3, rng.NewXoshiro256(23), nil, 0)
-	churn := rand.New(rand.NewSource(29))
-	step := 0
-	out3 := sc.VertexCoverCensored(e3, 5_000, func() {
-		step++
-		if step%7 == 0 && o3.LiveEdges() > 1 {
-			if err := o3.RemoveEdge(o3.LiveEdgeAt(churn.Intn(o3.LiveEdges()))); err != nil {
-				panic(err)
+	stopped := 0
+	for _, c := range cases {
+		run := func(removeOnly bool) (CoverOutcome, int64, *graph.Overlay) {
+			o := c.overlay()
+			e := NewEProcessOn(o, rng.NewXoshiro256(c.seed), nil, 0)
+			var calls int64
+			var hook func()
+			if c.hook != nil {
+				h := c.hook(o)
+				hook = func() { calls++; h() }
+			}
+			return sc.VertexCoverCensored(e, c.budget, hook, removeOnly), calls, o
+		}
+		got, gotCalls, o := run(c.removeOnly)
+		want, wantCalls, _ := run(false)
+		if got != want {
+			t.Fatalf("%s: %+v, driven over the whole budget %+v", c.name, got, want)
+		}
+		if c.want != nil && want != *c.want {
+			t.Fatalf("%s: %+v, want %+v", c.name, want, *c.want)
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("%s: overlay invalid after the run: %v", c.name, err)
+		}
+		if want.Steps <= 0 || want.Steps > c.budget || want.Uncovered > 0 && want.Steps != c.budget {
+			t.Fatalf("%s: outcome %+v is neither a cover nor a censored run of budget %d", c.name, want, c.budget)
+		}
+		if c.covers && (want.Uncovered != 0 || want.Steps >= c.budget) {
+			t.Fatalf("%s: connected graph gave %+v, want a cover in fewer than %d steps", c.name, want, c.budget)
+		}
+		if c.hook != nil && wantCalls != want.Steps {
+			t.Fatalf("%s: hook fired %d times over %d steps", c.name, wantCalls, want.Steps)
+		}
+		switch {
+		case c.hook == nil:
+		case c.removeOnly && want.Uncovered > 0:
+			// Censored under a remove-only hook: the walker was
+			// stranded, so the run must have stopped before the budget.
+			if gotCalls >= c.budget {
+				t.Errorf("%s: stranded run called its hook %d times, want fewer than the budget %d", c.name, gotCalls, c.budget)
+			}
+			stopped++
+		default:
+			if gotCalls != got.Steps {
+				t.Errorf("%s: hook fired %d times over %d steps", c.name, gotCalls, got.Steps)
 			}
 		}
-		if step%11 == 0 && o3.RemovedEdges() > 0 {
-			if err := o3.RestoreEdge(o3.RemovedEdgeAt(churn.Intn(o3.RemovedEdges()))); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if out3.Steps == 0 {
-		t.Fatal("churned run took no steps")
 	}
-	if err := o3.Validate(); err != nil {
-		t.Fatalf("overlay invalid after churned cover run: %v", err)
+	if stopped < 2 {
+		t.Fatalf("only %d remove-only runs were censored; the table does not exercise the settled exit", stopped)
 	}
 }

@@ -126,11 +126,12 @@ func (sc *CoverScratch) coverFused(e *EProcess, maxSteps int64, edges bool) (ct 
 		} else {
 			// Red: a simple-random-walk step over the full adjacency.
 			deg := off[v+1] - lo
-			if deg <= 0 {
-				// Isolated vertex: per-Step driving's Intn(0) panics.
-				panic("rng: Intn with non-positive bound")
-			}
 			if st != nil {
+				if deg <= 0 {
+					// Isolated vertex: per-Step driving's Intn(0)
+					// panics; any other source panics in its own Intn.
+					panic("rng: Intn with non-positive bound")
+				}
 				un := uint64(deg)
 				res := mbits.RotateLeft64(s1*5, 7) * 9
 				t := s1 << 17

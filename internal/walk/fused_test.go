@@ -511,18 +511,28 @@ func checkSameVisits(t *testing.T, name string, got, want Process) {
 	}
 }
 
-// TestChoiceCoverIsolatedPanics: a walk on an isolated vertex panics
+// TestFusedCoverIsolatedPanics: a walk on an isolated vertex panics
 // under either cover driver with the value its own Step panics with,
-// for every source kind (the xoshiro256** ones in coverChoice).
-func TestChoiceCoverIsolatedPanics(t *testing.T) {
+// for every source kind and both fused loops: the Uniform E-process
+// (coverFused on every source) and the choice walks (coverChoice on the
+// xoshiro256** ones). The loops raise rng's own message only where they
+// draw from hoisted xoshiro256** words; any other source panics in its
+// own Intn, as Step does.
+func TestFusedCoverIsolatedPanics(t *testing.T) {
 	g := graph.New(2)
 	catch := func(f func()) (v any) {
 		defer func() { v = recover() }()
 		f()
 		return nil
 	}
+	procs := append([]struct {
+		name string
+		make func(g *graph.Graph, r Intner, start int) Process
+	}{
+		{"eprocess", func(g *graph.Graph, r Intner, s int) Process { return NewEProcess(g, r, nil, s) }},
+	}, choiceTwins...)
 	for _, src := range fusedSources {
-		for _, proc := range choiceTwins {
+		for _, proc := range procs {
 			name := src.name + "/" + proc.name
 			want := catch(func() { proc.make(g, src.make(1), 0).Step() })
 			if want == nil {

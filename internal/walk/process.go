@@ -37,6 +37,11 @@ type CoverScratch struct {
 	seenV bits.Set
 	seenE bits.Set
 
+	// reach and queue are VertexCoverCensored's breadth-first search
+	// over the live halves, which decides whether a run is settled.
+	reach bits.Set
+	queue []int32
+
 	// trace, when non-nil, observes every transition of the fused cover
 	// loop as (edgeID, vertex): the golden-trajectory tests' window into
 	// it. Production callers leave it nil.
@@ -227,16 +232,34 @@ type CoverOutcome struct {
 // the driver reports the censored outcome and lets the caller treat
 // Uncovered as a measurement. maxSteps <= 0 falls back to the default
 // budget.
-func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func()) CoverOutcome {
+//
+// removeOnly declares that hook can only remove edges, never restore
+// or add one. When it is set and p walks a graph.Overlay (a process
+// built by NewEProcessOn), the run stops early once its outcome is
+// settled: a breadth-first search over the live halves from
+// p.Current() reaches no unvisited vertex. The walker's live component
+// can then only shrink, so no later step visits a new vertex, and the
+// settled run reports exactly what the full-budget run would: Steps ==
+// maxSteps and the same Uncovered. The hook is not called for the
+// steps skipped. The search runs only after n steps with no newly
+// visited vertex, and again after every doubling of that idle count
+// (2n, 4n, ...), so its amortised cost is O(1) per step on bounded
+// degree. A caller whose hook may restore edges must pass false.
+func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func(), removeOnly bool) CoverOutcome {
 	g := p.Graph()
 	n := g.N()
 	if maxSteps <= 0 {
 		maxSteps = defaultBudget(n)
 	}
+	var ov *graph.Overlay
+	if e, ok := p.(*EProcess); ok && removeOnly {
+		ov = e.ov
+	}
 	seen := sc.vertexSeen(n)
 	seen.Set(p.Current())
 	remaining := n - 1
-	var steps int64
+	var steps, idle int64
+	check := int64(n)
 	for remaining > 0 && steps < maxSteps {
 		if hook != nil {
 			hook()
@@ -246,9 +269,45 @@ func (sc *CoverScratch) VertexCoverCensored(p Process, maxSteps int64, hook func
 		if !seen.Test(v) {
 			seen.Set(v)
 			remaining--
+			idle, check = 0, int64(n)
+		} else if ov != nil {
+			if idle++; idle == check {
+				if sc.stranded(ov, seen, v) {
+					return CoverOutcome{Steps: maxSteps, Uncovered: remaining}
+				}
+				check *= 2
+			}
 		}
 	}
 	return CoverOutcome{Steps: steps, Uncovered: remaining}
+}
+
+// stranded reports whether a walker at cur on ov can reach no vertex
+// outside seen: a breadth-first search from cur over the live halves
+// of ov's base, stopping at the first unseen vertex it meets.
+func (sc *CoverScratch) stranded(ov *graph.Overlay, seen *bits.Set, cur int) bool {
+	g := ov.Base()
+	halves, off := g.Halves(), g.Offsets()
+	sc.reach.Reset(g.N())
+	sc.reach.Set(cur)
+	q := append(sc.queue[:0], int32(cur))
+	for i := 0; i < len(q); i++ {
+		v := q[i]
+		for _, h := range halves[off[v]:off[v+1]] {
+			w := int(h.To)
+			if ov.EdgeRemoved(int(h.ID)) || sc.reach.Test(w) {
+				continue
+			}
+			if !seen.Test(w) {
+				sc.queue = q
+				return false
+			}
+			sc.reach.Set(w)
+			q = append(q, int32(w))
+		}
+	}
+	sc.queue = q
+	return true
 }
 
 // HitSteps runs p until it first occupies target, returning the number
