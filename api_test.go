@@ -12,7 +12,7 @@ import (
 )
 
 // The facade tests exercise the public API end to end, the way the
-// examples and a downstream user would.
+// testable examples and a downstream user would.
 
 func apiRand(seed uint64) *rand.Rand {
 	return rand.New(repro.NewSource(repro.KindXoshiro, seed))

@@ -428,6 +428,11 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "bench: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *reps < 1 {
 		fmt.Fprintln(os.Stderr, "bench: -reps must be at least 1")
 		os.Exit(2)

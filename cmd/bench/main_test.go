@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,35 @@ import (
 	"repro/internal/rng"
 	"repro/internal/walk"
 )
+
+// runMainEnv, when set, makes the test binary run the bench command
+// itself, so a test can check its exit status in a child process.
+const runMainEnv = "BENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A positional argument is a usage error (exit 2) that names it: flag
+// parsing stops at the first non-flag, so ignoring it would silently
+// drop every flag after it.
+func TestStrayArgumentExitsTwo(t *testing.T) {
+	args := []string{"-reps", "0", "stray"}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Errorf("bench %q: %v, want exit status 2\n%s", args, err, out)
+	}
+	if !strings.Contains(string(out), `unexpected argument "stray"`) {
+		t.Errorf("bench %q: output does not name the stray argument:\n%s", args, out)
+	}
+}
 
 // The report runner must measure real work and produce well-formed
 // entries without the overhead of a full-size run.

@@ -43,6 +43,11 @@ func run() error {
 		csvPath   = flag.String("csv", "", "write curves as CSV to this path")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "coverage: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	r := rand.New(rng.New(rng.KindXoshiro, *seed))
 	g, err := buildGraph(*graphKind, *n, *degree, *dim, r)

@@ -47,6 +47,11 @@ func run() error {
 		spectrum  = flag.Bool("spectral", true, "compute the eigenvalue gap and print theorem bounds")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "eprocess: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	ruleA, err := ruleByName(*rule)
 	if err != nil {
 		return err

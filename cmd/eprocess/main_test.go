@@ -1,13 +1,46 @@
 package main
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/walk"
 )
+
+// runMainEnv, when set, makes the test binary run the eprocess command
+// itself, so a test can check its exit status in a child process.
+const runMainEnv = "EPROCESS_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A positional argument is a usage error (exit 2) that names it: flag
+// parsing stops at the first non-flag, so ignoring it would silently
+// drop every flag after it.
+func TestStrayArgumentExitsTwo(t *testing.T) {
+	for _, args := range [][]string{{"-n", "200", "stray"}, {"-rule", "nope", "stray"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("eprocess %q: %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), `unexpected argument "stray"`) {
+			t.Errorf("eprocess %q: output does not name the stray argument:\n%s", args, out)
+		}
+	}
+}
 
 func testRand() *rand.Rand { return rand.New(rng.New(rng.KindXoshiro, 1)) }
 

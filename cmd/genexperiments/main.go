@@ -44,6 +44,11 @@ func main() {
 	check := flag.Bool("check", false, "verify the table is current instead of rewriting it")
 	path := flag.String("o", "EXPERIMENTS.md", "document to regenerate")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "genexperiments: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*path, *check); err != nil {
 		fmt.Fprintln(os.Stderr, "genexperiments:", err)
 		os.Exit(1)

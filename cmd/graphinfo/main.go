@@ -43,6 +43,11 @@ func run() error {
 		horizon   = flag.Int("horizon", 0, "ℓ-goodness/census horizon (0 = ceil(ln n)+2)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "graphinfo: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var g *graph.Graph
 	var err error

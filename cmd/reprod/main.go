@@ -97,6 +97,8 @@ func run(args []string) error {
 		return usageError{err}
 	}
 	switch {
+	case fs.NArg() > 0:
+		return usagef("unexpected argument %q: reprod takes only flags", fs.Arg(0))
 	case *cacheSize < 0:
 		return usagef("-cache-entries %d is negative (0 disables memory caching)", *cacheSize)
 	case *cacheDisk < 0:

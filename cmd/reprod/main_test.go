@@ -45,6 +45,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-cache-disk-bytes", "-1"},
 		{"-cache-disk-bytes", "0"},
 		{"-no-such-flag"},
+		{"-cache-disk-bytes", "0", "stray"},
 	}
 	for _, args := range cases {
 		err := run(args)
@@ -56,6 +57,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		if !errors.As(err, &ue) {
 			t.Errorf("run(%q) error %v is not a usageError (would exit 1, want 2)", args, err)
 		}
+	}
+	// The stray argument is reported before any flag value is checked.
+	if err := run([]string{"-cache-disk-bytes", "0", "stray"}); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Errorf("run with a stray argument: error %v does not name it", err)
 	}
 	// An unlistenable address is a failed serve, not a usage error.
 	var ue usageError

@@ -177,6 +177,7 @@ type cliFlags struct {
 	shard, ckDir, merge, jsonDir, report, rng string
 	trials                                    int
 	resume                                    bool
+	args                                      []string // positional arguments left after the flags
 }
 
 // validate rejects bad flag values and inconsistent combinations fast,
@@ -187,6 +188,12 @@ type cliFlags struct {
 func (f cliFlags) validate() (shardSpec, rng.Kind, error) {
 	var spec shardSpec
 	var err error
+	if len(f.args) > 0 {
+		// Flag parsing stops at the first non-flag, so a flag that lost
+		// its value (-json -seed 1 makes "-seed" the directory) would
+		// otherwise drop every flag after it without a word.
+		return spec, 0, usagef("unexpected argument %q: sweep takes only flags", f.args[0])
+	}
 	if f.shard != "" {
 		if spec, err = parseShard(f.shard); err != nil {
 			return spec, 0, usageError{err}
@@ -279,6 +286,11 @@ func run() error {
 		verbose = flag.Bool("v", false, "report sweep progress (units done/total) and, at exit, wall time and peak RSS on stderr")
 	)
 	flag.Parse()
+	spec, kind, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir,
+		report: *report, rng: *rngName, trials: *trials, resume: *resume, args: flag.Args()}.validate()
+	if err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range sim.Registry() {
@@ -291,11 +303,6 @@ func run() error {
 	}
 
 	selected, err := selectExperiments(*expList)
-	if err != nil {
-		return err
-	}
-	spec, kind, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir,
-		report: *report, rng: *rngName, trials: *trials, resume: *resume}.validate()
 	if err != nil {
 		return err
 	}

@@ -175,6 +175,7 @@ func TestValidateRejectsInconsistentFlags(t *testing.T) {
 		{"point shard with report", cliFlags{shard: "0/2@points", ckDir: "ck", report: "r.md"}, "no Results"},
 		{"negative trials", cliFlags{trials: -1}, "-trials -1"},
 		{"unknown rng", cliFlags{rng: "mt"}, "unknown RNG kind"},
+		{"stray argument", cliFlags{jsonDir: "-seed", args: []string{"1"}}, `unexpected argument "1"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

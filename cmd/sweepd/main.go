@@ -121,6 +121,9 @@ func coordinate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
+	if fs.NArg() > 0 {
+		return usagef("unexpected argument %q: %s takes only flags", fs.Arg(0), fs.Name())
+	}
 	if *dir == "" {
 		return usagef("coordinate needs -dir: the shared work directory holds the block journals")
 	}
@@ -243,6 +246,9 @@ func work(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return usagef("unexpected argument %q: %s takes only flags", fs.Arg(0), fs.Name())
 	}
 	if *addr == "" {
 		return usagef("work needs -addr: the coordinator's base URL")

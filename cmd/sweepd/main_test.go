@@ -22,6 +22,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"coordinate unparsable flag", []string{"coordinate", "-lease", "soon"}, "invalid value"},
 		{"work without addr", []string{"work", "-dir", "work"}, "needs -addr"},
 		{"work without dir", []string{"work", "-addr", "http://host:7600"}, "needs -dir"},
+		{"coordinate stray argument", []string{"coordinate", "-dir", "work", "-exp", "nosuch", "-json", "-seed", "1"}, `unexpected argument "1"`},
+		{"work stray argument", []string{"work", "-dir", "work", "extra"}, `unexpected argument "extra"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -64,23 +64,10 @@ func (s *Set) Count() int {
 	return total
 }
 
-// AppendSet appends the indices of all set bits to dst, in increasing
-// order, scanning a word at a time.
-func (s *Set) AppendSet(dst []int) []int {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, base+mathbits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
 // AppendUnset appends the indices of all clear bits in [0, Len()) to
-// dst, in increasing order. Like AppendSet it visits each word once,
-// so a mostly-set set (the tail of a cover run) costs one load and one
-// compare per 64 entries.
+// dst, in increasing order. It visits each word once, so a mostly-set
+// set (the tail of a cover run) costs one load and one compare per 64
+// entries.
 func (s *Set) AppendUnset(dst []int) []int {
 	for wi, w := range s.words {
 		w = ^w

@@ -129,24 +129,3 @@ func CommuteMatrix(g *graph.Graph) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// SpanningCommuteIdentity checks the Chandra et al. identity
-// K(u,v) = 2m·R_eff(u,v) indirectly: it returns the sum over the edges
-// of any spanning tree of commute times, which for trees equals
-// 2m·(n−1)... exported for tests as a consistency probe: for each edge
-// {u,v} of g, K(u,v) ≤ 2m, with equality iff the edge is a bridge.
-func SpanningCommuteIdentity(g *graph.Graph) (maxEdgeCommute float64, err error) {
-	k, err := CommuteMatrix(g)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range g.Edges() {
-		if e.IsLoop() {
-			continue
-		}
-		if c := k[e.U][e.V]; c > maxEdgeCommute {
-			maxEdgeCommute = c
-		}
-	}
-	return maxEdgeCommute, nil
-}

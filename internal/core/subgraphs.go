@@ -238,8 +238,3 @@ func LeafPathsThroughRoot(g *graph.Graph, v, ell int) ([][]int, error) {
 	}
 	return out, nil
 }
-
-// Lemma17PathBound evaluates Δ^{2ℓ}, the |Q_v| bound used in Lemma 17.
-func Lemma17PathBound(maxDeg, ell int) float64 {
-	return math.Pow(float64(maxDeg), 2*float64(ell))
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -138,8 +139,8 @@ func TestLeafPathsBoundedByLemma17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(len(paths)) > Lemma17PathBound(g.MaxDegree(), ell) {
-		t.Errorf("|Q_v| = %d exceeds Δ^{2ℓ} = %v", len(paths), Lemma17PathBound(4, ell))
+	if bound := math.Pow(float64(g.MaxDegree()), float64(2*ell)); float64(len(paths)) > bound {
+		t.Errorf("|Q_v| = %d exceeds Δ^{2ℓ} = %v", len(paths), bound)
 	}
 	if len(paths) == 0 {
 		t.Error("expander should have leaf-to-leaf paths")

@@ -68,14 +68,3 @@ func (g *Graph) Bridges() []int {
 	}
 	return bridges
 }
-
-// IsBridge reports whether edge id is a bridge. For repeated queries
-// call Bridges once instead.
-func (g *Graph) IsBridge(id int) bool {
-	for _, b := range g.Bridges() {
-		if b == id {
-			return true
-		}
-	}
-	return false
-}

@@ -42,43 +42,6 @@ func (g *Graph) Contract(s []int) (gamma *Graph, gammaID int, oldToNew []int) {
 	return gamma, gammaID, oldToNew
 }
 
-// SubdivideEdges replaces each edge in ids with a path of two edges
-// through a fresh degree-2 vertex, returning the new graph and the IDs
-// of the inserted vertices (in the order of ids).
-//
-// This is the construction in the proof of Lemma 16: subdividing the 2ℓ
-// edges of a leaf-to-leaf path xPy inserts a set S of 2ℓ degree-2
-// vertices with d(S) = 4ℓ, and visiting any vertex of S corresponds to
-// traversing an edge of xPy in the original graph.
-func (g *Graph) SubdivideEdges(ids []int) (*Graph, []int) {
-	subdivide := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		subdivide[id] = true
-	}
-	h := New(g.N() + len(subdivide))
-	inserted := make([]int, 0, len(subdivide))
-	nextNew := g.N()
-	byID := make(map[int]int, len(subdivide))
-	for id, e := range g.edges {
-		if subdivide[id] {
-			mid := nextNew
-			nextNew++
-			byID[id] = mid
-			must(h.AddEdge(e.U, mid))
-			must(h.AddEdge(mid, e.V))
-		} else {
-			must(h.AddEdge(e.U, e.V))
-		}
-	}
-	for _, id := range ids {
-		if mid, ok := byID[id]; ok {
-			inserted = append(inserted, mid)
-			delete(byID, id) // each edge reported once even if listed twice
-		}
-	}
-	return h, inserted
-}
-
 func must(err error) {
 	if err != nil {
 		panic(err)

@@ -5,7 +5,7 @@
 // Multigraph support is not optional for this paper: the proofs of
 // Lemma 13 and Lemma 16 contract vertex sets to a single vertex
 // "retaining multiple edges and loops", and the analysis machinery here
-// mirrors those constructions exactly (see Contract and SubdivideEdges).
+// mirrors the contraction exactly (see Contract).
 //
 // Vertices are dense integers 0..N()-1. Edges are dense integers
 // 0..M()-1; each edge knows its two endpoints, and a loop is an edge

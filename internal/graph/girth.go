@@ -71,10 +71,3 @@ func (g *Graph) Girth() int {
 	}
 	return best
 }
-
-// HasCycle reports whether the graph contains any cycle (equivalently,
-// m exceeds n minus the number of components).
-func (g *Graph) HasCycle() bool {
-	_, comps := g.Components()
-	return g.M() > g.N()-comps
-}

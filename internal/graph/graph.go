@@ -370,47 +370,6 @@ func (g *Graph) Adj(v int) []Half {
 	return g.adj[v]
 }
 
-// Neighbors returns the multiset of neighbours of v in a fresh slice
-// (a vertex adjacent through k parallel edges appears k times; a loop
-// contributes v twice).
-func (g *Graph) Neighbors(v int) []int {
-	adj := g.Adj(v)
-	out := make([]int, len(adj))
-	for i, h := range adj {
-		out[i] = int(h.To)
-	}
-	return out
-}
-
-// HasEdge reports whether at least one edge joins u and v.
-func (g *Graph) HasEdge(u, v int) bool {
-	// Scan the shorter list.
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	for _, h := range g.Adj(u) {
-		if int(h.To) == v {
-			return true
-		}
-	}
-	return false
-}
-
-// EdgeMultiplicity returns the number of parallel edges joining u and v.
-// For u == v it returns the number of loops at u.
-func (g *Graph) EdgeMultiplicity(u, v int) int {
-	count := 0
-	for _, h := range g.Adj(u) {
-		if int(h.To) == v {
-			count++
-		}
-	}
-	if u == v {
-		count /= 2 // each loop contributes two halves at u
-	}
-	return count
-}
-
 // IsSimple reports whether the graph has no loops and no parallel edges.
 func (g *Graph) IsSimple() bool {
 	seen := make(map[Edge]bool, len(g.edges))

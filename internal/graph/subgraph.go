@@ -25,74 +25,6 @@ func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
 	return sub, oldToNew
 }
 
-// EdgeInducedSubgraph returns the subgraph formed by the edges in ids
-// and exactly the vertices they touch, together with the old → new
-// vertex mapping (-1 for untouched vertices). Blue components in the
-// E-process analysis (Observation 11) are edge-induced subgraphs: a set
-// of unvisited edges may touch a visited vertex without including its
-// other edges.
-func (g *Graph) EdgeInducedSubgraph(ids []int) (*Graph, []int) {
-	oldToNew := make([]int, g.N())
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	count := 0
-	touch := func(v int) {
-		if oldToNew[v] == -1 {
-			oldToNew[v] = count
-			count++
-		}
-	}
-	for _, id := range ids {
-		e := g.edges[id]
-		touch(e.U)
-		touch(e.V)
-	}
-	if count == 0 {
-		// No edges: return a single-vertex empty graph to keep the
-		// one-vertex-minimum invariant; callers check len(ids) first.
-		return New(1), oldToNew
-	}
-	sub := New(count)
-	for _, id := range ids {
-		e := g.edges[id]
-		must(sub.AddEdge(oldToNew[e.U], oldToNew[e.V]))
-	}
-	return sub, oldToNew
-}
-
-// InducedEdgeCount returns the number of edges with both endpoints in s.
-// Property (P2) of Section 4 is a bound on this count for all small s.
-func (g *Graph) InducedEdgeCount(s []int) int {
-	inS := make(map[int]bool, len(s))
-	for _, v := range s {
-		inS[v] = true
-	}
-	count := 0
-	for _, e := range g.edges {
-		if inS[e.U] && inS[e.V] {
-			count++
-		}
-	}
-	return count
-}
-
-// EdgeBoundary returns e(X : V\X), the number of edges with exactly one
-// endpoint in x — the numerator of the conductance Φ (Section 3.3).
-func (g *Graph) EdgeBoundary(x []int) int {
-	inX := make([]bool, g.N())
-	for _, v := range x {
-		inX[v] = true
-	}
-	count := 0
-	for _, e := range g.edges {
-		if inX[e.U] != inX[e.V] {
-			count++
-		}
-	}
-	return count
-}
-
 // DegreeOf returns d(X), the sum of degrees of the vertices in x.
 func (g *Graph) DegreeOf(x []int) int {
 	total := 0

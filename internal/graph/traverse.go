@@ -112,18 +112,3 @@ func (g *Graph) Diameter() int {
 	}
 	return diam
 }
-
-// Eccentricity returns the largest BFS distance from v, or -1 when some
-// vertex is unreachable from v.
-func (g *Graph) Eccentricity(v int) int {
-	ecc := 0
-	for _, d := range g.BFSFrom(v) {
-		if d == -1 {
-			return -1
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

@@ -125,17 +125,3 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b)
 }
-
-// MulVec returns a·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	out := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		sum := 0.0
-		row := m.Data[i*m.N : (i+1)*m.N]
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out
-}

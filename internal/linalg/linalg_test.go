@@ -144,9 +144,12 @@ func TestPropertySolveThenMultiply(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back := a.MulVec(x)
 		for i := range b {
-			if math.Abs(back[i]-b[i]) > 1e-8 {
+			back := 0.0
+			for j := 0; j < n; j++ {
+				back += a.At(i, j) * x[j]
+			}
+			if math.Abs(back-b[i]) > 1e-8 {
 				return false
 			}
 		}

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Table is a simple aligned-text / CSV table for experiment output.
+// Table is a simple aligned-text table for experiment output.
 // The JSON tags give Result's encoding a stable lower-case schema.
 type Table struct {
 	Title   string     `json:"title"`
@@ -70,20 +70,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteCSV renders the table as CSV (no quoting needed: cells are
-// numeric or simple identifiers).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -96,12 +96,3 @@ func EmpiricalMixingTime(g *graph.Graph, start int, eps float64, maxT int) (int,
 	}
 	return maxT + 1, nil
 }
-
-// ConvergenceBound evaluates the paper's eq. (5) upper bound on
-// |P^t_u(x) − π_x|: sqrt(π_x/π_u)·λmax^t.
-func ConvergenceBound(piU, piX, lambdaMax float64, t int) float64 {
-	if piU <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(piX/piU) * math.Pow(lambdaMax, float64(t))
-}

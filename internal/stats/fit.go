@@ -6,41 +6,33 @@ import (
 	"math"
 )
 
-// Fit is a least-squares fit of a one- or two-parameter growth model to
-// points (n_i, y_i).
+// Fit is a least-squares fit of a one-parameter growth model to points
+// (n_i, y_i).
 type Fit struct {
-	Model string  // "c*n", "c*n*ln(n)" or "a*n + b*n*ln(n)"
-	A     float64 // coefficient of n (or the single coefficient c)
-	B     float64 // coefficient of n·ln n (two-parameter model only)
+	Model string  // "c*n" or "c*n*ln(n)"
+	A     float64 // the coefficient c
+	B     float64 // always 0; kept so encoded results keep their bytes
 	R2    float64 // coefficient of determination
 	RMSE  float64 // root mean squared residual
-	// ASE is the standard error of A for the single-coefficient models
-	// (0 when not computed), so Figure-1-style constants can be quoted
-	// with uncertainty: c = A ± ASE.
+	// ASE is the standard error of A (0 when not computed), so
+	// Figure-1-style constants can be quoted with uncertainty:
+	// c = A ± ASE.
 	ASE float64
 }
 
 // Eval returns the fitted model value at n.
 func (f Fit) Eval(n float64) float64 {
-	switch f.Model {
-	case "c*n":
+	if f.Model == "c*n" {
 		return f.A * n
-	case "c*n*ln(n)":
-		return f.A * n * math.Log(n)
-	default:
-		return f.A*n + f.B*n*math.Log(n)
 	}
+	return f.A * n * math.Log(n)
 }
 
 func (f Fit) String() string {
-	switch f.Model {
-	case "c*n":
+	if f.Model == "c*n" {
 		return fmt.Sprintf("%.4g·n (R²=%.4f)", f.A, f.R2)
-	case "c*n*ln(n)":
-		return fmt.Sprintf("%.4g·n·ln n (R²=%.4f)", f.A, f.R2)
-	default:
-		return fmt.Sprintf("%.4g·n + %.4g·n·ln n (R²=%.4f)", f.A, f.B, f.R2)
 	}
+	return fmt.Sprintf("%.4g·n·ln n (R²=%.4f)", f.A, f.R2)
 }
 
 func checkXY(ns, ys []float64, min int) error {
@@ -97,36 +89,6 @@ func fitSingle(ns, ys []float64, model string, basis func(float64) float64) (Fit
 		}
 		f.ASE = math.Sqrt(ssRes / float64(len(ns)-1) / den)
 	}
-	return f, nil
-}
-
-// FitCombined fits y ≈ a·n + b·n·ln n by ordinary least squares on the
-// two basis functions.
-func FitCombined(ns, ys []float64) (Fit, error) {
-	if err := checkXY(ns, ys, 3); err != nil {
-		return Fit{}, err
-	}
-	// Normal equations for the 2-column design matrix [n, n·ln n].
-	var s11, s12, s22, t1, t2 float64
-	for i := range ns {
-		x1 := ns[i]
-		x2 := ns[i] * math.Log(ns[i])
-		s11 += x1 * x1
-		s12 += x1 * x2
-		s22 += x2 * x2
-		t1 += x1 * ys[i]
-		t2 += x2 * ys[i]
-	}
-	det := s11*s22 - s12*s12
-	if math.Abs(det) < 1e-12*s11*s22 || det == 0 {
-		return Fit{}, errors.New("stats: collinear design (too-narrow n range)")
-	}
-	f := Fit{
-		Model: "a*n + b*n*ln(n)",
-		A:     (s22*t1 - s12*t2) / det,
-		B:     (s11*t2 - s12*t1) / det,
-	}
-	f.R2, f.RMSE = goodness(ns, ys, f.Eval)
 	return f, nil
 }
 
@@ -200,36 +162,4 @@ func ClassifyGrowth(ns, ys []float64) (Growth, error) {
 		g.Verdict = "linear"
 	}
 	return g, nil
-}
-
-// BootstrapCI returns a (lo, hi) percentile bootstrap confidence
-// interval for the mean of xs at the given level (e.g. 0.95), using a
-// deterministic resampling sequence derived from the data length (no
-// RNG dependency; adequate for experiment error bars).
-func BootstrapCI(xs []float64, level float64, resamples int, next func() uint64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrNoData
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, errors.New("stats: level must be in (0,1)")
-	}
-	if resamples < 10 {
-		resamples = 200
-	}
-	means := make([]float64, resamples)
-	n := uint64(len(xs))
-	for b := 0; b < resamples; b++ {
-		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			sum += xs[next()%n]
-		}
-		means[b] = sum / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	lo, err = Quantile(means, alpha)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = Quantile(means, 1-alpha)
-	return lo, hi, err
 }

@@ -78,6 +78,3 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }

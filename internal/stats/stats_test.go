@@ -41,7 +41,7 @@ func TestSummarizeEdgeCases(t *testing.T) {
 
 func TestQuantileAndMedian(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	med, err := Median(xs)
+	med, err := Quantile(xs, 0.5)
 	if err != nil || med != 3 {
 		t.Errorf("median = %v, want 3", med)
 	}
@@ -62,7 +62,7 @@ func TestQuantileAndMedian(t *testing.T) {
 	}
 	// Quantile must not mutate its input.
 	xs2 := []float64{3, 1, 2}
-	if _, err := Median(xs2); err != nil {
+	if _, err := Quantile(xs2, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if xs2[0] != 3 || xs2[1] != 1 || xs2[2] != 2 {
@@ -103,21 +103,6 @@ func TestFitNLogNExact(t *testing.T) {
 	}
 }
 
-func TestFitCombinedRecoversBoth(t *testing.T) {
-	ns := []float64{100, 300, 1000, 3000, 10000}
-	ys := make([]float64, len(ns))
-	for i, n := range ns {
-		ys[i] = 2*n + 0.5*n*math.Log(n)
-	}
-	f, err := FitCombined(ns, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.A-2) > 1e-6 || math.Abs(f.B-0.5) > 1e-6 {
-		t.Errorf("combined fit = %+v, want a=2 b=0.5", f)
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	if _, err := FitLinear([]float64{1}, []float64{2, 3}); err == nil {
 		t.Error("mismatched lengths should fail")
@@ -127,9 +112,6 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := FitNLogN([]float64{1, 2}, []float64{1, 2}); err == nil {
 		t.Error("n=1 should fail (ln 1 = 0 pathologies)")
-	}
-	if _, err := FitCombined([]float64{10, 20}, []float64{1, 2}); err == nil {
-		t.Error("combined fit needs 3 points")
 	}
 }
 
@@ -199,31 +181,6 @@ func TestFitString(t *testing.T) {
 	f2 := Fit{Model: "c*n*ln(n)", A: 0.9, R2: 0.99}
 	if f2.String() == "" {
 		t.Error("empty string")
-	}
-	f3 := Fit{Model: "a*n + b*n*ln(n)", A: 1, B: 2, R2: 0.5}
-	if f3.String() == "" {
-		t.Error("empty string")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	xs := []float64{10, 11, 9, 10.5, 9.5, 10, 10.2, 9.8}
-	src := rand.New(rand.NewSource(1))
-	lo, hi, err := BootstrapCI(xs, 0.95, 500, src.Uint64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%v,%v] excludes the sample mean region", lo, hi)
-	}
-	if lo >= hi {
-		t.Errorf("degenerate CI [%v,%v]", lo, hi)
-	}
-	if _, _, err := BootstrapCI(nil, 0.95, 100, src.Uint64); err == nil {
-		t.Error("empty data should fail")
-	}
-	if _, _, err := BootstrapCI(xs, 1.5, 100, src.Uint64); err == nil {
-		t.Error("bad level should fail")
 	}
 }
 

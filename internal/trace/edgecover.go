@@ -24,22 +24,3 @@ func RunUntilEdgeCover(p walk.Process, maxSteps int64) (*Recorder, error) {
 	}
 	return r, nil
 }
-
-// PhaseSplit summarises where a fraction of first visits happened
-// relative to a step boundary: the number of vertices first visited at
-// or before step t, and after it. For the E-process, calling it with
-// t = m shows how much of the graph the (at most m) blue steps alone
-// discovered.
-func (r *Recorder) PhaseSplit(t int64) (atOrBefore, after, never int) {
-	for _, fv := range r.FirstVisit {
-		switch {
-		case fv == -1:
-			never++
-		case fv <= t:
-			atOrBefore++
-		default:
-			after++
-		}
-	}
-	return atOrBefore, after, never
-}

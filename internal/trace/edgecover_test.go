@@ -17,13 +17,13 @@ func TestRunUntilEdgeCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.EdgesSeen() != g.M() {
-		t.Fatalf("edges seen = %d, want %d", r.EdgesSeen(), g.M())
+	if r.edgesSeen != g.M() {
+		t.Fatalf("edges seen = %d, want %d", r.edgesSeen, g.M())
 	}
 	// Every vertex must have been visited too (edge cover ⊃ vertex
 	// cover on graphs without isolated vertices).
-	if r.VerticesSeen() != g.N() {
-		t.Errorf("vertices seen = %d, want %d", r.VerticesSeen(), g.N())
+	if r.verticesSeen != g.N() {
+		t.Errorf("vertices seen = %d, want %d", r.verticesSeen, g.N())
 	}
 }
 
@@ -48,7 +48,22 @@ func TestPhaseSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atM, after, never := r.PhaseSplit(int64(g.M()))
+	// Split the vertices by first visit: within the first t steps,
+	// after them, or never.
+	split := func(t int64) (atT, after, never int) {
+		for _, fv := range r.FirstVisit {
+			switch {
+			case fv < 0:
+				never++
+			case fv <= t:
+				atT++
+			default:
+				after++
+			}
+		}
+		return atT, after, never
+	}
+	atM, after, never := split(int64(g.M()))
 	if never != 0 {
 		t.Errorf("never = %d after full cover", never)
 	}
@@ -61,8 +76,7 @@ func TestPhaseSplit(t *testing.T) {
 		t.Errorf("only %d/%d vertices within m steps", atM, g.N())
 	}
 	// Degenerate boundary: t = 0 counts only the start vertex.
-	at0, _, _ := r.PhaseSplit(0)
-	if at0 != 1 {
+	if at0, _, _ := split(0); at0 != 1 {
 		t.Errorf("t=0 split = %d, want 1", at0)
 	}
 }

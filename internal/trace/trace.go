@@ -1,6 +1,6 @@
 // Package trace records walk trajectories: first-visit times, visit
-// counts, and coverage curves (steps to visit a given fraction of
-// vertices or edges). The paper's Figure 1 reports only the final
+// counts, and vertex coverage curves (steps to visit a given fraction
+// of the vertices). The paper's Figure 1 reports only the final
 // cover time; coverage curves expose the mechanism behind it — the
 // E-process's blue phases sweep most of the graph in the first ≈ m
 // steps, leaving a short red-walk tail, whereas the SRW pays its
@@ -10,7 +10,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -71,12 +70,6 @@ func (r *Recorder) Observe(edgeID, vertex int) {
 	r.Visits[vertex]++
 }
 
-// VerticesSeen returns the number of distinct vertices visited.
-func (r *Recorder) VerticesSeen() int { return r.verticesSeen }
-
-// EdgesSeen returns the number of distinct edges traversed.
-func (r *Recorder) EdgesSeen() int { return r.edgesSeen }
-
 // Run drives p for exactly steps steps, recording each.
 func Run(p walk.Process, steps int64) *Recorder {
 	r := NewRecorder(p)
@@ -109,17 +102,8 @@ func RunUntilVertexCover(p walk.Process, maxSteps int64) (*Recorder, error) {
 // (ascending, within (0,1]), the first step at which at least
 // ceil(f·n) vertices had been visited. Unreached fractions give −1.
 func (r *Recorder) VertexCoverageCurve(fractions []float64) ([]int64, error) {
-	return coverageCurve(r.FirstVisit, fractions)
-}
-
-// EdgeCoverageCurve is VertexCoverageCurve for edge traversals.
-func (r *Recorder) EdgeCoverageCurve(fractions []float64) ([]int64, error) {
-	return coverageCurve(r.FirstTraversal, fractions)
-}
-
-func coverageCurve(first []int64, fractions []float64) ([]int64, error) {
-	times := make([]int64, 0, len(first))
-	for _, t := range first {
+	times := make([]int64, 0, len(r.FirstVisit))
+	for _, t := range r.FirstVisit {
 		if t >= 0 {
 			times = append(times, t)
 		}
@@ -131,7 +115,7 @@ func coverageCurve(first []int64, fractions []float64) ([]int64, error) {
 			return nil, errors.New("trace: fractions must lie in (0,1]")
 		}
 		// k = ceil(f·total): the smallest count that reaches fraction f.
-		k := int(math.Ceil(f * float64(len(first))))
+		k := int(math.Ceil(f * float64(len(r.FirstVisit))))
 		if k < 1 {
 			k = 1
 		}
@@ -142,37 +126,4 @@ func coverageCurve(first []int64, fractions []float64) ([]int64, error) {
 		out[i] = times[k-1]
 	}
 	return out, nil
-}
-
-// MaxFirstVisit returns the cover step: the largest first-visit time,
-// or −1 if some vertex was never reached.
-func (r *Recorder) MaxFirstVisit() int64 {
-	worst := int64(0)
-	for _, t := range r.FirstVisit {
-		if t == -1 {
-			return -1
-		}
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// WriteCoverageCSV writes "fraction,steps" rows for the given
-// fractions of vertex coverage.
-func (r *Recorder) WriteCoverageCSV(w io.Writer, fractions []float64) error {
-	curve, err := r.VertexCoverageCurve(fractions)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "fraction,steps"); err != nil {
-		return err
-	}
-	for i, f := range fractions {
-		if _, err := fmt.Fprintf(w, "%g,%d\n", f, curve[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -22,13 +20,13 @@ func TestRecorderBasics(t *testing.T) {
 	if r.FirstVisit[2] != 0 || r.Visits[2] != 1 {
 		t.Error("start vertex not pre-recorded")
 	}
-	if r.VerticesSeen() != 1 || r.EdgesSeen() != 0 {
+	if r.verticesSeen != 1 || r.edgesSeen != 0 {
 		t.Error("fresh recorder counts wrong")
 	}
 	e, v := p.Step()
 	r.Observe(e, v)
-	if r.Steps != 1 || r.VerticesSeen() != 2 || r.EdgesSeen() != 1 {
-		t.Errorf("after one step: steps=%d seenV=%d seenE=%d", r.Steps, r.VerticesSeen(), r.EdgesSeen())
+	if r.Steps != 1 || r.verticesSeen != 2 || r.edgesSeen != 1 {
+		t.Errorf("after one step: steps=%d seenV=%d seenE=%d", r.Steps, r.verticesSeen, r.edgesSeen)
 	}
 	if r.FirstVisit[v] != 1 || r.FirstTraversal[e] != 1 {
 		t.Error("first-visit bookkeeping wrong")
@@ -45,10 +43,16 @@ func TestRunUntilVertexCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VerticesSeen() != g.N() {
+	if r.verticesSeen != g.N() {
 		t.Fatal("cover incomplete")
 	}
-	cover := r.MaxFirstVisit()
+	cover := int64(0)
+	for _, fv := range r.FirstVisit {
+		if fv < 0 {
+			t.Fatal("a vertex has no first visit after cover")
+		}
+		cover = max(cover, fv)
+	}
 	if cover != r.Steps {
 		t.Errorf("cover step %d should equal total steps %d (run stops at cover)", cover, r.Steps)
 	}
@@ -74,8 +78,9 @@ func TestCoverageCurveMonotone(t *testing.T) {
 			t.Errorf("coverage curve not monotone: %v", curve)
 		}
 	}
-	if curve[len(curve)-1] != r.MaxFirstVisit() {
-		t.Errorf("full coverage %d != cover step %d", curve[len(curve)-1], r.MaxFirstVisit())
+	// The run stops at cover, so full coverage is its last step.
+	if curve[len(curve)-1] != r.Steps {
+		t.Errorf("full coverage %d != cover step %d", curve[len(curve)-1], r.Steps)
 	}
 }
 
@@ -98,25 +103,6 @@ func TestCoverageCurveErrorsAndUnreached(t *testing.T) {
 	}
 	if curve[0] != -1 {
 		t.Error("unreached fraction should give -1")
-	}
-	if r.MaxFirstVisit() != -1 {
-		t.Error("uncovered graph should report -1")
-	}
-}
-
-func TestEdgeCoverageCurve(t *testing.T) {
-	g, err := gen.Cycle(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := walk.NewEProcess(g, newRand(7), nil, 0)
-	r := Run(p, 8) // E-process on a fresh cycle is forced round: covers all edges
-	curve, err := r.EdgeCoverageCurve([]float64{0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve[0] != 4 || curve[1] != 8 {
-		t.Errorf("cycle edge coverage = %v, want [4 8]", curve)
 	}
 }
 
@@ -146,29 +132,6 @@ func TestEProcessFrontLoadsCoverage(t *testing.T) {
 	}
 	if epCurve[0] >= srwCurve[0] {
 		t.Errorf("E-process 90%% coverage (%d) not ahead of SRW (%d)", epCurve[0], srwCurve[0])
-	}
-}
-
-func TestWriteCoverageCSV(t *testing.T) {
-	g, err := gen.Cycle(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := walk.NewEProcess(g, newRand(10), nil, 0)
-	r, err := RunUntilVertexCover(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteCoverageCSV(&buf, []float64{0.5, 1}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "fraction,steps\n") {
-		t.Errorf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "0.5,") || !strings.Contains(out, "1,") {
-		t.Errorf("missing rows: %q", out)
 	}
 }
 

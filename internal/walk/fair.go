@@ -33,9 +33,6 @@ func (l *LeastUsedFirst) Graph() *graph.Graph { return l.g }
 // Current implements Process.
 func (l *LeastUsedFirst) Current() int { return l.cur }
 
-// Uses returns how many times edge id has been traversed.
-func (l *LeastUsedFirst) Uses(id int) int64 { return l.used[id] }
-
 // Step implements Process.
 func (l *LeastUsedFirst) Step() (int, int) {
 	adj := l.halves[l.off[l.cur]:l.off[l.cur+1]]

@@ -46,9 +46,6 @@ func (v *VProcess) Graph() *graph.Graph { return v.g }
 // Current implements Process.
 func (v *VProcess) Current() int { return v.cur }
 
-// VertexVisited reports whether u has been occupied.
-func (v *VProcess) VertexVisited(u int) bool { return v.visited.Test(u) }
-
 // Step implements Process.
 func (v *VProcess) Step() (int, int) {
 	adj := v.halves[v.off[v.cur]:v.off[v.cur+1]]

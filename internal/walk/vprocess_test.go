@@ -38,16 +38,16 @@ func TestVProcessPrefersUnvisited(t *testing.T) {
 func TestVProcessVisitedTracking(t *testing.T) {
 	g := mustCycle(t, 8)
 	v := NewVProcess(g, newRand(43), 3)
-	if !v.VertexVisited(3) {
+	if !v.visited.Test(3) {
 		t.Error("start vertex should be visited")
 	}
-	if v.VertexVisited(0) {
+	if v.visited.Test(0) {
 		t.Error("vertex 0 not yet visited")
 	}
 	v.Step()
 	count := 0
 	for u := 0; u < g.N(); u++ {
-		if v.VertexVisited(u) {
+		if v.visited.Test(u) {
 			count++
 		}
 	}
@@ -55,7 +55,7 @@ func TestVProcessVisitedTracking(t *testing.T) {
 		t.Errorf("after one step %d vertices visited, want 2", count)
 	}
 	v.Reset(0)
-	if v.VertexVisited(3) {
+	if v.visited.Test(3) {
 		t.Error("reset did not clear visited set")
 	}
 	if v.Current() != 0 {

@@ -392,9 +392,9 @@ func TestLeastUsedFirstEqualisesFrequencies(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		l.Step()
 	}
-	minU, maxU := l.Uses(0), l.Uses(0)
+	minU, maxU := l.used[0], l.used[0]
 	for id := 1; id < g.M(); id++ {
-		u := l.Uses(id)
+		u := l.used[id]
 		if u < minU {
 			minU = u
 		}
