@@ -221,11 +221,9 @@ func TestPublicAPIStarCensus(t *testing.T) {
 }
 
 func TestPublicAPIGraphOps(t *testing.T) {
-	g := repro.NewGraph(4)
-	for _, e := range []repro.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}} {
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			t.Fatal(err)
-		}
+	g, err := repro.NewGraphFromEdges(4, []repro.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if g.Girth() != 4 {
 		t.Error("girth")

@@ -65,7 +65,7 @@ type CoverResult struct {
 }
 
 // FootprintResult reports the resident memory of one cover trial's hot
-// state — frozen CSR graph, E-process (pending arena + visited bitset)
+// state — CSR graph, E-process (pending arena + visited bitset)
 // and cover scratch — measured from live heap growth, plus the
 // construction-allocation profile. bytes_per_half is the headline
 // layout metric: total hot bytes divided by the 2m half-edges, ~16 for
@@ -82,13 +82,13 @@ type FootprintResult struct {
 }
 
 // ChurnResult is the dynamic-topology section: the overlay engine's
-// step cost next to the frozen fast path. dyn_step_zero_churn is the
+// step cost next to the static fast path. dyn_step_zero_churn is the
 // pure cost of reading the CSR block through the removed-edge mask
 // (same graph, no mutations); dyn_step_churn adds a failure/repair
 // ChurnSchedule event stream, so its delta over zero-churn is the
 // per-step price of the churn coins, the mutations and the slower
 // red-step indexing past removed halves; overlay_mutate is one
-// RemoveEdge+RestoreEdge pair in isolation. The frozen-path numbers in
+// RemoveEdge+RestoreEdge pair in isolation. The static-path numbers in
 // Benchmarks must not move when this section is added — static Step
 // never touches the overlay.
 type ChurnResult struct {
@@ -340,7 +340,6 @@ func measureFootprint(n, d int) FootprintResult {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	g := mustRegular(n, d, 31)
-	g.Freeze()
 	e := walk.NewEProcess(g, rng.NewXoshiro256(32), nil, 0)
 	var sc walk.CoverScratch
 	if _, err := sc.VertexCoverSteps(e, 0); err != nil {
@@ -534,7 +533,6 @@ func main() {
 		Footprint: measureFootprint(*largeN, *d),
 	}
 	largeGraph := mustRegular(*largeN, *d, 17)
-	largeGraph.Freeze()
 	report.LargeN.Cover = run("EProcessFullVertexCoverLargeN", func(b *testing.B) {
 		e := walk.NewEProcess(largeGraph, rng.NewXoshiro256(18), nil, 0)
 		var sc walk.CoverScratch

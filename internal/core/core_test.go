@@ -147,16 +147,7 @@ func TestCensusPetersen(t *testing.T) {
 }
 
 func TestCensusMultigraph(t *testing.T) {
-	g := graph.New(2)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 0, V: 1}})
 	cycles, err := Census(g, 4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -329,18 +320,17 @@ func TestLGoodTwoTriangles(t *testing.T) {
 // 9-cycles (through a, b and through c, d) give 17 vertices; the
 // triangle on b, d plus the 11-cycle on a, c give 13.
 func TestLGoodVertexLongCycleCoverIsNotExact(t *testing.T) {
-	g := graph.New(25)
+	var edges []graph.Edge
 	path := func(vs ...int) {
 		for i := 0; i+1 < len(vs); i++ {
-			if err := g.AddEdge(vs[i], vs[i+1]); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, graph.Edge{U: vs[i], V: vs[i+1]})
 		}
 	}
 	path(0, 1, 2, 3, 4, 5, 6, 7, 8, 0)         // 9-cycle through a=0-1 and b=8-0
 	path(0, 9, 10, 11, 12, 13, 14, 15, 16, 0)  // 9-cycle through c=0-9 and d=16-0
 	path(8, 16)                                // triangle 0, 8, 16 on b and d
 	path(1, 17, 18, 19, 20, 21, 22, 23, 24, 9) // 11-cycle on a and c
+	g := graph.MustFromEdges(25, edges)
 	for _, c := range []struct {
 		horizon int
 		want    LGoodResult

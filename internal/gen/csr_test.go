@@ -12,26 +12,22 @@ import (
 )
 
 // assertSameCSR checks that g, as a generator returned it, is the graph
-// NewFromEdges would build from its edge list and then freeze: same
-// edges, CSR halves and offsets, adjacency and degrees.
+// NewFromEdges would build from its edge list: same edges, CSR halves
+// and offsets, adjacency and degrees.
 func assertSameCSR(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
-	if !g.Frozen() {
-		t.Fatalf("%s: generator returned an unfrozen graph", name)
-	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	want := graph.MustFromEdges(g.N(), g.Edges())
-	want.Freeze()
 	if !slices.Equal(g.Edges(), want.Edges()) {
 		t.Fatalf("%s: edge lists differ", name)
 	}
 	if !slices.Equal(g.Halves(), want.Halves()) {
-		t.Fatalf("%s: CSR halves differ from NewFromEdges+Freeze", name)
+		t.Fatalf("%s: CSR halves differ from NewFromEdges", name)
 	}
 	if !slices.Equal(g.Offsets(), want.Offsets()) {
-		t.Fatalf("%s: CSR offsets differ from NewFromEdges+Freeze", name)
+		t.Fatalf("%s: CSR offsets differ from NewFromEdges", name)
 	}
 	for v := 0; v < g.N(); v++ {
 		if g.Degree(v) != want.Degree(v) || !slices.Equal(g.Adj(v), want.Adj(v)) {

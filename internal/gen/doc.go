@@ -24,8 +24,11 @@
 // graph in every experiment is reproducible from a seed.
 //
 // The Steger–Wormald generators (RandomRegularSW,
-// RandomDegreeSequenceSW) return frozen graphs: each attempt writes the
-// CSR adjacency directly, in edge-creation order per vertex, which is
-// the layout graph.NewFromEdges plus Freeze would build from the same
-// edge list. The other generators return builder-state graphs.
+// RandomDegreeSequenceSW) write the CSR adjacency directly, in
+// edge-creation order per vertex, and hand it to graph.NewFrozen: the
+// layout graph.NewFromEdges would build from the same edge list. The
+// other generators append their edges to a slice and call
+// graph.NewFromEdges once. A family whose size follows from its
+// arguments rejects an oversize request with a wrapped
+// graph.ErrTooLarge before it allocates.
 package gen

@@ -6,6 +6,19 @@ import (
 	"repro/internal/graph"
 )
 
+// checkSize returns a wrapped graph.ErrTooLarge when family's instance,
+// with n vertices and m edges, would break the graph package's 32-bit
+// size bounds. Families call it before they allocate, so an oversize
+// argument fails fast instead of building billions of edges. n and m
+// are float64 so callers can form them from their arguments without
+// int overflow; both are exact wherever they are near the bounds.
+func checkSize(family string, n, m float64) error {
+	if n > graph.MaxSize || m > graph.MaxEdges {
+		return fmt.Errorf("gen: %s with n=%.0f, m=%.0f: %w", family, n, m, graph.ErrTooLarge)
+	}
+	return nil
+}
+
 // Cycle returns the n-cycle C_n (n ≥ 3), the minimal connected
 // 2-regular even-degree graph. Its girth equals n, making long cycles
 // the extreme case for the Theorem 3 girth dependence.
@@ -13,13 +26,18 @@ func Cycle(n int) (*graph.Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("gen: cycle needs n >= 3, got %d", n)
 	}
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		if err := g.AddEdge(i, (i+1)%n); err != nil {
-			return nil, err
-		}
+	if err := checkSize("cycle", float64(n), float64(n)); err != nil {
+		return nil, err
 	}
-	return g, nil
+	return graph.NewFromEdges(n, cycleEdges(make([]graph.Edge, 0, n), n))
+}
+
+// cycleEdges appends the n edges {i, i+1 mod n} of C_n to edges.
+func cycleEdges(edges []graph.Edge, n int) []graph.Edge {
+	for i := 0; i < n; i++ {
+		edges = append(edges, graph.Edge{U: i, V: (i + 1) % n})
+	}
+	return edges
 }
 
 // DoubleCycle returns the 4-regular multigraph on n vertices formed by
@@ -27,16 +45,14 @@ func Cycle(n int) (*graph.Graph, error) {
 // expander" family: λmax → 1 as n grows, exercising the eigenvalue-gap
 // term of Theorem 1.
 func DoubleCycle(n int) (*graph.Graph, error) {
-	g, err := Cycle(n)
-	if err != nil {
+	if n < 3 {
+		return nil, fmt.Errorf("gen: cycle needs n >= 3, got %d", n)
+	}
+	if err := checkSize("double cycle", float64(n), 2*float64(n)); err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if err := g.AddEdge(i, (i+1)%n); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	edges := cycleEdges(make([]graph.Edge, 0, 2*n), n)
+	return graph.NewFromEdges(n, cycleEdges(edges, n))
 }
 
 // Complete returns the complete graph K_n.
@@ -44,15 +60,16 @@ func Complete(n int) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: complete graph needs n >= 1, got %d", n)
 	}
-	g := graph.New(n)
+	if err := checkSize("complete graph", float64(n), float64(n)*float64(n-1)/2); err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				return nil, err
-			}
+			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(n, edges)
 }
 
 // CompleteBipartite returns K_{a,b}: vertices 0..a-1 on one side,
@@ -62,15 +79,16 @@ func CompleteBipartite(a, b int) (*graph.Graph, error) {
 	if a < 1 || b < 1 {
 		return nil, fmt.Errorf("gen: K_{a,b} needs a,b >= 1, got %d,%d", a, b)
 	}
-	g := graph.New(a + b)
+	if err := checkSize("K_{a,b}", float64(a)+float64(b), float64(a)*float64(b)); err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, 0, a*b)
 	for i := 0; i < a; i++ {
 		for j := 0; j < b; j++ {
-			if err := g.AddEdge(i, a+j); err != nil {
-				return nil, err
-			}
+			edges = append(edges, graph.Edge{U: i, V: a + j})
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(a+b, edges)
 }
 
 // Hypercube returns the r-dimensional hypercube H_r on n = 2^r vertices,
@@ -82,18 +100,15 @@ func Hypercube(r int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: hypercube dimension %d out of [1,26]", r)
 	}
 	n := 1 << uint(r)
-	g := graph.New(n)
+	edges := make([]graph.Edge, 0, n*r/2)
 	for v := 0; v < n; v++ {
 		for b := 0; b < r; b++ {
-			w := v ^ (1 << uint(b))
-			if v < w {
-				if err := g.AddEdge(v, w); err != nil {
-					return nil, err
-				}
+			if w := v ^ (1 << uint(b)); v < w {
+				edges = append(edges, graph.Edge{U: v, V: w})
 			}
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(n, edges)
 }
 
 // Torus returns the rows×cols toroidal grid: 4-regular (even degree)
@@ -103,19 +118,20 @@ func Torus(rows, cols int) (*graph.Graph, error) {
 	if rows < 3 || cols < 3 {
 		return nil, fmt.Errorf("gen: torus needs both dims >= 3, got %dx%d", rows, cols)
 	}
-	g := graph.New(rows * cols)
+	cells := float64(rows) * float64(cols)
+	if err := checkSize("torus", cells, 2*cells); err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, 0, 2*rows*cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if err := g.AddEdge(id(r, c), id((r+1)%rows, c)); err != nil {
-				return nil, err
-			}
-			if err := g.AddEdge(id(r, c), id(r, (c+1)%cols)); err != nil {
-				return nil, err
-			}
+			edges = append(edges,
+				graph.Edge{U: id(r, c), V: id((r+1)%rows, c)},
+				graph.Edge{U: id(r, c), V: id(r, (c+1)%cols)})
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(rows*cols, edges)
 }
 
 // Circulant returns the circulant graph C_n(offsets): vertex i adjacent
@@ -143,16 +159,16 @@ func Circulant(n int, offsets []int) (*graph.Graph, error) {
 		}
 		seen[canon] = true
 	}
-	g := graph.New(n)
+	if err := checkSize("circulant", float64(n), float64(n)*float64(len(offsets))); err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, 0, n*len(offsets))
 	for v := 0; v < n; v++ {
 		for _, s := range offsets {
-			w := (v + s) % n
-			if err := g.AddEdge(v, w); err != nil {
-				return nil, err
-			}
+			edges = append(edges, graph.Edge{U: v, V: (v + s) % n})
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(n, edges)
 }
 
 // Lollipop returns the lollipop graph: a clique on cliqueN vertices with
@@ -163,23 +179,23 @@ func Lollipop(cliqueN, pathN int) (*graph.Graph, error) {
 	if cliqueN < 3 || pathN < 1 {
 		return nil, fmt.Errorf("gen: lollipop needs clique >= 3 and path >= 1, got %d,%d", cliqueN, pathN)
 	}
-	g := graph.New(cliqueN + pathN)
+	c, p := float64(cliqueN), float64(pathN)
+	if err := checkSize("lollipop", c+p, c*(c-1)/2+p); err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, 0, cliqueN*(cliqueN-1)/2+pathN)
 	for i := 0; i < cliqueN; i++ {
 		for j := i + 1; j < cliqueN; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				return nil, err
-			}
+			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
 	prev := 0
 	for i := 0; i < pathN; i++ {
 		next := cliqueN + i
-		if err := g.AddEdge(prev, next); err != nil {
-			return nil, err
-		}
+		edges = append(edges, graph.Edge{U: prev, V: next})
 		prev = next
 	}
-	return g, nil
+	return graph.NewFromEdges(cliqueN+pathN, edges)
 }
 
 // Margulis returns the Margulis expander on n = k² vertices: vertex
@@ -192,25 +208,22 @@ func Margulis(k int) (*graph.Graph, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("gen: Margulis needs k >= 2, got %d", k)
 	}
+	cells := float64(k) * float64(k)
+	if err := checkSize("Margulis", cells, 4*cells); err != nil {
+		return nil, err
+	}
 	n := k * k
-	g := graph.New(n)
+	edges := make([]graph.Edge, 0, 4*n)
 	id := func(x, y int) int { return ((x%k+k)%k)*k + ((y%k + k) % k) }
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {
 			v := id(x, y)
-			if err := g.AddEdge(v, id(x+y, y)); err != nil {
-				return nil, err
-			}
-			if err := g.AddEdge(v, id(x, y+x)); err != nil {
-				return nil, err
-			}
-			if err := g.AddEdge(v, id(x+y+1, y)); err != nil {
-				return nil, err
-			}
-			if err := g.AddEdge(v, id(x, y+x+1)); err != nil {
-				return nil, err
-			}
+			edges = append(edges,
+				graph.Edge{U: v, V: id(x+y, y)},
+				graph.Edge{U: v, V: id(x, y+x)},
+				graph.Edge{U: v, V: id(x+y+1, y)},
+				graph.Edge{U: v, V: id(x, y+x+1)})
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(n, edges)
 }

@@ -21,13 +21,18 @@ func RandomGeometric(r *rand.Rand, n int, radius float64) (*graph.Graph, error) 
 	if radius <= 0 {
 		return nil, fmt.Errorf("gen: RGG needs radius > 0, got %v", radius)
 	}
+	// m depends on the points, so only n is checked up front; the edge
+	// loop stops at MaxEdges.
+	if err := checkSize("RGG", float64(n), 0); err != nil {
+		return nil, err
+	}
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	for i := 0; i < n; i++ {
 		xs[i] = r.Float64()
 		ys[i] = r.Float64()
 	}
-	g := graph.New(n)
+	var edges []graph.Edge
 	// Cell grid makes neighbour search O(n) in the sparse regime.
 	cells := int(1 / radius)
 	if cells < 1 {
@@ -59,15 +64,16 @@ func RandomGeometric(r *rand.Rand, n int, radius float64) (*graph.Graph, error) 
 					}
 					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
 					if ddx*ddx+ddy*ddy <= r2 {
-						if err := g.AddEdge(i, j); err != nil {
-							return nil, err
+						if len(edges) == graph.MaxEdges {
+							return nil, fmt.Errorf("gen: RGG with n=%d has more than %d edges: %w", n, graph.MaxEdges, graph.ErrTooLarge)
 						}
+						edges = append(edges, graph.Edge{U: i, V: j})
 					}
 				}
 			}
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(n, edges)
 }
 
 // RandomGeometricConnected retries RandomGeometric until the instance is
@@ -76,7 +82,7 @@ func RandomGeometric(r *rand.Rand, n int, radius float64) (*graph.Graph, error) 
 // when radius <= 0.
 func RandomGeometricConnected(r *rand.Rand, n int, radius float64) (*graph.Graph, error) {
 	if n == 1 {
-		return graph.New(1), nil
+		return graph.NewFromEdges(1, nil)
 	}
 	if radius <= 0 {
 		radius = math.Sqrt(2 * math.Log(float64(n)) / (math.Pi * float64(n)))

@@ -70,16 +70,17 @@ func LPS(p, q int) (*graph.Graph, error) {
 		}
 	}
 
-	gr := graph.New(len(order))
+	edges := make([]graph.Edge, 0, len(order)*(p+1)/2)
 	for u, m := range order {
 		for _, g := range gens {
-			w := index[canonical(mulMod(m, g, q), q)]
-			if u < w {
-				if err := gr.AddEdge(u, w); err != nil {
-					return nil, err
-				}
+			if w := index[canonical(mulMod(m, g, q), q)]; u < w {
+				edges = append(edges, graph.Edge{U: u, V: w})
 			}
 		}
+	}
+	gr, err := graph.NewFromEdges(len(order), edges)
+	if err != nil {
+		return nil, err
 	}
 	if deg, ok := gr.IsRegular(); !ok || deg != p+1 {
 		return nil, fmt.Errorf("gen: LPS(%d,%d) construction gave degree %d, want %d (parameters too small?)", p, q, deg, p+1)

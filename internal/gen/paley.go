@@ -16,6 +16,9 @@ func Paley(q int) (*graph.Graph, error) {
 	if q < 5 {
 		return nil, fmt.Errorf("gen: Paley needs prime q >= 5, got %d", q)
 	}
+	if err := checkSize("Paley", float64(q), float64(q)*float64(q-1)/4); err != nil {
+		return nil, err
+	}
 	if !isPrime(q) {
 		return nil, fmt.Errorf("gen: Paley needs prime q, got composite %d", q)
 	}
@@ -26,17 +29,15 @@ func Paley(q int) (*graph.Graph, error) {
 	for x := 1; x < q; x++ {
 		residue[x*x%q] = true
 	}
-	g := graph.New(q)
+	edges := make([]graph.Edge, 0, q*(q-1)/4)
 	for x := 0; x < q; x++ {
 		for y := x + 1; y < q; y++ {
 			if residue[(y-x)%q] {
-				if err := g.AddEdge(x, y); err != nil {
-					return nil, err
-				}
+				edges = append(edges, graph.Edge{U: x, V: y})
 			}
 		}
 	}
-	return g, nil
+	return graph.NewFromEdges(q, edges)
 }
 
 func isPrime(n int) bool {
@@ -60,23 +61,11 @@ func isPrime(n int) bool {
 // paper's lazification device.
 func BipartiteDouble(g *graph.Graph) (*graph.Graph, error) {
 	n := g.N()
-	d := graph.New(2 * n)
-	for _, e := range g.Edges() {
-		if e.IsLoop() {
-			if err := d.AddEdge(e.U, e.U+n); err != nil {
-				return nil, err
-			}
-			if err := d.AddEdge(e.U, e.U+n); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := d.AddEdge(e.U, e.V+n); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(e.V, e.U+n); err != nil {
-			return nil, err
-		}
+	edges := make([]graph.Edge, 0, 2*g.M())
+	for id := 0; id < g.M(); id++ {
+		// A loop {v, v} gives the same pair of edges as any other edge.
+		e := g.Edge(id)
+		edges = append(edges, graph.Edge{U: e.U, V: e.V + n}, graph.Edge{U: e.V, V: e.U + n})
 	}
-	return d, nil
+	return graph.NewFromEdges(2*n, edges)
 }

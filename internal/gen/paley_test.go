@@ -109,13 +109,7 @@ func TestBipartiteDoubleSpectrumNegation(t *testing.T) {
 }
 
 func TestBipartiteDoubleLoopHandling(t *testing.T) {
-	g := graph.New(2)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}})
 	d, err := BipartiteDouble(g)
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 		points[i] = i / deg
 	}
 	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-	g := graph.New(n)
+	edges := make([]graph.Edge, 0, n*deg/2)
 	seen := make(map[[2]int]bool, n*deg/2)
 	for i := 0; i < len(points); i += 2 {
 		u, v := points[i], points[i+1]
@@ -57,9 +57,11 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 			return nil, false
 		}
 		seen[key] = true
-		if err := g.AddEdge(u, v); err != nil {
-			panic(err)
-		}
+		edges = append(edges, graph.Edge{U: u, V: v})
+	}
+	g, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g, true
 }
@@ -75,8 +77,8 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 //
 // The parallel-edge check is a linear scan of the at most r partners a
 // vertex already has (O(r) per draw, no per-vertex sets), so the number
-// of allocations an attempt makes does not grow with n. The graph comes
-// back frozen: the attempt writes its CSR directly.
+// of allocations an attempt makes does not grow with n. The attempt
+// writes the graph's CSR directly.
 func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
@@ -95,13 +97,13 @@ func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 }
 
 // swAttempt runs one Steger–Wormald pairing of the given degree
-// sequence (total = its sum) and returns the frozen graph, or nil when
+// sequence (total = its sum) and returns the graph, or nil when
 // the pairing gets stuck or the result is disconnected.
 //
 // It writes the CSR directly: vertex v owns the half slots
 // halves[off[v]:off[v+1]] (off is the degree prefix sum) and fills
 // them in edge-creation order, which is the adjacency order
-// graph.NewFromEdges would give the same edge list.
+// graph.NewFromEdges gives the same edge list.
 func swAttempt(r *rand.Rand, degrees []int, total int) *graph.Graph {
 	if total/2 > graph.MaxEdges {
 		// The int32 slab offsets below rely on the graph size contract.
@@ -277,6 +279,7 @@ func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 	}
 	const maxAttempts = 20000
 	points := make([]int, 0, total)
+	edges := make([]graph.Edge, 0, total/2)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		points = points[:0]
 		for v, d := range degrees {
@@ -285,7 +288,7 @@ func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 			}
 		}
 		r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-		g := graph.New(n)
+		edges = edges[:0]
 		ok := true
 		seen := make(map[[2]int]bool, total/2)
 		for i := 0; i < len(points) && ok; i += 2 {
@@ -303,11 +306,16 @@ func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 				break
 			}
 			seen[key] = true
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
+			edges = append(edges, graph.Edge{U: u, V: v})
 		}
-		if ok && g.IsConnected() {
+		if !ok {
+			continue
+		}
+		g, err := graph.NewFromEdges(n, edges)
+		if err != nil {
+			panic(err)
+		}
+		if g.IsConnected() {
 			return g, nil
 		}
 	}

@@ -22,10 +22,9 @@ func TestBridgesCycleHasNone(t *testing.T) {
 }
 
 func TestBridgesParallelEdgesNotBridges(t *testing.T) {
-	g := New(3)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(0, 1)) // parallel pair: neither is a bridge
-	must(g.AddEdge(1, 2)) // single edge: bridge
+	// A parallel pair {0,1}: neither is a bridge; the single edge {1,2}
+	// is one.
+	g := MustFromEdges(3, []Edge{{0, 1}, {0, 1}, {1, 2}})
 	bridges := g.Bridges()
 	if len(bridges) != 1 || bridges[0] != 2 {
 		t.Fatalf("bridges = %v, want [2]", bridges)
@@ -33,9 +32,7 @@ func TestBridgesParallelEdgesNotBridges(t *testing.T) {
 }
 
 func TestBridgesLoopNeverBridge(t *testing.T) {
-	g := New(2)
-	must(g.AddEdge(0, 0))
-	must(g.AddEdge(0, 1))
+	g := MustFromEdges(2, []Edge{{0, 0}, {0, 1}})
 	bridges := g.Bridges()
 	if len(bridges) != 1 || bridges[0] != 1 {
 		t.Fatalf("bridges = %v, want [1]", bridges)
@@ -56,9 +53,7 @@ func TestBridgesBarbell(t *testing.T) {
 }
 
 func TestBridgesDisconnected(t *testing.T) {
-	g := New(4)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(2, 3))
+	g := MustFromEdges(4, []Edge{{0, 1}, {2, 3}})
 	bridges := g.Bridges()
 	if len(bridges) != 2 {
 		t.Fatalf("bridges = %v, want both isolated edges", bridges)
@@ -71,11 +66,7 @@ func TestBridgesPropertyRemoval(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(14) + 3
-		g := New(n)
-		m := r.Intn(3*n) + 1
-		for i := 0; i < m; i++ {
-			must(g.AddEdge(r.Intn(n), r.Intn(n)))
-		}
+		g := randomGraph(r, n, r.Intn(3*n)+1)
 		isBridge := make(map[int]bool)
 		for _, b := range g.Bridges() {
 			isBridge[b] = true
@@ -83,13 +74,8 @@ func TestBridgesPropertyRemoval(t *testing.T) {
 		_, baseComps := g.Components()
 		for id := 0; id < g.M(); id++ {
 			// Rebuild without edge id.
-			h := New(n)
-			for j, e := range g.Edges() {
-				if j == id {
-					continue
-				}
-				must(h.AddEdge(e.U, e.V))
-			}
+			edges := g.Edges()
+			h := MustFromEdges(n, append(edges[:id], edges[id+1:]...))
 			_, comps := h.Components()
 			if isBridge[id] && comps != baseComps+1 {
 				return false

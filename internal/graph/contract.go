@@ -32,13 +32,13 @@ func (g *Graph) Contract(s []int) (gamma *Graph, gammaID int, oldToNew []int) {
 			next++
 		}
 	}
-	gamma = New(newN)
-	for _, e := range g.edges {
-		// Loops and parallel edges are retained by construction.
-		if err := gamma.AddEdge(oldToNew[e.U], oldToNew[e.V]); err != nil {
-			panic(err) // mapping is total, cannot happen
-		}
+	// Loops and parallel edges are retained by construction.
+	edges := make([]Edge, len(g.edges))
+	for i, e := range g.edges {
+		edges[i] = Edge{U: oldToNew[e.U], V: oldToNew[e.V]}
 	}
+	gamma, err := fromEdges(newN, edges)
+	must(err) // the mapping is total into [0, newN)
 	return gamma, gammaID, oldToNew
 }
 

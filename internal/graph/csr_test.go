@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -12,36 +13,25 @@ func buildTestGraph(t *testing.T) *Graph {
 	return g
 }
 
-// Freeze must preserve every adjacency list exactly, in order.
+// The constructor must lay every adjacency list out in edge-ID order,
+// each loop's two halves side by side, with degrees to match.
 func TestFreezePreservesAdjacency(t *testing.T) {
 	g := buildTestGraph(t)
-	type snap struct {
-		deg int
-		adj []Half
-	}
-	before := make([]snap, g.N())
-	for v := 0; v < g.N(); v++ {
-		before[v] = snap{g.Degree(v), append([]Half(nil), g.Adj(v)...)}
-	}
-	g.Freeze()
-	if !g.Frozen() {
-		t.Fatal("graph not frozen after Freeze")
+	want := [][]Half{
+		{{ID: 0, To: 1}, {ID: 1, To: 1}},
+		{{ID: 0, To: 0}, {ID: 1, To: 0}, {ID: 3, To: 2}},
+		{{ID: 2, To: 2}, {ID: 2, To: 2}, {ID: 3, To: 1}, {ID: 4, To: 3}},
+		{{ID: 4, To: 2}},
 	}
 	if err := g.Validate(); err != nil {
-		t.Fatalf("frozen graph invalid: %v", err)
+		t.Fatalf("graph invalid: %v", err)
 	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != before[v].deg {
-			t.Errorf("vertex %d: degree %d after freeze, want %d", v, g.Degree(v), before[v].deg)
+	for v, adj := range want {
+		if g.Degree(v) != len(adj) {
+			t.Errorf("vertex %d: degree %d, want %d", v, g.Degree(v), len(adj))
 		}
-		got := g.Adj(v)
-		if len(got) != len(before[v].adj) {
-			t.Fatalf("vertex %d: adjacency length changed", v)
-		}
-		for i, h := range got {
-			if h != before[v].adj[i] {
-				t.Errorf("vertex %d half %d: %+v after freeze, want %+v", v, i, h, before[v].adj[i])
-			}
+		if !slices.Equal(g.Adj(v), adj) {
+			t.Errorf("vertex %d: adjacency %+v, want %+v", v, g.Adj(v), adj)
 		}
 	}
 }
@@ -70,76 +60,9 @@ func TestHalvesOffsetsViews(t *testing.T) {
 	}
 }
 
-// Freezing must be idempotent and AddEdge must stay O(1) on a frozen
-// graph: the mutation lands in the spill (graph stays frozen, CSR
-// untouched) and the next Freeze merges it back into the flat layout.
-func TestFreezeThawCycle(t *testing.T) {
-	g := buildTestGraph(t)
-	g.Freeze()
-	g.Freeze() // idempotent
-	if err := g.AddEdge(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Frozen() {
-		t.Fatal("post-freeze AddEdge thawed the graph (should spill)")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("spilled graph invalid: %v", err)
-	}
-	if g.M() != 6 || g.Degree(3) != 2 {
-		t.Fatalf("mutation lost: m=%d deg(3)=%d", g.M(), g.Degree(3))
-	}
-	// Refreeze (merges the spill) and confirm the new edge landed in
-	// the CSR arrays.
-	g.Freeze()
-	found := false
-	for _, h := range g.Adj(3) {
-		if h.ID == 5 && h.To == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("new edge missing from refrozen adjacency")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("refrozen graph invalid: %v", err)
-	}
-}
-
-// Clone must deep-copy in both storage states.
-func TestClonePreservesState(t *testing.T) {
-	for _, frozen := range []bool{false, true} {
-		g := buildTestGraph(t)
-		if frozen {
-			g.Freeze()
-		}
-		c := g.Clone()
-		if c.Frozen() != frozen {
-			t.Errorf("clone frozen=%v, want %v", c.Frozen(), frozen)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("clone invalid: %v", err)
-		}
-		// Mutating the clone must not affect the original.
-		if err := c.AddEdge(0, 3); err != nil {
-			t.Fatal(err)
-		}
-		if g.M() != 5 {
-			t.Errorf("original mutated through clone: m=%d", g.M())
-		}
-		if g.Frozen() != frozen {
-			t.Errorf("original thawed through clone")
-		}
-	}
-}
-
 // Isolated vertices must yield empty, well-formed CSR blocks.
 func TestFreezeIsolatedVertices(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
+	g := MustFromEdges(3, []Edge{{1, 1}})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +94,13 @@ func TestNewFrozenValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Frozen() || g.Degree(2) != 3 || g.M() != 3 {
-		t.Fatalf("NewFrozen built frozen=%v deg(2)=%d m=%d", g.Frozen(), g.Degree(2), g.M())
+	if g.Degree(2) != 3 || g.M() != 3 {
+		t.Fatalf("NewFrozen built deg(2)=%d m=%d", g.Degree(2), g.M())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	want := MustFromEdges(3, edges())
-	want.Freeze()
 	for v := 0; v < 3; v++ {
 		got, exp := g.Adj(v), want.Adj(v)
 		if len(got) != len(exp) {

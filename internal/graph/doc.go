@@ -13,24 +13,21 @@
 // as in standard multigraph degree counting, so that the handshake
 // identity sum(deg) = 2m always holds).
 //
-// # Storage: builder vs CSR
+// # Storage: one immutable CSR
 //
-// A Graph has two storage states. While it is being built, adjacency
-// lives in per-vertex slices so AddEdge is O(1) amortised. Freeze
-// finalises it into a compressed-sparse-row (CSR) layout: one flat
-// []Half array holding every adjacency list back-to-back, delimited by
-// an Offsets table of int32 (vertex v's halves are
-// Halves()[Offsets()[v]:Offsets()[v+1]], in edge-insertion order —
-// identical to the order the builder held them, so trajectories of
-// seeded walks are unchanged by freezing). The flat layout removes one
-// pointer dereference per adjacency access and keeps neighbour blocks
-// contiguous in cache, which is where simulation hot loops spend their
-// time; walk constructors Freeze their graph so every Step runs on CSR.
-// Freezing is idempotent, and a frozen graph thaws transparently when
-// mutated again (AddEdge), at O(n+m) for the first mutation. A
-// generator that already holds its adjacency in CSR order hands it to
-// NewFrozen, which validates the layout in O(n+m) and adopts it, so
-// the graph is born frozen without a builder stage.
+// A Graph is built once and never changes. Its constructor lays the
+// adjacency out in compressed-sparse-row (CSR) form: one flat []Half
+// array holding every adjacency list back to back, delimited by an
+// Offsets table of int32 (vertex v's halves are
+// Halves()[Offsets()[v]:Offsets()[v+1]], in increasing edge-ID order).
+// The flat layout keeps neighbour blocks contiguous in cache and lets
+// hot loops index them without pointer chasing, which is where
+// simulation time goes. NewFromEdges builds the CSR from an edge list
+// with one counting sort; a generator that already holds its
+// adjacency in that layout hands it to NewFrozen, which validates it
+// in O(n+m) and adopts it. Because nothing writes a Graph after
+// construction, any number of goroutines may read one instance; a walk
+// on a changing topology masks a fixed base through Overlay instead.
 //
 // # The 32-bit Half contract
 //
@@ -38,16 +35,14 @@
 // per half instead of 16 — halving the bytes every adjacency scan and
 // pending-arena copy streams through cache. The price is a size bound:
 // n ≤ MaxSize (2^31−1) and m ≤ MaxEdges (so the 2m half-edges fit the
-// int32 CSR offset range), which New, NewFromEdges, NewFrozen and
-// AddEdge validate at construction time — a successfully built graph can
-// always Freeze, and a Half field converts to int losslessly
+// int32 CSR offset range), which NewFromEdges and NewFrozen validate
+// before they allocate — so a Half field converts to int losslessly
 // everywhere. Callers must not assume the fields are machine-word
 // sized: code holding a Half field in an int context converts
 // explicitly (int(h.To), int(h.ID)). A MaxEdges-sized graph is ~17 GiB
 // of CSR halves — ~34 GiB once the walk engine's pending arena holds
 // its second copy — beyond any single-machine experiment here; a wider
-// layout would be a deliberate new storage state, not a field type
-// change.
+// layout would be a deliberate redesign, not a field type change.
 //
 // The package also provides the structural queries the paper's analysis
 // needs: connectivity, bipartiteness (which decides whether the walk

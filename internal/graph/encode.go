@@ -56,7 +56,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if m < 0 || m > MaxEdges {
 		return nil, fmt.Errorf("graph: bad edge count %d", m)
 	}
-	g := New(n)
+	// The header's m only bounds the loop: a few header bytes may
+	// declare MaxEdges, so the edge slice grows with the lines read.
+	var edges []Edge
 	for i := 0; i < m; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("graph: expected %d edges, got %d", m, i)
@@ -73,11 +75,15 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: bad endpoint: %w", err)
 		}
-		if err := g.AddEdge(u, v); err != nil {
+		if err := checkEdge(n, u, v); err != nil {
 			return nil, err
 		}
+		edges = append(edges, Edge{U: u, V: v})
 	}
-	return g, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return fromEdges(n, edges)
 }
 
 // DOT renders the graph in Graphviz DOT format, for eyeballing small

@@ -21,17 +21,18 @@ func FuzzDecodeGraph(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2]) // truncated mid-edge
 	f.Add([]byte(""))
-	f.Add([]byte("4"))                // header missing the edge count
-	f.Add([]byte("4 2\n0 1\n"))       // fewer edges than declared
-	f.Add([]byte("4 1\n0 9\n"))       // endpoint out of range
-	f.Add([]byte("0 0\n"))            // no vertices
-	f.Add([]byte("-3 1\n0 0\n"))      // negative vertex count
-	f.Add([]byte("4 -1\n"))           // negative edge count
-	f.Add([]byte("9999999999 0\n"))   // n past MaxSize
-	f.Add([]byte("4 9999999999\n"))   // m past MaxEdges
-	f.Add([]byte("4 1\n0 x\n"))       // non-numeric endpoint
-	f.Add([]byte("4 1\n0 1 2\n"))     // too many fields
-	f.Add([]byte("2 1\n0 1\njunk\n")) // trailing garbage is ignored by contract
+	f.Add([]byte("4"))                   // header missing the edge count
+	f.Add([]byte("4 2\n0 1\n"))          // fewer edges than declared
+	f.Add([]byte("4 1\n0 9\n"))          // endpoint out of range
+	f.Add([]byte("0 0\n"))               // no vertices
+	f.Add([]byte("-3 1\n0 0\n"))         // negative vertex count
+	f.Add([]byte("4 -1\n"))              // negative edge count
+	f.Add([]byte("9999999999 0\n"))      // n past MaxSize
+	f.Add([]byte("4 9999999999\n"))      // m past MaxEdges
+	f.Add([]byte("4 1\n0 x\n"))          // non-numeric endpoint
+	f.Add([]byte("4 1\n0 1 2\n"))        // too many fields
+	f.Add([]byte("2 1\n0 1\njunk\n"))    // trailing garbage is ignored by contract
+	f.Add([]byte("4 1073741823\n0 1\n")) // m = MaxEdges declared, one edge given
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Bound the accepted vertex count: a tiny input may legally
 		// declare an enormous (all-isolated) graph, and the decoder

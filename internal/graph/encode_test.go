@@ -2,16 +2,15 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestEdgeListRoundTrip(t *testing.T) {
-	g := New(5)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(1, 2))
-	must(g.AddEdge(2, 2)) // loop survives round trip
-	must(g.AddEdge(0, 1)) // parallel edge survives round trip
+	// The loop {2,2} and the parallel edge {0,1} survive the round trip.
+	g := MustFromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 2}, {0, 1}})
 	var buf bytes.Buffer
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
@@ -45,11 +44,27 @@ func TestReadEdgeListErrors(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+	// An out-of-range endpoint is reported as such even when a garbage
+	// line follows it: each line is checked as it is parsed.
+	_, err := ReadEdgeList(strings.NewReader("3 2\n0 5\njunk\n"))
+	if !errors.Is(err, ErrVertexRange) {
+		t.Errorf("range endpoint before a garbage line: err = %v, want ErrVertexRange", err)
+	}
+	// A header may declare MaxEdges edges: the decoder must not size
+	// anything from it, so a short input fails after allocating little.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadEdgeList(strings.NewReader("4 1073741823\n0 1\n")); err == nil {
+		t.Fatal("a header declaring MaxEdges with one edge line was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("decoding a 2-line input declaring MaxEdges allocated %d bytes", got)
+	}
 }
 
 func TestDOTOutput(t *testing.T) {
-	g := New(2)
-	must(g.AddEdge(0, 1))
+	g := MustFromEdges(2, []Edge{{0, 1}})
 	dot := g.DOT("g")
 	for _, want := range []string{"graph g {", "0 -- 1;", "}"} {
 		if !strings.Contains(dot, want) {
@@ -59,8 +74,7 @@ func TestDOTOutput(t *testing.T) {
 }
 
 func TestStringSummary(t *testing.T) {
-	g := New(3)
-	must(g.AddEdge(0, 1))
+	g := MustFromEdges(3, []Edge{{0, 1}})
 	if got := g.String(); got != "Graph(n=3, m=1)" {
 		t.Errorf("String() = %q", got)
 	}

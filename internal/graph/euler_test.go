@@ -30,12 +30,8 @@ func TestEulerCircuitEvenComplete(t *testing.T) {
 }
 
 func TestEulerCircuitMultigraphWithLoops(t *testing.T) {
-	g := New(3)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(1, 0))
-	must(g.AddEdge(1, 1)) // loop keeps degrees even
-	must(g.AddEdge(0, 2))
-	must(g.AddEdge(2, 0))
+	// The loop {1,1} keeps degrees even.
+	g := MustFromEdges(3, []Edge{{0, 1}, {1, 0}, {1, 1}, {0, 2}, {2, 0}})
 	trail, err := g.EulerCircuit(0)
 	if err != nil {
 		t.Fatal(err)
@@ -57,29 +53,21 @@ func TestEulerCircuitRejectsOddDegree(t *testing.T) {
 }
 
 func TestEulerCircuitRejectsDisconnectedEdges(t *testing.T) {
-	g := New(6)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(1, 2))
-	must(g.AddEdge(2, 0))
-	must(g.AddEdge(3, 4))
-	must(g.AddEdge(4, 5))
-	must(g.AddEdge(5, 3))
+	g := MustFromEdges(6, []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
 	if _, err := g.EulerCircuit(0); err != ErrNotEulerian {
 		t.Fatal("two triangles should be rejected")
 	}
 }
 
 func TestEulerCircuitIsolatedStartRejected(t *testing.T) {
-	g := New(4)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(1, 0))
+	g := MustFromEdges(4, []Edge{{0, 1}, {1, 0}})
 	if _, err := g.EulerCircuit(3); err != ErrNotEulerian {
 		t.Fatal("edgeless start vertex should be rejected")
 	}
 }
 
 func TestEulerCircuitEmptyGraph(t *testing.T) {
-	g := New(3)
+	g := MustFromEdges(3, nil)
 	trail, err := g.EulerCircuit(0)
 	if err != nil || trail != nil {
 		t.Fatal("empty graph should give empty circuit")
@@ -105,19 +93,20 @@ func TestEulerCircuitPropertyRandomEvenGraphs(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(20) + 3
-		g := New(n)
 		// Union of 1-3 random cycles through random vertex sequences.
+		var edges []Edge
 		for c := 0; c < r.Intn(3)+1; c++ {
 			start := r.Intn(n)
 			cur := start
 			length := r.Intn(10) + 2
 			for i := 0; i < length; i++ {
 				nxt := r.Intn(n)
-				must(g.AddEdge(cur, nxt))
+				edges = append(edges, Edge{cur, nxt})
 				cur = nxt
 			}
-			must(g.AddEdge(cur, start))
+			edges = append(edges, Edge{cur, start})
 		}
+		g := MustFromEdges(n, edges)
 		if !g.IsEvenDegree() {
 			return false // construction bug
 		}

@@ -2,84 +2,100 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func path(t *testing.T, n int) *Graph {
-	t.Helper()
-	g := New(n)
+// pathEdges returns the edges {i, i+1} of the n-vertex path.
+func pathEdges(n int) []Edge {
+	var edges []Edge
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
+		edges = append(edges, Edge{i, i + 1})
+	}
+	return edges
+}
+
+// cycleEdges returns the edges of C_n: the path plus {n-1, 0}.
+func cycleEdges(n int) []Edge { return append(pathEdges(n), Edge{n - 1, 0}) }
+
+// completeEdges returns the edges {i, j}, i < j, of K_n.
+func completeEdges(n int) []Edge {
+	var edges []Edge
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, Edge{i, j})
 		}
 	}
-	return g
+	return edges
+}
+
+func path(t *testing.T, n int) *Graph {
+	t.Helper()
+	return MustFromEdges(n, pathEdges(n))
 }
 
 func cycle(t *testing.T, n int) *Graph {
 	t.Helper()
-	g := path(t, n)
-	if err := g.AddEdge(n-1, 0); err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return MustFromEdges(n, cycleEdges(n))
 }
 
 func complete(t *testing.T, n int) *Graph {
 	t.Helper()
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return g
+	return MustFromEdges(n, completeEdges(n))
 }
 
+// A graph needs a vertex: NewFromEdges reports ErrNoVertices and
+// MustFromEdges panics with it.
 func TestNewPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := NewFromEdges(n, nil); !errors.Is(err, ErrNoVertices) {
+			t.Errorf("NewFromEdges(%d) err = %v, want ErrNoVertices", n, err)
+		}
+	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+		if r := recover(); r != ErrNoVertices {
+			t.Fatalf("MustFromEdges(0) recovered %v, want ErrNoVertices", r)
 		}
 	}()
-	New(0)
+	MustFromEdges(0, nil)
 }
 
 // The 32-bit Half contract: constructors reject n beyond MaxSize
-// before allocating anything (m beyond MaxSize is unreachable in a
-// test, but shares the same ErrTooLarge gate in AddEdge).
+// before allocating anything (m beyond MaxEdges is unreachable in a
+// test, but shares the same ErrTooLarge gate).
 func TestNewRejectsOversizedGraphs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(MaxSize+1) did not panic")
-		}
-	}()
 	if _, err := NewFromEdges(MaxSize+1, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("NewFromEdges(MaxSize+1) err = %v, want ErrTooLarge", err)
 	}
-	New(MaxSize + 1)
+	if _, err := NewFrozen(MaxSize+1, nil, nil, nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("NewFrozen(MaxSize+1) err = %v, want ErrTooLarge", err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewFromEdges(MaxSize+1, []Edge{{0, 1}}); err == nil {
+			t.Fatal("NewFromEdges(MaxSize+1) accepted")
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("rejecting an oversize graph made %.0f allocations, want only the error's", allocs)
+	}
 }
 
+// An edge whose endpoint lies outside [0, n) is refused with
+// ErrVertexRange, whichever endpoint is out of range.
 func TestAddEdgeRangeError(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Fatal("expected range error for endpoint 3")
-	}
-	if err := g.AddEdge(-1, 0); err == nil {
-		t.Fatal("expected range error for endpoint -1")
+	for _, e := range []Edge{{0, 3}, {3, 0}, {-1, 0}, {0, -1}} {
+		if _, err := NewFromEdges(3, []Edge{{0, 1}, e}); !errors.Is(err, ErrVertexRange) {
+			t.Errorf("edge %v in a 3-vertex graph: err = %v, want ErrVertexRange", e, err)
+		}
 	}
 }
 
 func TestDegreeAndHandshake(t *testing.T) {
-	g := New(4)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(1, 2))
-	must(g.AddEdge(2, 2)) // loop: degree 2 at vertex 2
-	must(g.AddEdge(0, 1)) // parallel edge
+	// A loop: degree 2 at vertex 2; and a parallel edge {0, 1}.
+	g := MustFromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 2}, {0, 1}})
 	wantDeg := []int{2, 3, 3, 0}
 	for v, want := range wantDeg {
 		if got := g.Degree(v); got != want {
@@ -116,12 +132,11 @@ func TestIsSimple(t *testing.T) {
 	if !g.IsSimple() {
 		t.Error("K4 should be simple")
 	}
-	must(g.AddEdge(0, 1))
+	g = MustFromEdges(4, append(completeEdges(4), Edge{0, 1}))
 	if g.IsSimple() {
 		t.Error("parallel edge not detected")
 	}
-	h := New(2)
-	must(h.AddEdge(0, 0))
+	h := MustFromEdges(2, []Edge{{0, 0}})
 	if h.IsSimple() {
 		t.Error("loop not detected")
 	}
@@ -148,21 +163,6 @@ func TestIsRegularAndEvenDegree(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := cycle(t, 5)
-	c := g.Clone()
-	must(c.AddEdge(0, 2))
-	if g.M() != 5 || c.M() != 6 {
-		t.Fatalf("clone not independent: g.M=%d c.M=%d", g.M(), c.M())
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBFSAndConnectivity(t *testing.T) {
 	p := path(t, 5)
 	dist := p.BFSFrom(0)
@@ -174,9 +174,7 @@ func TestBFSAndConnectivity(t *testing.T) {
 	if !p.IsConnected() {
 		t.Error("path should be connected")
 	}
-	g := New(4)
-	must(g.AddEdge(0, 1))
-	must(g.AddEdge(2, 3))
+	g := MustFromEdges(4, []Edge{{0, 1}, {2, 3}})
 	if g.IsConnected() {
 		t.Error("two components reported connected")
 	}
@@ -199,8 +197,7 @@ func TestIsBipartite(t *testing.T) {
 	if !path(t, 7).IsBipartite() {
 		t.Error("path should be bipartite")
 	}
-	g := New(2)
-	must(g.AddEdge(0, 0))
+	g := MustFromEdges(2, []Edge{{0, 0}})
 	if g.IsBipartite() {
 		t.Error("loop graph should not be bipartite")
 	}
@@ -215,8 +212,7 @@ func TestDiameterAndEccentricity(t *testing.T) {
 	if d := c.Diameter(); d != 4 {
 		t.Errorf("C8 diameter = %d, want 4", d)
 	}
-	g := New(3)
-	must(g.AddEdge(0, 1))
+	g := MustFromEdges(3, []Edge{{0, 1}})
 	if g.Diameter() != -1 {
 		t.Error("disconnected graph should have diameter -1")
 	}
@@ -240,14 +236,11 @@ func TestGirth(t *testing.T) {
 			t.Errorf("%s: girth = %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	loop := New(1)
-	must(loop.AddEdge(0, 0))
+	loop := MustFromEdges(1, []Edge{{0, 0}})
 	if loop.Girth() != 1 {
 		t.Error("loop girth should be 1")
 	}
-	par := New(2)
-	must(par.AddEdge(0, 1))
-	must(par.AddEdge(0, 1))
+	par := MustFromEdges(2, []Edge{{0, 1}, {0, 1}})
 	if par.Girth() != 2 {
 		t.Error("parallel-edge girth should be 2")
 	}
@@ -261,8 +254,7 @@ func TestGirth(t *testing.T) {
 		t.Errorf("Petersen girth = %d, want 5", got)
 	}
 	// Two-cycle union: girth is the smaller cycle.
-	g := cycle(t, 9)
-	must(g.AddEdge(0, 4)) // creates a 5-cycle and a 6-cycle
+	g := MustFromEdges(9, append(cycleEdges(9), Edge{0, 4})) // a 5-cycle and a 6-cycle
 	if got := g.Girth(); got != 5 {
 		t.Errorf("chorded C9 girth = %d, want 5", got)
 	}
@@ -366,11 +358,17 @@ func TestBallAround(t *testing.T) {
 }
 
 func randomGraph(r *rand.Rand, n, m int) *Graph {
-	g := New(n)
-	for i := 0; i < m; i++ {
-		must(g.AddEdge(r.Intn(n), r.Intn(n)))
+	return MustFromEdges(n, randomEdges(r, n, m))
+}
+
+// randomEdges draws m uniform edges on n vertices, loops and parallel
+// edges included.
+func randomEdges(r *rand.Rand, n, m int) []Edge {
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{r.Intn(n), r.Intn(n)}
 	}
-	return g
+	return edges
 }
 
 func TestPropertyHandshakeOnRandomMultigraphs(t *testing.T) {
@@ -426,81 +424,114 @@ func TestPropertyBFSDistanceTriangleInequality(t *testing.T) {
 	}
 }
 
-// NewFromEdges must build exactly the graph New plus one AddEdge per
-// edge builds — same edge IDs, adjacency order, errors and
-// frozen CSR.
+// refGraph is a per-vertex adjacency builder: addEdge appends each
+// edge's two halves to its endpoints' lists, the obvious layout the
+// CSR must reproduce.
+type refGraph struct {
+	edges []Edge
+	adj   [][]Half
+}
+
+func (r *refGraph) addEdge(u, v int) error {
+	if u < 0 || u >= len(r.adj) || v < 0 || v >= len(r.adj) {
+		return fmt.Errorf("%w: edge {%d,%d} in graph of %d vertices", ErrVertexRange, u, v, len(r.adj))
+	}
+	id := uint32(len(r.edges))
+	r.edges = append(r.edges, Edge{u, v})
+	r.adj[u] = append(r.adj[u], Half{ID: id, To: uint32(v)})
+	r.adj[v] = append(r.adj[v], Half{ID: id, To: uint32(u)})
+	return nil
+}
+
+// NewFromEdges must build exactly the graph the per-vertex reference
+// builds with one addEdge per edge — same edge IDs, adjacency order,
+// CSR halves and offsets — which NewFrozen accepts as is, without
+// keeping the caller's slice, and report the first bad edge as the
+// reference does.
 func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(12)
-		edges := make([]Edge, r.Intn(30))
-		for i := range edges {
-			edges[i] = Edge{U: r.Intn(n), V: r.Intn(n)} // loops and parallels included
-		}
-		want := New(n)
+		edges := randomEdges(r, n, r.Intn(30))
+		want := refGraph{adj: make([][]Half, n)}
 		for _, e := range edges {
-			if err := want.AddEdge(e.U, e.V); err != nil {
-				t.Fatal(err)
-			}
+			must(want.addEdge(e.U, e.V))
 		}
 		got, err := NewFromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.M() != want.M() || got.Frozen() {
-			t.Fatalf("trial %d: m %d frozen %v, want %d false", trial, got.M(), got.Frozen(), want.M())
+		if got.N() != n || got.M() != len(want.edges) {
+			t.Fatalf("trial %d: (n, m) = (%d, %d), want (%d, %d)", trial, got.N(), got.M(), n, len(want.edges))
 		}
-		for id := 0; id < want.M(); id++ {
-			if got.Edge(id) != want.Edge(id) {
-				t.Fatalf("trial %d: edge %d = %v, want %v", trial, id, got.Edge(id), want.Edge(id))
+		for id, e := range want.edges {
+			if got.Edge(id) != e {
+				t.Fatalf("trial %d: edge %d = %v, want %v", trial, id, got.Edge(id), e)
 			}
 		}
-		for v := 0; v < n; v++ {
-			ga, wa := got.Adj(v), want.Adj(v)
-			if len(ga) != len(wa) {
-				t.Fatalf("trial %d: vertex %d adjacency len %d, want %d", trial, v, len(ga), len(wa))
+		var wantHalves []Half
+		wantOff := []int32{0}
+		for v, adj := range want.adj {
+			if !slices.Equal(got.Adj(v), adj) || got.Degree(v) != len(adj) {
+				t.Fatalf("trial %d: vertex %d adjacency %v, want %v", trial, v, got.Adj(v), adj)
 			}
-			for i := range wa {
-				if ga[i] != wa[i] {
-					t.Fatalf("trial %d: vertex %d half %d = %+v, want %+v", trial, v, i, ga[i], wa[i])
-				}
-			}
+			wantHalves = append(wantHalves, adj...)
+			wantOff = append(wantOff, int32(len(wantHalves)))
+		}
+		if !slices.Equal(got.Halves(), wantHalves) {
+			t.Fatalf("trial %d: CSR halves %v, want %v", trial, got.Halves(), wantHalves)
+		}
+		if !slices.Equal(got.Offsets(), wantOff) {
+			t.Fatalf("trial %d: CSR offsets %v, want %v", trial, got.Offsets(), wantOff)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// The frozen CSR matches too, also after one more AddEdge.
-		if trial%2 == 1 {
-			u, v := r.Intn(n), r.Intn(n)
-			if err := got.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := want.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := NewFrozen(n, got.Edges(), slices.Clone(got.Offsets()), slices.Clone(got.Halves())); err != nil {
+			t.Fatalf("trial %d: NewFrozen rejects the CSR NewFromEdges built: %v", trial, err)
 		}
-		gh, wh := got.Halves(), want.Halves()
-		goff, woff := got.Offsets(), want.Offsets()
-		if len(gh) != len(wh) || len(goff) != len(woff) {
-			t.Fatalf("trial %d: CSR sizes %d/%d, want %d/%d", trial, len(gh), len(goff), len(wh), len(woff))
-		}
-		for i := range wh {
-			if gh[i] != wh[i] {
-				t.Fatalf("trial %d: CSR half %d = %+v, want %+v", trial, i, gh[i], wh[i])
+		// The graph does not keep the caller's slice.
+		if len(edges) > 0 {
+			edges[0] = Edge{n, n}
+			if got.Edge(0) != want.edges[0] {
+				t.Fatalf("trial %d: rewriting the input changed edge 0 to %v", trial, got.Edge(0))
 			}
-		}
-		for i := range woff {
-			if goff[i] != woff[i] {
-				t.Fatalf("trial %d: CSR offset %d = %d, want %d", trial, i, goff[i], woff[i])
-			}
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
 		}
 	}
-	// The first bad edge is reported as AddEdge reports it.
-	_, err := NewFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 3}, {U: -1, V: 0}})
-	if !errors.Is(err, ErrVertexRange) || err.Error() != "graph: vertex out of range: edge {1,3} in graph of 3 vertices" {
-		t.Fatalf("err = %v, want the {1,3} ErrVertexRange", err)
+	// The first bad edge is reported, as the reference reports it.
+	bad := []Edge{{U: 0, V: 1}, {U: 1, V: 3}, {U: -1, V: 0}}
+	ref := refGraph{adj: make([][]Half, 3)}
+	var wantErr error
+	for _, e := range bad {
+		if wantErr = ref.addEdge(e.U, e.V); wantErr != nil {
+			break
+		}
+	}
+	_, err := NewFromEdges(3, bad)
+	if !errors.Is(err, ErrVertexRange) || err.Error() != wantErr.Error() || err.Error() != "graph: vertex out of range: edge {1,3} in graph of 3 vertices" {
+		t.Fatalf("err = %v, want %v", err, wantErr)
+	}
+}
+
+// BenchmarkNewFromEdges builds a seeded random 4-regular multigraph
+// edge list (n = 10⁵, m = 2·10⁵: two random perfect matchings of the
+// 4n stubs, loops and parallel edges kept) into a Graph.
+func BenchmarkNewFromEdges(b *testing.B) {
+	const n = 100_000
+	r := rand.New(rand.NewSource(1))
+	stubs := make([]int, 0, 4*n)
+	for v := 0; v < n; v++ {
+		stubs = append(stubs, v, v, v, v)
+	}
+	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	edges := make([]Edge, 0, 2*n)
+	for i := 0; i < len(stubs); i += 2 {
+		edges = append(edges, Edge{stubs[i], stubs[i+1]})
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewFromEdges(n, edges); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

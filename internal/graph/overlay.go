@@ -6,14 +6,13 @@ import (
 	"repro/internal/bits"
 )
 
-// Overlay is a removal mask over a frozen base graph, so edges can fail
-// and be repaired *during* a walk without thawing (or copying) the base
-// CSR. The edge set is the base's, fixed: edge IDs are the base's CSR
+// Overlay is a removal mask over a base graph, so edges can fail and
+// be repaired *during* a walk without copying the base CSR. The edge set is the base's, fixed: edge IDs are the base's CSR
 // IDs [0, base.M()), never renumbered, and removing an edge only marks
 // it until RestoreEdge clears the mark. The base graph is never written
-// — one frozen instance can back any number of overlays concurrently,
-// which is exactly the sweep runner's shared-graph contract (one frozen
-// graph per trial, read-only across arms). A vertex's live adjacency is
+// — one instance can back any number of overlays concurrently, which is
+// exactly the sweep runner's shared-graph contract (one graph per
+// trial, read-only across arms). A vertex's live adjacency is
 // its base CSR block, in CSR order, with the removed halves skipped.
 //
 // An Overlay is not safe for concurrent use.
@@ -31,10 +30,9 @@ type Overlay struct {
 	pos  []int32
 }
 
-// NewOverlay returns a removal mask over g, freezing g if needed. The
-// overlay starts with every edge live.
+// NewOverlay returns a removal mask over g. The overlay starts with
+// every edge live.
 func NewOverlay(g *Graph) *Overlay {
-	g.Freeze()
 	m := g.M()
 	o := &Overlay{
 		base: g,
@@ -49,7 +47,7 @@ func NewOverlay(g *Graph) *Overlay {
 	return o
 }
 
-// Base returns the frozen graph the overlay masks.
+// Base returns the graph the overlay masks.
 func (o *Overlay) Base() *Graph { return o.base }
 
 // EdgeRemoved reports whether edge id is currently removed.

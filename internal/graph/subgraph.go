@@ -16,12 +16,14 @@ func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
 			count++
 		}
 	}
-	sub := New(count)
+	var edges []Edge
 	for _, e := range g.edges {
 		if oldToNew[e.U] != -1 && oldToNew[e.V] != -1 {
-			must(sub.AddEdge(oldToNew[e.U], oldToNew[e.V]))
+			edges = append(edges, Edge{U: oldToNew[e.U], V: oldToNew[e.V]})
 		}
 	}
+	sub, err := fromEdges(count, edges)
+	must(err)
 	return sub, oldToNew
 }
 

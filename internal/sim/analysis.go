@@ -21,10 +21,9 @@ import (
 // every plan orders its costs that way at every Scale. The order
 // changes no result.
 //
-// A task must write only its own result slot, and may read the points'
-// Rep graphs (frozen before Finish runs, and present only at points that
-// declare PointSpec.KeepRep) only through the read-only accessors (Adj,
-// Degree, Edge), never through Halves or Offsets.
+// A task must write only its own result slot. It may read the points'
+// Rep graphs, present only at points that declare PointSpec.KeepRep,
+// through any accessor: graphs are immutable.
 func runAnalysis(workers int, tasks [][]func() error) error {
 	var flat []func() error
 	for _, pt := range tasks {

@@ -49,8 +49,8 @@ func buildOnceExperiment(builds *[2]atomic.Int64, shared bool, seen *instanceLog
 		}}
 		finish := func(points []PointResult) (*Result, error) {
 			rep := points[0].Rep
-			if rep == nil || !rep.Frozen() {
-				return nil, errors.New("KeepRep point has no frozen Rep")
+			if rep == nil {
+				return nil, errors.New("KeepRep point has no Rep")
 			}
 			if seen != nil {
 				seen.add(rep)
@@ -198,7 +198,7 @@ func TestDeterministicGraphBuiltOncePerRun(t *testing.T) {
 }
 
 // The registry's deterministic families hand every trial of a run one
-// frozen instance (and thm3's representative is that instance), while
+// instance (and thm3's representative is that instance), while
 // a random family still builds one graph per trial.
 func TestRegistryDeterministicFamiliesShareOneInstance(t *testing.T) {
 	sharedPoints := map[string]bool{

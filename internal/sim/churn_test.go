@@ -15,7 +15,6 @@ func churnTestGraph(t *testing.T) *graph.Graph {
 		edges = append(edges, graph.Edge{U: i, V: (i + 2) % 8})
 	}
 	g := graph.MustFromEdges(8, edges)
-	g.Freeze()
 	return g
 }
 

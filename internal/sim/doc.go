@@ -27,19 +27,18 @@
 // more Arms (the processes compared on that cell). The scheduling unit
 // is a (point, trial) pair fanned out over one shared worker pool, so
 // points run concurrently with each other as well as with their own
-// trials. Each unit generates its graph once, freezes it into the CSR
-// layout, and hands the same read-only instance to every arm in turn —
-// compared processes always see identical instances and generation cost
-// is paid once per trial, not once per arm. A family that reads no
-// randomness (torus, hypercube, circulant, LPS) is built once per Plan
-// call instead: its factory builds and freezes the graph on first use
-// and hands that one instance to every unit, whichever worker runs it,
-// so arms must treat it as read-only, as they already must within a
-// unit. Every trial would rebuild the same graph, so no byte changes,
-// and each Plan call owns its instance, so no two runs share one. At a
-// point that declares PointSpec.KeepRep, trial 0's frozen graph
-// outlives the sweep as PointResult.Rep, the representative instance
-// used for structural post-processing (spectral gaps, girth,
+// trials. Each unit generates its graph once and hands the same
+// immutable instance to every arm in turn — compared processes always
+// see identical instances and generation cost is paid once per trial,
+// not once per arm. A family that reads no randomness (torus,
+// hypercube, circulant, LPS) is built once per Plan call instead: its
+// factory builds the graph on first use and hands that one instance to
+// every unit, whichever worker runs it; graphs are immutable, so
+// sharing needs no care. Every trial would rebuild the same graph, so
+// no byte changes, and each Plan call owns its instance, so no two
+// runs share one. At a point that declares PointSpec.KeepRep, trial
+// 0's graph outlives the sweep as PointResult.Rep, the representative
+// instance used for structural post-processing (spectral gaps, girth,
 // ℓ-bounds). Elsewhere a random family's trial graph is dropped with
 // its unit, while a deterministic family's one instance lives as long
 // as its plan and is built at most once per run.

@@ -127,7 +127,7 @@ func theorem1Plan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Theorem1Row
 	}
 	finish := func(points []PointResult) ([]Theorem1Row, *Table, error) {
 		// Spectral gap and ℓ on the representative instance: the
-		// literal trial-0 frozen graph the measurements ran on.
+		// literal trial-0 graph the measurements ran on.
 		gaps := make([]float64, len(points))
 		ells := make([]core.LGoodResult, len(points))
 		tasks := make([][]func() error, len(points))
@@ -194,7 +194,7 @@ func radzikPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]SpeedupRow, *
 			Key:   fmt.Sprintf("radzik n=%d", n),
 			Salt:  Salt(saltRADZIK, uint64(n)),
 			Graph: regularPointGraph(n, deg),
-			// Both processes run on the same frozen instances.
+			// Both processes run on the same instances.
 			Arms: []Arm{srwArmV("srw"), eprocessArmV("eprocess", nil)},
 		})
 	}

@@ -47,7 +47,7 @@ func edgeVsVertexPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Ablatio
 				Key:   fmt.Sprintf("ablation d=%d n=%d", deg, n),
 				Salt:  Salt(saltABLATION, uint64(deg), uint64(n)),
 				Graph: regularPointGraph(n, deg),
-				// All three processes run on the same frozen instances.
+				// All three processes run on the same instances.
 				Arms: []Arm{srwArmV("srw"), vprocessArmV("vprocess"), eprocessArmV("eprocess", nil)},
 			})
 		}

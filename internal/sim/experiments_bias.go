@@ -26,7 +26,7 @@ func biasSweepPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BiasRow, *
 	n := 500 * cfg.Scale
 	biases := []float64{0, 0.25, 0.5, 0.75, 0.9, 1}
 	// One point, one arm per bias: the whole sweep runs on the same
-	// frozen instances, so the bias axis is the only varying quantity.
+	// instances, so the bias axis is the only varying quantity.
 	var arms []Arm
 	for _, bias := range biases {
 		bias := bias

@@ -34,7 +34,7 @@ func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeR
 		dims = []int{8, 10, 12}
 	}
 	// SRW edge cover measured directly (not just vertex cover) via the
-	// full-cover arm; both processes run on the same frozen hypercube.
+	// full-cover arm; both processes run on the same hypercube.
 	srwArm := CoverArm("srw", func(g *graph.Graph, r *rng.Rand, start int) walk.Process {
 		return walk.NewSimple(g, r, start)
 	})
@@ -164,7 +164,7 @@ func ruleIndependencePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Rul
 		func() walk.Rule { return walk.TowardVisited{} },
 		func() walk.Rule { return walk.TowardUnvisited{} },
 	}
-	// One point, six arms: every rule runs on the same frozen instances.
+	// One point, six arms: every rule runs on the same instances.
 	var arms []Arm
 	for _, newRule := range rules {
 		newRule := newRule
@@ -391,7 +391,7 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 		{"least-used", func(g *graph.Graph, r *rng.Rand, s int) walk.Process { return walk.NewLeastUsedFirst(g, r, s) }},
 		{"oldest-first", func(g *graph.Graph, r *rng.Rand, s int) walk.Process { return walk.NewOldestFirst(g, r, s) }},
 	}
-	// One point per family; every process is an arm on the same frozen
+	// One point per family; every process is an arm on the same
 	// instances. (The pre-sweep code derived one seed per (family,
 	// process) pair with a hand-mixed expression whose precedence bug
 	// let distinct pairs collide, and regenerated the graph per pair.)

@@ -29,7 +29,7 @@ type BlanketRow struct {
 func blanketTimePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BlanketRow, *Table, error)) {
 	deg := 4
 	base := []int{200, 400}
-	// Four measurements per point, each an arm on the same frozen
+	// Four measurements per point, each an arm on the same
 	// instances; the step counts travel in Measurement.Vertex except
 	// for the E-process edge cover.
 	blanketArm := Arm{Name: "blanket", Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {

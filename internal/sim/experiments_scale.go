@@ -37,7 +37,7 @@ type ScaleCoverRow struct {
 
 // hotStateBytes returns the resident bytes of one E-process cover
 // trial's hot state under the packed layout and under the former
-// 64-bit-field layout: two copies of the 2m halves (frozen CSR +
+// 64-bit-field layout: two copies of the 2m halves (graph CSR +
 // pending arena), the int32 offset/end tables, the edge-visited set
 // and the cover driver's vertex+edge seen sets ([]bool before, one bit
 // per element now).

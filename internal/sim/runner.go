@@ -16,27 +16,23 @@ import (
 // private generator. It receives the plain math/rand view so generator
 // determinism is independent of the walk layer's fast RNG path. A
 // factory for a family that reads no randomness may hand every trial
-// the same frozen instance (see buildOnce); arms treat it as read-only,
-// as they already must within a unit.
+// the same instance (see buildOnce): graphs are immutable, so any
+// number of units may read one.
 type GraphFactory func(r *rand.Rand) (*graph.Graph, error)
 
 // buildOnce returns the GraphFactory of a deterministic family, one
 // whose instance reads no randomness (a torus, a hypercube, a
-// circulant, an LPS graph): the first call builds and freezes the
-// graph, and every call, from any unit and any worker, returns that one
-// instance or its build error. Every trial would rebuild exactly this
-// graph, so sharing it changes no byte. Plans call buildOnce inside
+// circulant, an LPS graph): the first call builds the graph, and every
+// call, from any unit and any worker, returns that one instance or its
+// build error. Every trial would rebuild exactly this graph, so sharing
+// it changes no byte. Plans call buildOnce inside
 // Plan, so each plan, and each run of it, owns its own instance.
 func buildOnce(build func() (*graph.Graph, error)) GraphFactory {
 	var once sync.Once
 	var g *graph.Graph
 	var err error
 	return func(*rand.Rand) (*graph.Graph, error) {
-		once.Do(func() {
-			if g, err = build(); err == nil {
-				g.Freeze()
-			}
-		})
+		once.Do(func() { g, err = build() })
 		return g, err
 	}
 }

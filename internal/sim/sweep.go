@@ -95,7 +95,7 @@ const (
 )
 
 // ArmFunc measures one arm of an experiment point on one trial. g is
-// the trial's shared frozen graph (read-only: the same instance is
+// the trial's shared graph (read-only: the same instance is
 // handed to every arm of the trial, a deterministic family's factory
 // may hand it to every trial of the run, and at a KeepRep point trial
 // 0's graph outlives the sweep as the representative instance), r is the
@@ -158,13 +158,12 @@ func VertexArm(name string, pf ProcessFactory) Arm {
 
 // PointSpec is one experiment point of a sweep: a graph family cell
 // (one (n, d) value, one named family, ...) plus the arms compared on
-// it. Each trial generates one graph, freezes it into its CSR layout,
-// and hands the same instance to every arm, so compared processes see
-// identical instances and the generation cost is paid once per trial
-// rather than once per arm. A family that reads no randomness pays it
-// once per run: its factory (buildOnce) hands every trial one frozen
-// instance, which arms treat as read-only, as they already must within
-// a unit.
+// it. Each trial generates one graph and hands the same instance to
+// every arm, so compared processes see identical instances and the
+// generation cost is paid once per trial rather than once per arm. A
+// family that reads no randomness pays it once per run: its factory
+// (buildOnce) hands every trial one instance, which arms only read, as
+// graphs are immutable.
 type PointSpec struct {
 	// Key names the point in error messages.
 	Key string
@@ -175,7 +174,7 @@ type PointSpec struct {
 	// generator, or returns the run's one instance of a deterministic
 	// family.
 	Graph GraphFactory
-	// Arms are measured in order on the trial's shared frozen graph.
+	// Arms are measured in order on the trial's shared graph.
 	// A point may have zero arms when only the representative instance
 	// is wanted (structural experiments, which set KeepRep).
 	Arms []Arm
@@ -221,7 +220,7 @@ func (pt *PointSpec) armSeed(cfg Config, arm, trial int) uint64 {
 type PointResult struct {
 	// Key echoes the PointSpec.
 	Key string
-	// Rep is trial 0's frozen graph — the representative instance for
+	// Rep is trial 0's graph — the representative instance for
 	// structural post-processing (spectral gaps, girth, ℓ-bounds) — when
 	// the PointSpec declares KeepRep, and nil otherwise. A random
 	// family's other trial graphs are dropped with their units; a
@@ -552,7 +551,6 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 			if err != nil {
 				return fmt.Errorf("sim: point %q trial 0 graph: %w", pt.Key, err)
 			}
-			g.Freeze()
 			results[it.rep].Rep = g
 			return nil
 		}
@@ -563,7 +561,6 @@ func (pl *SweepPlan) runSpan(ctx context.Context, opts RunOptions, shard Shard, 
 		if err != nil {
 			return fmt.Errorf("sim: point %q trial %d graph: %w", pt.Key, trial, err)
 		}
-		g.Freeze()
 		if trial == 0 && pt.KeepRep {
 			// Each (point, 0) unit is the unique writer of its Rep slot.
 			results[pi].Rep = g

@@ -161,17 +161,14 @@ func TestSweepErrorAggregationAcrossPoints(t *testing.T) {
 	}
 }
 
-// Every arm of a trial must receive the same frozen graph instance, and
-// a KeepRep point's Rep must be literally trial 0's graph.
+// Every arm of a trial must receive the same graph instance, and a
+// KeepRep point's Rep must be literally trial 0's graph.
 func TestSweepSharesOneFrozenGraphPerTrial(t *testing.T) {
 	const trials = 3
 	var mu sync.Mutex
 	got := make(map[int][]*graph.Graph) // trial -> graph per arm
 	spy := func(name string) Arm {
 		return Arm{Name: name, Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {
-			if !g.Frozen() {
-				t.Errorf("arm %s trial %d: graph not frozen", name, trial)
-			}
 			mu.Lock()
 			got[trial] = append(got[trial], g)
 			mu.Unlock()
@@ -206,7 +203,7 @@ func TestSweepSharesOneFrozenGraphPerTrial(t *testing.T) {
 
 // repCountingExperiment is a two-point experiment whose graph factories
 // count their calls: point 0 declares KeepRep, point 1 does not. Its
-// Finish checks that exactly the declaring point carries a frozen Rep.
+// Finish checks that exactly the declaring point carries a Rep.
 func repCountingExperiment(t *testing.T, calls *[2]atomic.Int64) Experiment {
 	t.Helper()
 	counted := func(pi int) GraphFactory {
@@ -225,8 +222,8 @@ func repCountingExperiment(t *testing.T, calls *[2]atomic.Int64) Experiment {
 			{Key: "drop", Salt: Salt(saltRun, 2), Graph: counted(1), Arms: []Arm{arm}},
 		}}
 		finish := func(points []PointResult) (*Result, error) {
-			if points[0].Rep == nil || !points[0].Rep.Frozen() {
-				t.Error("declaring point has no frozen Rep")
+			if points[0].Rep == nil {
+				t.Error("declaring point has no Rep")
 			}
 			if points[1].Rep != nil {
 				t.Error("non-declaring point kept a Rep")

@@ -53,8 +53,8 @@ func NewOperator(g *graph.Graph) (*Operator, error) {
 }
 
 // Apply computes dst = N·src. dst and src must have length g.N() and
-// must not alias. It reads g only through Adj, which never triggers a
-// lazy Freeze, so concurrent Applies on one graph are safe.
+// must not alias. It only reads g, so concurrent Applies on one graph
+// are safe.
 func (op *Operator) Apply(dst, src []float64) {
 	for u := range dst {
 		sum := 0.0
@@ -161,8 +161,7 @@ func shiftedSecond(g *graph.Graph, opts Options, top bool) (float64, error) {
 		}
 	}
 	// nbr[start[u]:start[u+1]] lists u's neighbours in Adj order: a flat
-	// copy made once, so the loop below never reads the graph (and
-	// never freezes it).
+	// copy made once, so the loop below never reads the graph.
 	start := make([]int32, n+1)
 	nbr := make([]int32, 0, 2*g.M())
 	for u := 0; u < n; u++ {
@@ -270,9 +269,7 @@ type Gap struct {
 // ComputeGap returns the full spectral summary for g. It computes λ2
 // and λn concurrently, on one extra goroutine that it joins before
 // returning; each is the same computation as Lambda2 and LambdaN.
-// Both iterations only read g (Apply uses Adj and Degree, which never
-// freeze), so g may be frozen or not, but must not be mutated during
-// the call. A caller that needs only the lazy gap should call Lambda2
+// Both iterations only read g, which is immutable. A caller that needs only the lazy gap should call Lambda2
 // instead: LazyGap reads nothing else, so the λn iteration would be
 // wasted.
 func ComputeGap(g *graph.Graph, opts Options) (Gap, error) {

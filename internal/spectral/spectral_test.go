@@ -184,12 +184,11 @@ func TestLoopsActAsLaziness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := g.Clone()
+	edges := g.Edges()
 	for v := 0; v < g.N(); v++ {
-		if err := lazy.AddEdge(v, v); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{U: v, V: v})
 	}
+	lazy := graph.MustFromEdges(g.N(), edges)
 	l2, err := Lambda2(lazy, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +206,7 @@ func TestLoopsActAsLaziness(t *testing.T) {
 }
 
 func TestSingleVertexWithLoop(t *testing.T) {
-	g := graph.New(1)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(1, []graph.Edge{{U: 0, V: 0}})
 	l2, err := Lambda2(g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +217,7 @@ func TestSingleVertexWithLoop(t *testing.T) {
 }
 
 func TestOperatorIsolatedVertexError(t *testing.T) {
-	g := graph.New(2)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 0}})
 	if _, err := NewOperator(g); err == nil {
 		t.Fatal("isolated vertex should be rejected")
 	}
@@ -273,10 +266,7 @@ func TestConductanceExactSmall(t *testing.T) {
 }
 
 func TestConductanceErrors(t *testing.T) {
-	g := graph.New(1)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(1, []graph.Edge{{U: 0, V: 0}})
 	if _, err := Conductance(g); err == nil {
 		t.Error("n=1 should fail")
 	}
@@ -385,36 +375,27 @@ func BenchmarkLambda2RandomRegular(b *testing.B) {
 	}
 }
 
-// ComputeGap runs λ2 and λn on two goroutines over one graph. On an
-// unfrozen graph neither may freeze it (a racing lazy Freeze would be a
-// data race under -race), and the result must equal the frozen graph's
-// bit for bit.
+// ComputeGap runs λ2 and λn on two goroutines over one graph. The
+// generator's own CSR (adopted by NewFrozen) and the graph NewFromEdges
+// rebuilds from its edge list must give the same gap bit for bit, and
+// equal to the serial Lambda2 and LambdaN.
 func TestComputeGapUnfrozenMatchesFrozen(t *testing.T) {
 	sw, err := gen.RandomRegularSW(rand.New(rand.NewSource(4)), 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The generator returns a frozen graph; rebuild its edge list into
-	// an unfrozen one with the same adjacency order.
 	g := graph.MustFromEdges(sw.N(), sw.Edges())
-	if g.Frozen() {
-		t.Fatal("NewFromEdges returned a frozen graph; the test needs an unfrozen one")
-	}
 	opts := Options{Tol: 1e-8}
-	unfrozen, err := ComputeGap(g, opts)
+	frozen, err := ComputeGap(sw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Frozen() {
-		t.Fatal("ComputeGap froze its input")
-	}
-	g.Freeze()
-	frozen, err := ComputeGap(g, opts)
+	rebuilt, err := ComputeGap(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unfrozen != frozen {
-		t.Errorf("unfrozen gap %+v != frozen gap %+v", unfrozen, frozen)
+	if rebuilt != frozen {
+		t.Errorf("rebuilt gap %+v != generator gap %+v", rebuilt, frozen)
 	}
 	l2, err := Lambda2(g, opts)
 	if err != nil {
@@ -434,7 +415,6 @@ func BenchmarkComputeGap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ComputeGap(g, Options{Tol: 1e-8}); err != nil {
@@ -596,7 +576,6 @@ func BenchmarkLambda2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Lambda2(g, Options{Tol: 1e-8}); err != nil {

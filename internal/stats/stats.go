@@ -11,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNoData is returned by statistics that need at least one sample.
@@ -56,25 +55,4 @@ func Summarize(xs []float64) (Summary, error) {
 		s.StdErr = s.StdDev / math.Sqrt(float64(s.N))
 	}
 	return s, nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation on the sorted sample.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

@@ -39,37 +39,6 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestQuantileAndMedian(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	med, err := Quantile(xs, 0.5)
-	if err != nil || med != 3 {
-		t.Errorf("median = %v, want 3", med)
-	}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	if q0 != 1 || q1 != 5 {
-		t.Errorf("extremes = %v,%v", q0, q1)
-	}
-	q25, _ := Quantile(xs, 0.25)
-	if q25 != 2 {
-		t.Errorf("q25 = %v, want 2", q25)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("q>1 should fail")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty should fail")
-	}
-	// Quantile must not mutate its input.
-	xs2 := []float64{3, 1, 2}
-	if _, err := Quantile(xs2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs2[0] != 3 || xs2[1] != 1 || xs2[2] != 2 {
-		t.Error("Quantile mutated input")
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	ns := []float64{100, 200, 400, 800}
 	ys := make([]float64, len(ns))

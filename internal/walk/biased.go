@@ -21,7 +21,7 @@ import (
 type Biased struct {
 	g       *graph.Graph
 	r       *rand.Rand
-	halves  []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves  []graph.Half // graph CSR adjacency
 	off     []int32
 	bias    float64
 	visited bits.Set // by edge ID
@@ -41,7 +41,7 @@ func NewBiased(g *graph.Graph, r *rand.Rand, bias float64, start int) *Biased {
 	if bias > 1 {
 		bias = 1
 	}
-	b := &Biased{g: g, r: r, bias: bias}
+	b := &Biased{g: g, r: r, halves: g.Halves(), off: g.Offsets(), bias: bias}
 	b.Reset(start)
 	return b
 }
@@ -73,12 +73,9 @@ func (b *Biased) Step() (int, int) {
 }
 
 // Reset implements Process. It reuses the pending arena and visited
-// bitset (no allocation after the first Reset) and rebinds to the
-// graph's current CSR arrays.
+// bitset (no allocation after the first Reset).
 func (b *Biased) Reset(start int) {
 	b.cur = start
-	b.halves = b.g.Halves()
-	b.off = b.g.Offsets()
 	b.visited.Reset(b.g.M())
 	b.pend.reset(b.g)
 }

@@ -12,7 +12,7 @@ import (
 type Choice struct {
 	g      *graph.Graph
 	ri     Intner
-	halves []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves []graph.Half // graph CSR adjacency
 	off    []int32
 	d      int
 	visits []int64 // per-vertex visit counts, start vertex counts once
@@ -27,7 +27,7 @@ func NewChoice(g *graph.Graph, r Intner, d, start int) *Choice {
 	if d < 1 {
 		d = 1
 	}
-	c := &Choice{g: g, ri: r, d: d}
+	c := &Choice{g: g, ri: r, halves: g.Halves(), off: g.Offsets(), d: d}
 	c.Reset(start)
 	return c
 }
@@ -67,12 +67,9 @@ func (c *Choice) Step() (int, int) {
 }
 
 // Reset implements Process. It reuses the visit counters (no
-// allocation after the first Reset) and rebinds to the graph's current
-// CSR arrays.
+// allocation after the first Reset).
 func (c *Choice) Reset(start int) {
 	c.cur = start
-	c.halves = c.g.Halves()
-	c.off = c.g.Offsets()
 	c.visits = reuse(c.visits, c.g.N())
 	c.visits[start] = 1
 }

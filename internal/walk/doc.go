@@ -34,8 +34,8 @@
 // density: halves are 8-byte (uint32-field) records, and every visited
 // or seen set is a word-packed internal/bits.Set — one bit per edge or
 // vertex — so whole-set scans (UnvisitedEdgeIDs) run a word at a time.
-// Processes run on their graph's frozen CSR layout (constructors call
-// Freeze and cache the flat Halves/Offsets arrays); the E-process keeps
+// Processes run on their graph's CSR layout (constructors cache the
+// flat Halves/Offsets arrays); the E-process keeps
 // its per-vertex pending (unvisited) half-edges in a single flat arena
 // mirroring the CSR block (see edgeArena for the invariants), and Reset
 // refills that arena with one copy and clears bitsets in place — no

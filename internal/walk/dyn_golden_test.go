@@ -38,7 +38,6 @@ func dynGoldenRegular(t *testing.T) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Freeze()
 	return g
 }
 
@@ -51,7 +50,6 @@ func dynGoldenMulti(t *testing.T) *graph.Graph {
 		{U: 2, V: 3}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 4}, {U: 4, V: 5},
 		{U: 5, V: 0}, {U: 5, V: 6}, {U: 6, V: 4}, {U: 0, V: 3},
 	})
-	g.Freeze()
 	return g
 }
 

@@ -9,20 +9,19 @@ import (
 	"repro/internal/rng"
 )
 
-// dynRing returns a frozen 2-regular ring on n vertices.
+// dynRing returns the 2-regular ring on n vertices.
 func dynRing(n int) *graph.Graph {
 	edges := make([]graph.Edge, n)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: (i + 1) % n}
 	}
 	g := graph.MustFromEdges(n, edges)
-	g.Freeze()
 	return g
 }
 
 // On a ring, an overlay with nothing removed must give the same
 // trajectory (same draws from the same generator) as the static fast
-// path on the frozen base: both consume one Intn per step, and with at
+// path on the base graph: both consume one Intn per step, and with at
 // most two halves per vertex the dynamic path's CSR-order candidates
 // and the static arena's swap-with-last arrangement coincide. At higher
 // degree the two arrangements differ, so the trajectories agree in law
@@ -93,7 +92,6 @@ func TestDynEProcessSeesChurn(t *testing.T) {
 	// Star with center 0: leaves 1..4. From the center every step is a
 	// blue step until all spokes are visited.
 	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})
-	g.Freeze()
 	o := graph.NewOverlay(g)
 	e := NewEProcessOn(o, rng.NewXoshiro256(3), nil, 0)
 
@@ -130,7 +128,6 @@ func TestDynEProcessSeesChurn(t *testing.T) {
 // walk resumes when churn reconnects it.
 func TestDynEProcessIsolatedLazyStay(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	g.Freeze()
 	o := graph.NewOverlay(g)
 	e := NewEProcessOn(o, rng.NewXoshiro256(5), nil, 0)
 

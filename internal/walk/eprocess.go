@@ -50,7 +50,7 @@ func (s Stats) Total() int64 { return s.RedSteps + s.BlueSteps }
 // The Rule is the paper's "rule A": it may be random, deterministic, or
 // adversarial; Theorem 1's bound is independent of it.
 //
-// The process runs on the graph's frozen CSR layout and allocates
+// The process runs on the graph's CSR layout and allocates
 // nothing after construction: pending unvisited halves live in a single
 // flat arena (see edgeArena) that Reset refills with one copy from the
 // graph's CSR block, and the visited bitset is cleared in place. A blue
@@ -80,8 +80,8 @@ type EProcess struct {
 	// edge (edgeArena.cross), so the static path never prunes.
 	pend edgeArena
 
-	// halves/off are the graph's CSR adjacency, cached (and rebound at
-	// each Reset) so red steps index it without a method call.
+	// halves/off are the graph's CSR adjacency, cached so red steps
+	// index it without a method call.
 	halves []graph.Half
 	off    []int32
 
@@ -113,7 +113,7 @@ func NewEProcess(g *graph.Graph, r Intner, rule Rule, start int) *EProcess {
 	if rule == nil {
 		rule = Uniform{}
 	}
-	e := &EProcess{g: g, ri: r, r: interopRand(r), rule: rule}
+	e := &EProcess{g: g, ri: r, r: interopRand(r), rule: rule, halves: g.Halves(), off: g.Offsets()}
 	_, e.fastUniform = rule.(Uniform)
 	e.init(start)
 	return e
@@ -130,7 +130,8 @@ func NewEProcessOn(o *graph.Overlay, r Intner, rule Rule, start int) *EProcess {
 	if rule == nil {
 		rule = Uniform{}
 	}
-	e := &EProcess{g: o.Base(), ov: o, ri: r, r: interopRand(r), rule: rule}
+	g := o.Base()
+	e := &EProcess{g: g, ov: o, ri: r, r: interopRand(r), rule: rule, halves: g.Halves(), off: g.Offsets()}
 	_, e.fastUniform = rule.(Uniform)
 	e.init(start)
 	return e
@@ -138,10 +139,6 @@ func NewEProcessOn(o *graph.Overlay, r Intner, rule Rule, start int) *EProcess {
 
 func (e *EProcess) init(start int) {
 	e.cur = start
-	// Rebind to the graph's current CSR arrays: a mutation since the
-	// last run re-froze the graph into new storage.
-	e.halves = e.g.Halves()
-	e.off = e.g.Offsets()
 	e.visited.Reset(e.g.M())
 	if e.ov == nil {
 		e.pend.reset(e.g)

@@ -12,7 +12,7 @@ import (
 type LeastUsedFirst struct {
 	g      *graph.Graph
 	ri     Intner
-	halves []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves []graph.Half // graph CSR adjacency
 	off    []int32
 	used   []int64 // per-edge traversal counts
 	cur    int
@@ -22,7 +22,7 @@ var _ Process = (*LeastUsedFirst)(nil)
 
 // NewLeastUsedFirst returns a least-used-first walk starting at start.
 func NewLeastUsedFirst(g *graph.Graph, r Intner, start int) *LeastUsedFirst {
-	l := &LeastUsedFirst{g: g, ri: r}
+	l := &LeastUsedFirst{g: g, ri: r, halves: g.Halves(), off: g.Offsets()}
 	l.Reset(start)
 	return l
 }
@@ -58,8 +58,6 @@ func (l *LeastUsedFirst) Step() (int, int) {
 // Reset implements Process.
 func (l *LeastUsedFirst) Reset(start int) {
 	l.cur = start
-	l.halves = l.g.Halves()
-	l.off = l.g.Offsets()
 	l.used = reuse(l.used, l.g.M())
 }
 
@@ -71,7 +69,7 @@ func (l *LeastUsedFirst) Reset(start int) {
 type OldestFirst struct {
 	g      *graph.Graph
 	ri     Intner
-	halves []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves []graph.Half // graph CSR adjacency
 	off    []int32
 	last   []int64 // step of most recent traversal; 0 = never
 	step   int64
@@ -82,7 +80,7 @@ var _ Process = (*OldestFirst)(nil)
 
 // NewOldestFirst returns an oldest-first walk starting at start.
 func NewOldestFirst(g *graph.Graph, r Intner, start int) *OldestFirst {
-	o := &OldestFirst{g: g, ri: r}
+	o := &OldestFirst{g: g, ri: r, halves: g.Halves(), off: g.Offsets()}
 	o.Reset(start)
 	return o
 }
@@ -119,8 +117,6 @@ func (o *OldestFirst) Step() (int, int) {
 // Reset implements Process.
 func (o *OldestFirst) Reset(start int) {
 	o.cur = start
-	o.halves = o.g.Halves()
-	o.off = o.g.Offsets()
 	o.last = reuse(o.last, o.g.M())
 	o.step = 0
 }

@@ -16,12 +16,8 @@ import (
 // parallel copies of existing edges.
 func randomMultigraph(t testing.TB, r *rand.Rand, n, extra int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	add := func(u, v int) {
-		if err := g.AddEdge(u, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var edges []graph.Edge
+	add := func(u, v int) { edges = append(edges, graph.Edge{U: u, V: v}) }
 	for v := 1; v < n; v++ {
 		add(r.Intn(v), v)
 	}
@@ -31,8 +27,8 @@ func randomMultigraph(t testing.TB, r *rand.Rand, n, extra int) *graph.Graph {
 		case 0:
 			add(u, u)
 		case 1:
-			if g.M() > 0 {
-				e := g.Edge(r.Intn(g.M()))
+			if len(edges) > 0 {
+				e := edges[r.Intn(len(edges))]
 				add(e.U, e.V)
 				continue
 			}
@@ -40,6 +36,10 @@ func randomMultigraph(t testing.TB, r *rand.Rand, n, extra int) *graph.Graph {
 		default:
 			add(u, r.Intn(n))
 		}
+	}
+	g, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -50,7 +50,7 @@ func randomMultigraph(t testing.TB, r *rand.Rand, n, extra int) *graph.Graph {
 // double cycle.
 func fusedShapes(t *testing.T) []*graph.Graph {
 	r := newRand(5)
-	out := []*graph.Graph{graph.New(1)}
+	out := []*graph.Graph{graph.MustFromEdges(1, nil)}
 	for _, sh := range []struct{ n, extra int }{
 		{1, 3}, {2, 0}, {2, 4}, {3, 5}, {5, 10}, {17, 8}, {40, 80}, {120, 60},
 	} {
@@ -400,7 +400,7 @@ func TestFusedCoverTrivialGraph(t *testing.T) {
 	normal := mustRegular(t, newRand(41), 30, 4)
 	var sc CoverScratch
 	for _, edges := range []bool{true, false} {
-		out := coverBoth(t, fmt.Sprintf("trivial/edges=%v", edges), &sc, graph.New(1), 1, 0, 0, edges)
+		out := coverBoth(t, fmt.Sprintf("trivial/edges=%v", edges), &sc, graph.MustFromEdges(1, nil), 1, 0, 0, edges)
 		if out.err != nil || out.steps != 0 || out.times != (CoverTimes{}) {
 			t.Errorf("trivial walk (edges=%v): %+v, want zero steps and nil error", edges, out)
 		}
@@ -519,7 +519,7 @@ func checkSameVisits(t *testing.T, name string, got, want Process) {
 // draw from hoisted xoshiro256** words; any other source panics in its
 // own Intn, as Step does.
 func TestFusedCoverIsolatedPanics(t *testing.T) {
-	g := graph.New(2)
+	g := graph.MustFromEdges(2, nil)
 	catch := func(f func()) (v any) {
 		defer func() { v = recover() }()
 		f()

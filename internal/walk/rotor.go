@@ -15,7 +15,7 @@ import (
 // and a random walk.
 type Rotor struct {
 	g      *graph.Graph
-	halves []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves []graph.Half // graph CSR adjacency
 	off    []int32
 	rotor  []int32 // per-vertex index into Adj(v)
 	cur    int
@@ -34,7 +34,7 @@ func NewRotor(g *graph.Graph, r Intner, start int) *Rotor {
 	if isNilIntner(r) {
 		r = nil
 	}
-	ro := &Rotor{g: g, r: r}
+	ro := &Rotor{g: g, halves: g.Halves(), off: g.Offsets(), r: r}
 	ro.Reset(start)
 	return ro
 }
@@ -65,11 +65,9 @@ func (ro *Rotor) Step() (int, int) {
 }
 
 // Reset implements Process. It reuses the rotor array (no allocation
-// after the first Reset) and rebinds to the graph's current CSR arrays.
+// after the first Reset).
 func (ro *Rotor) Reset(start int) {
 	ro.cur = start
-	ro.halves = ro.g.Halves()
-	ro.off = ro.g.Offsets()
 	ro.rotor = reuse(ro.rotor, ro.g.N())
 	if ro.r != nil {
 		for v := range ro.rotor {

@@ -15,7 +15,7 @@ import (
 type Simple struct {
 	g      *graph.Graph
 	ri     Intner
-	halves []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves []graph.Half // graph CSR adjacency
 	off    []int32
 	cur    int
 	// Laziness: stay put with probability 1/2 (the paper's lazy walk,
@@ -28,7 +28,7 @@ var _ Process = (*Simple)(nil)
 
 // NewSimple returns a simple random walk on g starting at start.
 func NewSimple(g *graph.Graph, r Intner, start int) *Simple {
-	s := &Simple{g: g, ri: r}
+	s := &Simple{g: g, ri: r, halves: g.Halves(), off: g.Offsets()}
 	s.Reset(start)
 	return s
 }
@@ -59,13 +59,8 @@ func (s *Simple) Step() (int, int) {
 	return int(h.ID), s.cur
 }
 
-// Reset implements Process. It rebinds to the graph's current CSR
-// arrays, so a walk Reset after a graph mutation sees the new edges.
-func (s *Simple) Reset(start int) {
-	s.cur = start
-	s.halves = s.g.Halves()
-	s.off = s.g.Offsets()
-}
+// Reset implements Process.
+func (s *Simple) Reset(start int) { s.cur = start }
 
 // Weighted is a reversible weighted random walk: from x it moves to a
 // neighbour y with probability w(x,y) / Σ_z w(x,z) (paper Section 2.2).

@@ -21,7 +21,7 @@ import (
 type VProcess struct {
 	g       *graph.Graph
 	ri      Intner
-	halves  []graph.Half // graph CSR adjacency, rebound at each Reset
+	halves  []graph.Half // graph CSR adjacency
 	off     []int32
 	visited bits.Set // per-vertex
 	cur     int
@@ -35,7 +35,7 @@ var _ Process = (*VProcess)(nil)
 // NewVProcess returns an unvisited-vertex-preferring walk starting at
 // start.
 func NewVProcess(g *graph.Graph, r Intner, start int) *VProcess {
-	v := &VProcess{g: g, ri: r, buf: make([]graph.Half, 0, g.MaxDegree())}
+	v := &VProcess{g: g, ri: r, halves: g.Halves(), off: g.Offsets(), buf: make([]graph.Half, 0, g.MaxDegree())}
 	v.Reset(start)
 	return v
 }
@@ -67,12 +67,9 @@ func (v *VProcess) Step() (int, int) {
 }
 
 // Reset implements Process. It reuses the visited bitset (no
-// allocation after the first Reset) and rebinds to the graph's current
-// CSR arrays.
+// allocation after the first Reset).
 func (v *VProcess) Reset(start int) {
 	v.cur = start
-	v.halves = v.g.Halves()
-	v.off = v.g.Offsets()
 	v.visited.Reset(v.g.N())
 	v.visited.Set(start)
 }

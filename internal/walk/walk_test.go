@@ -255,16 +255,7 @@ func TestEProcessReset(t *testing.T) {
 func TestEProcessLoopHandling(t *testing.T) {
 	// Multigraph with loops: the E-process must traverse loops exactly
 	// once as unvisited edges and keep blue degrees consistent.
-	g := graph.New(2)
-	if err := g.AddEdge(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 0, V: 1}})
 	e := NewEProcess(g, newRand(17), nil, 0)
 	if e.BlueDegree(0) != 4 {
 		t.Fatalf("blue degree at 0 = %d, want 4", e.BlueDegree(0))

@@ -134,7 +134,8 @@ var (
 
 // Graph types.
 type (
-	// Graph is an undirected multigraph with loops; see NewGraph.
+	// Graph is an undirected multigraph with loops, immutable once
+	// built; see NewGraphFromEdges.
 	Graph = graph.Graph
 	// Edge is an undirected edge; a loop has U == V.
 	Edge = graph.Edge
@@ -144,8 +145,6 @@ type (
 
 // Graph constructors.
 var (
-	// NewGraph returns a graph with n isolated vertices.
-	NewGraph = graph.New
 	// NewGraphFromEdges builds a graph from an edge list.
 	NewGraphFromEdges = graph.NewFromEdges
 	// ReadEdgeList parses the "n m\nu v\n..." format.
