@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// resultCache is an LRU cache from canonical run keys (sim.RunKey
-// encodings) to the exact response bytes of a completed run. Entries
+// resultCache is an LRU cache from run identities (sim CacheIDs, one
+// per RunKey) to the exact response bytes of a completed run. Entries
 // never expire — exact caching is sound by the seed-derivation
 // contract (see doc.go) — so eviction is purely capacity-driven. A
 // capacity ≤ 0 is an explicit "caching disabled" mode: get always

@@ -17,13 +17,22 @@
 //     measurement bit-for-bit, and sim.Result's JSON encoding is a
 //     stable pure function of the configuration — byte-identical
 //     across Workers settings and scheduler interleavings.
-//  2. The run-identity contract (sim.RunKey): the cache key is the
-//     canonical encoding of exactly the identity the checkpoint
+//  2. The run-identity contract (sim.RunKey): the disk tier's key is
+//     the canonical encoding of exactly the identity the checkpoint
 //     manifest pins — seed, name, salt namespace, scale, trials, RNG
 //     kind, step budget, and the plan's full point/arm shape, with
-//     Workers deliberately absent. Cache identity therefore equals
-//     determinism identity: two requests share a key if and only if a
-//     recomputation would produce identical bytes.
+//     Workers deliberately absent. The memory tier and single-flight
+//     key by sim.Experiment.CacheID, the registry name plus the
+//     defaults-applied seed, trials, scale, kind and step budget —
+//     the plan's every input but Workers, rendered without planning,
+//     and equal to RunKey.CacheID() of the key the same request
+//     plans. Cache identity therefore equals determinism identity: two
+//     requests share a key if and only if a recomputation would
+//     produce identical bytes. A memory hit costs no planning; only a
+//     miss builds the RunKey, for the disk tier. Warm boot files a
+//     spill in memory only when RunKey.CacheID() confirms this binary
+//     still plans the spill's request to exactly its stored key, so a
+//     spill from a build with another plan is never a memory hit.
 //
 // Together these make a cache hit indistinguishable from a recompute,
 // so the serving layer needs no invalidation, no TTLs and no
@@ -45,7 +54,12 @@
 // equal to the requested key, so hash collisions, renamed files and
 // key drift are detected, and any corrupted, truncated or mismatched
 // spill is rejected with a diagnostic, deleted, and transparently
-// recomputed. The store enforces a byte budget (Options.CacheDiskBytes)
+// recomputed. A spill whose header line is byte-equal to the one the
+// store writes for the requested key and body is served without
+// decoding; every other file takes the full decode. The store's lock
+// covers its index and eviction only, so reads, validation and fsync'd
+// spill writes of different requests overlap, and a spill evicted
+// between lookup and read is a miss. The store enforces a byte budget (Options.CacheDiskBytes)
 // by LRU eviction of spill files; an unusable directory degrades the
 // server to memory-only rather than failing the boot.
 //

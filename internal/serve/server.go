@@ -144,7 +144,7 @@ func New(opts Options) *Server {
 			// Warm the LRU most-recently-used last, so the freshest
 			// spill ends up at the front of the cache order.
 			for i := len(warm) - 1; i >= 0; i-- {
-				s.cache.add(warm[i].key, warm[i].body)
+				s.cache.add(warm[i].id, warm[i].body)
 			}
 			s.metrics.WarmedEntries.Store(int64(s.cache.len()))
 			s.metrics.CacheEntries.Store(int64(s.cache.len()))
@@ -309,24 +309,27 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request) (int, string) 
 		WriteError(w, status, "%v", err)
 		return status, "-"
 	}
+	// The memory tier and single-flight key by the plan-free CacheID;
+	// only a memory miss plans the run for its RunKey, which keys the
+	// disk tier and rejects a configuration the experiment cannot plan.
+	id := e.CacheID(cfg)
+	if body, ok := s.cache.get(id); ok {
+		s.metrics.CacheHits.Add(1)
+		return s.writeResult(w, body, "hit"), "hit"
+	}
 	key, err := e.RunKey(cfg)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return http.StatusBadRequest, "-"
 	}
 	ks := key.Encode()
-
-	if body, ok := s.cache.get(ks); ok {
-		s.metrics.CacheHits.Add(1)
-		return s.writeResult(w, body, "hit"), "hit"
-	}
 	s.metrics.CacheMisses.Add(1)
 
 	source := "miss"
-	body, shared, err := s.flights.do(ks, func() ([]byte, error) {
+	body, shared, err := s.flights.do(id, func() ([]byte, error) {
 		// A just-landed flight may have populated the cache between our
 		// miss and becoming leader.
-		if body, ok := s.cache.get(ks); ok {
+		if body, ok := s.cache.get(id); ok {
 			return body, nil
 		}
 		// Memory miss: consult the persistent store before computing. A
@@ -335,13 +338,13 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request) (int, string) 
 		if s.store != nil {
 			if body, ok := s.store.get(ks); ok {
 				s.metrics.DiskHits.Add(1)
-				s.cache.add(ks, body)
+				s.cache.add(id, body)
 				s.metrics.CacheEntries.Store(int64(s.cache.len()))
 				source = "disk"
 				return body, nil
 			}
 		}
-		return s.computeRun(r.Context(), e, cfg, ks)
+		return s.computeRun(r.Context(), e, cfg, id, ks)
 	}, r.Context().Done())
 	if shared {
 		s.metrics.SharedRuns.Add(1)
@@ -355,8 +358,10 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request) (int, string) 
 }
 
 // computeRun executes one sweep under the joined (request, timeout,
-// drain) context and caches the response bytes on success.
-func (s *Server) computeRun(reqCtx context.Context, e sim.Experiment, cfg sim.ExpConfig, key string) ([]byte, error) {
+// drain) context and caches the response bytes on success: in memory
+// under id (the run's CacheID) and on disk under key (its encoded
+// RunKey).
+func (s *Server) computeRun(reqCtx context.Context, e sim.Experiment, cfg sim.ExpConfig, id, key string) ([]byte, error) {
 	if !s.slots.tryAcquire() {
 		s.metrics.Saturated.Add(1)
 		return nil, errSaturated
@@ -384,7 +389,7 @@ func (s *Server) computeRun(reqCtx context.Context, e sim.Experiment, cfg sim.Ex
 		return nil, err
 	}
 	body := buf.Bytes()
-	s.cache.add(key, body)
+	s.cache.add(id, body)
 	s.metrics.CacheEntries.Store(int64(s.cache.len()))
 	if s.store != nil {
 		s.store.put(key, body)

@@ -2,14 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -207,7 +213,7 @@ func TestCorruptSpillsRejectedAndRecomputed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := decodeSpill(data); err != nil {
+			if _, _, _, err := decodeSpill(data); err != nil {
 				t.Errorf("re-spilled file does not decode: %v", err)
 			}
 		})
@@ -244,6 +250,43 @@ func TestCorruptSpillRejectedOnRead(t *testing.T) {
 	status, source, body = get(t, ts.URL+"/v1/run?exp=eq3&seed=7&trials=1")
 	if status != http.StatusOK || source != "disk" || !bytes.Equal(body, want) {
 		t.Errorf("after recompute: status %d cache %q, want 200 disk with identical bytes", status, source)
+	}
+}
+
+// TestDriftedPlanSpillNotWarmed pins warm boot against plan drift: a
+// spill whose stored key carries the same name, seed, trials, scale,
+// kind and step budget as a request but a plan this binary does not
+// make (here one extra point, as a build with another plan would write)
+// shares the request's CacheID without being its run. It must not be
+// warmed into the memory tier, and the request is computed afresh.
+func TestDriftedPlanSpillNotWarmed(t *testing.T) {
+	e, ok := sim.Lookup("eq3")
+	if !ok {
+		t.Fatal("eq3 not registered")
+	}
+	k, err := e.RunKey(sim.ExpConfig{Seed: 7, Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Points = append(k.Points, sim.ManifestPoint{Key: "extra", Salt: 1, Trials: 1})
+	drifted := k.Encode()
+	dir := t.TempDir()
+	st, _, err := newDiskStore(dir, 0, 0, NewMetrics(), func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.put(drifted, []byte(`{"stale":true}`+"\n"))
+
+	s, ts := testServer(t, Options{CacheDir: dir})
+	if n := s.metrics.WarmedEntries.Load(); n != 0 {
+		t.Errorf("warm-boot entries = %d, want 0 (the drifted spill is not this binary's run)", n)
+	}
+	status, source, body := get(t, ts.URL+"/v1/run?exp=eq3&seed=7&trials=1")
+	if status != http.StatusOK || source != "miss" {
+		t.Fatalf("status %d cache %q, want 200 miss (computed)", status, source)
+	}
+	if want := directBytes(t, "eq3", sim.ExpConfig{Seed: 7, Trials: 1}); !bytes.Equal(body, want) {
+		t.Error("response differs from a direct run")
 	}
 }
 
@@ -417,7 +460,10 @@ func TestUnusableCacheDirDegradesToMemoryOnly(t *testing.T) {
 
 // FuzzDecodeSpill fuzzes the spill decoder: it must never panic, and
 // anything it accepts must carry a canonical run key and round-trip
-// through encodeSpill to the identical file bytes.
+// through encodeSpill to the identical file bytes. It also fuzzes the
+// disk-hit fast path against the decoder for one fixed requested key:
+// whatever matchSpill accepts, decodeSpill accepts with that key and
+// the identical body.
 func FuzzDecodeSpill(f *testing.F) {
 	e, ok := sim.Lookup("eq3")
 	if !ok {
@@ -427,18 +473,28 @@ func FuzzDecodeSpill(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := encodeSpill(k.Encode(), []byte(`{"rows":[1,2,3]}`))
+	requested := k.Encode()
+	valid := encodeSpill(requested, []byte(`{"rows":[1,2,3]}`))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                    // truncated mid-file
 	f.Add(valid[:bytes.IndexByte(valid, '\n')])    // header only, no newline
 	f.Add(append(append([]byte{}, valid...), 'x')) // trailing garbage
 	f.Add(bytes.Replace(valid, []byte(`{"v":1,`), []byte(`{"v":9,`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"key":{`), []byte(`"key":{"zz":1,`), 1))
+	f.Add(bytes.Replace(valid, []byte(`{"v":1,`), []byte(`{"v": 1,`), 1)) // valid, not byte-equal
+	f.Add(encodeSpill(testRunKeys(f, 1)[0], []byte(`{"rows":[1,2,3]}`)))  // another key
+	f.Add(encodeSpill(requested, nil))
 	f.Add([]byte("\n"))
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		key, body, err := decodeSpill(data)
+		if fast, ok := matchSpill(requested, data); ok {
+			_, key, body, err := decodeSpill(data)
+			if err != nil || key != requested || !bytes.Equal(body, fast) {
+				t.Fatalf("fast path accepted a spill the decoder does not (key=%q err=%v)", key, err)
+			}
+		}
+		_, key, body, err := decodeSpill(data)
 		if err != nil {
 			return
 		}
@@ -453,9 +509,134 @@ func FuzzDecodeSpill(f *testing.F) {
 		// decode back to the identical key and bytes (the header
 		// tolerates JSON whitespace/field order, so byte equality of
 		// the file itself is not required).
-		k2, b2, err := decodeSpill(encodeSpill(key, body))
+		_, k2, b2, err := decodeSpill(encodeSpill(key, body))
 		if err != nil || k2 != key || !bytes.Equal(b2, body) {
 			t.Fatalf("accepted spill does not round-trip: key=%q err=%v", k2, err)
 		}
 	})
+}
+
+// TestSpillHeaderFastPathAllExperiments checks, for every registry
+// experiment, that the spill encodeSpill writes takes the disk-hit fast
+// path, so real spills never fall through to the full decode: its
+// header line is spillHeader's JSON encoding, the form decodeSpill
+// reads and earlier releases wrote, and matchSpill and decodeSpill both
+// accept the file with the same body.
+func TestSpillHeaderFastPathAllExperiments(t *testing.T) {
+	body := []byte(`{"name":"x","rows":[1,2,3]}` + "\n")
+	for _, e := range sim.Registry() {
+		for _, cfg := range []sim.ExpConfig{{Seed: 11, Trials: 1}, {Kind: rng.KindMT19937, MaxSteps: 99}} {
+			k, err := e.RunKey(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			key := k.Encode()
+			data := encodeSpill(key, body)
+			sum := sha256.Sum256(body)
+			want, err := json.Marshal(spillHeader{V: spillVersion, Key: json.RawMessage(key), Len: len(body), Body: hex.EncodeToString(sum[:])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr, _, _ := bytes.Cut(data, []byte("\n")); !bytes.Equal(hdr, want) {
+				t.Errorf("%s: header\n got %s\nwant %s", e.Name, hdr, want)
+			}
+			if got, ok := matchSpill(key, data); !ok || !bytes.Equal(got, body) {
+				t.Errorf("%s: fast path rejects the spill encodeSpill writes", e.Name)
+			}
+			if _, stored, got, err := decodeSpill(data); err != nil || stored != key || !bytes.Equal(got, body) {
+				t.Errorf("%s: decodeSpill: key match %v, err %v", e.Name, stored == key, err)
+			}
+		}
+	}
+}
+
+// TestDiskStoreConcurrentGetPut runs gets and puts of a few keys from
+// several goroutines against a budget that fits two spills, so most
+// puts evict a spill another goroutine may be reading. Every get must
+// return a miss or the exact bytes put for its key, and no spill may be
+// counted corrupt: a spill evicted between lookup and read is a miss.
+// No index row may ever name a missing file, so no read finds its
+// spill vanished under a current row.
+func TestDiskStoreConcurrentGetPut(t *testing.T) {
+	keys := testRunKeys(t, 6)
+	bodies := make([][]byte, len(keys))
+	for i := range bodies {
+		bodies[i] = bytes.Repeat([]byte{byte('a' + i)}, 300)
+	}
+	one := int64(len(encodeSpill(keys[0], bodies[0])))
+	m := NewMetrics()
+	var vanished atomic.Int64
+	logf := func(format string, args ...any) {
+		if strings.Contains(format, "vanished") {
+			vanished.Add(1)
+		}
+	}
+	st, _, err := newDiskStore(t.TempDir(), 2*one+one/2, 0, m, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, ops = 4, 60
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < ops; j++ {
+				i := (w/2 + j*5) % len(keys) // workers 2k and 2k+1 collide
+				if j%2 == 0 {
+					st.put(keys[i], bodies[i])
+					continue
+				}
+				if got, ok := st.get(keys[i]); ok && !bytes.Equal(got, bodies[i]) {
+					t.Errorf("get of key %d returned another key's bytes", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.CorruptSpills.Load(); n != 0 {
+		t.Errorf("corrupt-reject counter = %d, want 0", n)
+	}
+	if n := vanished.Load(); n != 0 {
+		t.Errorf("%d reads found an indexed spill's file gone", n)
+	}
+	entries, total := st.stats()
+	if total > 2*one+one/2 || total != int64(entries)*one || len(st.entries) != entries {
+		t.Errorf("store indexes %d keys, %d entries / %d bytes; want one entry per key within the %d-byte budget at %d bytes each",
+			len(st.entries), entries, total, 2*one+one/2, one)
+	}
+	// The index and the directory agree: every row's file is on disk,
+	// so the byte total counts only bytes that are there.
+	for el := st.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*spillEntry)
+		if _, err := os.Stat(filepath.Join(st.dir, e.name)); err != nil {
+			t.Errorf("indexed spill %s is not on disk: %v", e.name, err)
+		}
+	}
+}
+
+// TestDiskStoreVanishedSpillIsMiss pins the read of a spill whose file
+// is gone under its index row: a miss that drops the row, not a
+// corruption.
+func TestDiskStoreVanishedSpillIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	key := testRunKeys(t, 1)[0]
+	m := NewMetrics()
+	st, _, err := newDiskStore(dir, 0, 0, m, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.put(key, []byte("body"))
+	if err := os.Remove(filepath.Join(dir, spillName(key))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.get(key); ok {
+		t.Fatal("vanished spill served")
+	}
+	if entries, total := st.stats(); entries != 0 || total != 0 {
+		t.Errorf("store still indexes %d entries / %d bytes", entries, total)
+	}
+	if n := m.CorruptSpills.Load(); n != 0 {
+		t.Errorf("corrupt-reject counter = %d, want 0", n)
+	}
 }

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+
+	"repro/internal/rng"
 )
 
 // RunKey is the canonical identity of one experiment run: everything
@@ -19,10 +22,12 @@ import (
 // The same key plays two roles. Prefixed with a format version it is
 // the checkpoint manifest (CheckpointManifest embeds RunKey), pinning
 // which run a journal belongs to; and its canonical Encode() string is
-// the exact-result cache key of the serving layer (internal/serve),
-// which is sound precisely because cache identity equals determinism
-// identity. The two must never drift apart — they are one struct, and
-// the golden test in runkey_test.go pins the encoding.
+// the disk-tier key of the serving layer's result cache
+// (internal/serve), which is sound precisely because cache identity
+// equals determinism identity. The two must never drift apart — they
+// are one struct, and the golden test in runkey_test.go pins the
+// encoding. The serving layer's memory tier keys by the shorter
+// CacheID, which names the same run without planning it.
 type RunKey struct {
 	// Name and Salt are the registry name and salt namespace of the
 	// experiment (empty/zero for bare SweepPlan runs); Scale is the
@@ -69,8 +74,8 @@ func (pl *SweepPlan) runKey(cfg Config, name string, salt uint64, scale int) Run
 
 // RunKey plans the experiment under cfg and returns its canonical run
 // key — exactly the identity a checkpoint manifest of the same run
-// would pin (minus the format version). The serving layer derives its
-// cache key from Encode() of this value, so a cached response can never
+// would pin (minus the format version). The serving layer keys its
+// disk tier by Encode() of this value, so a spilled response can never
 // be served for a configuration whose journal the durable-run layer
 // would reject.
 func (e Experiment) RunKey(cfg ExpConfig) (*RunKey, error) {
@@ -81,6 +86,53 @@ func (e Experiment) RunKey(cfg ExpConfig) (*RunKey, error) {
 	d := cfg.withDefaults()
 	k := plan.runKey(plan.Config.withDefaults(), e.Name, e.Salt, d.Scale)
 	return &k, nil
+}
+
+// CacheID names the run of e under cfg without planning it: the
+// registry name plus the defaults-applied seed, trials, scale, RNG kind
+// and step budget — every input of Plan but Workers — rendered as
+// "<name>?seed=S&trials=T&scale=C&kind=K&max_steps=M". The five fields
+// after the name are fixed, so distinct inputs give distinct strings,
+// and since the plan is a pure function of those inputs, two
+// configurations share a CacheID exactly when this binary plans them
+// to one RunKey. The serving layer keys its memory cache and
+// single-flight by it, so a memory hit costs no planning.
+func (e Experiment) CacheID(cfg ExpConfig) string {
+	d := cfg.withDefaults()
+	c := d.config().withDefaults()
+	var buf [128]byte // stays on the stack: only the string escapes
+	b := append(buf[:0], e.Name...)
+	b = append(b, "?seed="...)
+	b = strconv.AppendUint(b, c.Seed, 10)
+	b = append(b, "&trials="...)
+	b = strconv.AppendInt(b, int64(c.Trials), 10)
+	b = append(b, "&scale="...)
+	b = strconv.AppendInt(b, int64(d.Scale), 10)
+	b = append(b, "&kind="...)
+	b = strconv.AppendInt(b, int64(c.Kind), 10)
+	b = append(b, "&max_steps="...)
+	b = strconv.AppendInt(b, c.MaxSteps, 10)
+	return string(b)
+}
+
+// CacheID returns the Experiment.CacheID of the run k names, and
+// whether this binary still plans that run to exactly k. It reports
+// false for a key of an unknown experiment, and for a key written by a
+// build whose plan for the same request differed (another salt, point,
+// arm or per-point trial count): a result stored under such a key is
+// not what this binary computes, so it must never be found under the
+// request's CacheID. It plans the run once.
+func (k *RunKey) CacheID() (string, bool) {
+	e, ok := Lookup(k.Name)
+	if !ok {
+		return "", false
+	}
+	cfg := ExpConfig{Seed: k.Seed, Trials: k.Trials, Scale: k.Scale, Kind: rng.Kind(k.Kind), MaxSteps: k.MaxSteps}
+	cur, err := e.RunKey(cfg)
+	if err != nil || cur.Encode() != k.Encode() {
+		return "", false
+	}
+	return e.CacheID(cfg), true
 }
 
 // Encode returns the key's canonical string form: compact JSON with

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestRunKeyEncodingGolden pins RunKey's canonical encoding to the
@@ -112,6 +114,92 @@ func TestRunKeyMatchesCheckpointManifest(t *testing.T) {
 		}
 		if m.RunKey.Encode() != key.Encode() {
 			t.Errorf("%s: manifest key encoding != Experiment.RunKey encoding", e.Name)
+		}
+	}
+}
+
+// TestCacheIDMatchesRunKey pins the serving layer's plan-free memory
+// key to the run identity, registry-wide: Experiment.CacheID equals the
+// CacheID of the RunKey the same configuration plans, and of that key
+// decoded back from its encoding (as the disk tier's boot scan reads
+// it). Two configurations share a CacheID exactly when they share a
+// RunKey encoding, and distinct seeds give distinct IDs.
+func TestCacheIDMatchesRunKey(t *testing.T) {
+	cfgs := []ExpConfig{
+		{},
+		{Trials: 5, Scale: 1}, // the zero value's defaults, spelled out
+		{Seed: 3, Trials: 2, Kind: rng.KindXoshiro},
+		{Seed: 3, Trials: 2, Kind: rng.KindMT19937},
+		{Seed: 3, Trials: 2, Kind: rng.KindSplitMix},
+		{Seed: 3, Trials: 2, MaxSteps: 12345},
+		{Seed: 4, Trials: 2, Scale: 2, Workers: 3},
+	}
+	for _, e := range Registry() {
+		idOf := map[string]string{} // encoded RunKey → CacheID
+		encOf := map[string]string{}
+		for _, cfg := range cfgs {
+			id := e.CacheID(cfg)
+			key, err := e.RunKey(cfg)
+			if err != nil {
+				t.Fatalf("%s %+v: RunKey: %v", e.Name, cfg, err)
+			}
+			if got, ok := key.CacheID(); !ok || got != id {
+				t.Errorf("%s %+v: RunKey.CacheID (%q, %v), Experiment.CacheID %q", e.Name, cfg, got, ok, id)
+			}
+			enc := key.Encode()
+			dk, err := DecodeRunKey([]byte(enc))
+			if err != nil {
+				t.Fatalf("%s %+v: decode: %v", e.Name, cfg, err)
+			}
+			if got, ok := dk.CacheID(); !ok || got != id {
+				t.Errorf("%s %+v: decoded key's CacheID (%q, %v), want %q", e.Name, cfg, got, ok, id)
+			}
+			if prev, ok := idOf[enc]; ok && prev != id {
+				t.Errorf("%s: one run key has CacheIDs %q and %q", e.Name, prev, id)
+			}
+			if prev, ok := encOf[id]; ok && prev != enc {
+				t.Errorf("%s: CacheID %q names two run keys", e.Name, id)
+			}
+			idOf[enc], encOf[id] = id, enc
+		}
+		if e.CacheID(cfgs[0]) != e.CacheID(cfgs[1]) {
+			t.Errorf("%s: zero config and its explicit defaults have different CacheIDs", e.Name)
+		}
+		if a, b := e.CacheID(ExpConfig{Seed: 1}), e.CacheID(ExpConfig{Seed: 2}); a == b {
+			t.Errorf("%s: seeds 1 and 2 share CacheID %q", e.Name, a)
+		}
+	}
+}
+
+// TestCacheIDRejectsDriftedKey checks that a run key this binary would
+// not plan has no CacheID: a key with an extra point, a changed point
+// salt, a changed experiment salt or an unknown name — the shape a key
+// written by a build with another plan has — reports false, so a
+// result stored under it is never served for the current request.
+func TestCacheIDRejectsDriftedKey(t *testing.T) {
+	e, ok := Lookup("eq3")
+	if !ok {
+		t.Fatal("eq3 not registered")
+	}
+	drift := map[string]func(k *RunKey){
+		"extra point":  func(k *RunKey) { k.Points = append(k.Points, ManifestPoint{Key: "extra", Salt: 1, Trials: 1}) },
+		"point salt":   func(k *RunKey) { k.Points[0].Salt++ },
+		"point trials": func(k *RunKey) { k.Points[0].Trials++ },
+		"salt":         func(k *RunKey) { k.Salt++ },
+		"unknown name": func(k *RunKey) { k.Name = "no-such-experiment" },
+	}
+	for name, change := range drift {
+		k, err := e.RunKey(ExpConfig{Seed: 7, Trials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(k)
+		dk, err := DecodeRunKey([]byte(k.Encode()))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if id, ok := dk.CacheID(); ok {
+			t.Errorf("%s: drifted key has CacheID %q", name, id)
 		}
 	}
 }
