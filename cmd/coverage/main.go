@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -34,7 +33,7 @@ var defaultFractions = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
 
 func run() error {
 	var (
-		graphKind = flag.String("graph", "regular", "graph family: regular | hypercube | torus | cycle | rgg")
+		graphKind = flag.String("graph", "regular", "graph family: "+gen.FamilyNames)
 		n         = flag.Int("n", 10000, "number of vertices")
 		degree    = flag.Int("degree", 4, "degree for -graph regular")
 		dim       = flag.Int("dim", 10, "dimension for -graph hypercube")
@@ -50,7 +49,7 @@ func run() error {
 	}
 
 	r := rand.New(rng.New(rng.KindXoshiro, *seed))
-	g, err := buildGraph(*graphKind, *n, *degree, *dim, r)
+	g, err := gen.ByName(*graphKind, *n, *degree, *dim, r)
 	if err != nil {
 		return err
 	}
@@ -115,30 +114,6 @@ func run() error {
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}
 	return nil
-}
-
-func buildGraph(kind string, n, degree, dim int, r *rand.Rand) (*graph.Graph, error) {
-	switch kind {
-	case "regular":
-		if n*degree%2 != 0 {
-			n++
-		}
-		return gen.RandomRegularSW(r, n, degree)
-	case "hypercube":
-		return gen.Hypercube(dim)
-	case "torus":
-		side := int(math.Sqrt(float64(n)))
-		if side < 3 {
-			side = 3
-		}
-		return gen.Torus(side, side)
-	case "cycle":
-		return gen.Cycle(n)
-	case "rgg":
-		return gen.RandomGeometricConnected(r, n, 0)
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
 }
 
 func buildProcess(name string, g *graph.Graph, r *rand.Rand) (walk.Process, error) {

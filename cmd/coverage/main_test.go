@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -43,7 +44,7 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 
 func TestCoverageBuildHelpers(t *testing.T) {
 	r := rand.New(rng.New(rng.KindXoshiro, 1))
-	g, err := buildGraph("regular", 40, 4, 0, r)
+	g, err := gen.ByName("regular", 40, 4, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,5 @@ func TestCoverageBuildHelpers(t *testing.T) {
 	}
 	if _, err := buildProcess("nope", g, r); err == nil {
 		t.Error("unknown process should fail")
-	}
-	if _, err := buildGraph("nope", 10, 3, 3, r); err == nil {
-		t.Error("unknown graph should fail")
 	}
 }

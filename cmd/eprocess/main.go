@@ -35,8 +35,8 @@ func main() {
 
 func run() error {
 	var (
-		graphKind = flag.String("graph", "regular", "graph family: regular | hypercube | torus | cycle | circulant | rgg")
-		n         = flag.Int("n", 10000, "number of vertices (regular, cycle, circulant, rgg; torus uses the nearest square)")
+		graphKind = flag.String("graph", "regular", "graph family: "+gen.FamilyNames)
+		n         = flag.Int("n", 10000, "number of vertices (torus and margulis use ⌊√n⌋ per side)")
 		degree    = flag.Int("degree", 4, "degree for -graph regular")
 		dim       = flag.Int("dim", 10, "dimension for -graph hypercube")
 		process   = flag.String("process", "eprocess", "process: eprocess | srw | lazy | rwc2 | rwc3 | rotor | least-used | oldest-first")
@@ -58,7 +58,7 @@ func run() error {
 	}
 
 	r := rand.New(rng.New(rng.KindXoshiro, *seed))
-	g, err := buildGraph(*graphKind, *n, *degree, *dim, r)
+	g, err := gen.ByName(*graphKind, *n, *degree, *dim, r)
 	if err != nil {
 		return err
 	}
@@ -138,33 +138,6 @@ func report(g *graph.Graph, ct walk.CoverTimes, st *walk.Stats) {
 	}
 }
 
-func buildGraph(kind string, n, degree, dim int, r *rand.Rand) (*graph.Graph, error) {
-	switch kind {
-	case "regular":
-		if n*degree%2 != 0 {
-			n++
-		}
-		return gen.RandomRegularSW(r, n, degree)
-	case "hypercube":
-		return gen.Hypercube(dim)
-	case "torus":
-		side := int(math.Sqrt(float64(n)))
-		if side < 3 {
-			side = 3
-		}
-		return gen.Torus(side, side)
-	case "cycle":
-		return gen.Cycle(n)
-	case "circulant":
-		k := int(math.Sqrt(float64(n)))
-		return gen.Circulant(n, []int{1, k})
-	case "rgg":
-		return gen.RandomGeometricConnected(r, n, 0)
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
 // ruleByName resolves the -rule flag; an unknown name is an error
 // rather than a silent fall-back to the uniform rule.
 func ruleByName(name string) (walk.Rule, error) {
@@ -207,11 +180,4 @@ func buildProcess(name string, rule walk.Rule, g *graph.Graph, r *rand.Rand, sta
 	default:
 		return nil, fmt.Errorf("unknown process %q", name)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

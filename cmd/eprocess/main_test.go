@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/walk"
 )
@@ -44,6 +45,8 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 
 func testRand() *rand.Rand { return rand.New(rng.New(rng.KindXoshiro, 1)) }
 
+// Every -graph kind eprocess accepts builds a connected graph through
+// gen.ByName, an odd n·degree included, and an unknown kind fails.
 func TestBuildGraphKinds(t *testing.T) {
 	r := testRand()
 	cases := []struct {
@@ -60,7 +63,7 @@ func TestBuildGraphKinds(t *testing.T) {
 		{"rgg", 60, 0, 0},
 	}
 	for _, tc := range cases {
-		g, err := buildGraph(tc.kind, tc.n, tc.deg, tc.dim, r)
+		g, err := gen.ByName(tc.kind, tc.n, tc.deg, tc.dim, r)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
@@ -71,7 +74,7 @@ func TestBuildGraphKinds(t *testing.T) {
 			t.Errorf("%s: disconnected", tc.kind)
 		}
 	}
-	if _, err := buildGraph("nope", 10, 3, 3, r); err == nil {
+	if _, err := gen.ByName("nope", 10, 3, 3, r); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }
@@ -110,7 +113,7 @@ func TestRuleByName(t *testing.T) {
 
 func TestBuildProcessKinds(t *testing.T) {
 	r := testRand()
-	g, err := buildGraph("torus", 25, 0, 0, r)
+	g, err := gen.ByName("torus", 25, 0, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 
 func run() error {
 	var (
-		graphKind = flag.String("graph", "regular", "graph family: regular | hypercube | torus | cycle | circulant | rgg | margulis")
+		graphKind = flag.String("graph", "regular", "graph family: "+gen.FamilyNames)
 		n         = flag.Int("n", 1000, "number of vertices")
 		degree    = flag.Int("degree", 4, "degree for -graph regular")
 		dim       = flag.Int("dim", 8, "dimension for -graph hypercube")
@@ -60,7 +60,7 @@ func run() error {
 		f.Close()
 	} else {
 		r := rand.New(rng.New(rng.KindXoshiro, *seed))
-		g, err = buildGraph(*graphKind, *n, *degree, *dim, r)
+		g, err = gen.ByName(*graphKind, *n, *degree, *dim, r)
 	}
 	if err != nil {
 		return err
@@ -140,7 +140,7 @@ func run() error {
 			fmt.Printf("Theorem 1 bound: %.0f\n", core.Theorem1Bound(g.N(), float64(lres.Ell), lazy.Value))
 		}
 		fmt.Printf("Theorem 3 bound: %.0f\n",
-			core.Theorem3Bound(g.N(), g.M(), maxInt(1, girth), g.MaxDegree(), lazy.Value))
+			core.Theorem3Bound(g.N(), g.M(), max(1, girth), g.MaxDegree(), lazy.Value))
 	} else {
 		fmt.Println("odd-degree vertices present: Theorem 1/3 hypotheses not met (Section 5)")
 	}
@@ -161,41 +161,4 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-func buildGraph(kind string, n, degree, dim int, r *rand.Rand) (*graph.Graph, error) {
-	switch kind {
-	case "regular":
-		if n*degree%2 != 0 {
-			n++
-		}
-		return gen.RandomRegularSW(r, n, degree)
-	case "hypercube":
-		return gen.Hypercube(dim)
-	case "torus":
-		side := int(math.Sqrt(float64(n)))
-		if side < 3 {
-			side = 3
-		}
-		return gen.Torus(side, side)
-	case "cycle":
-		return gen.Cycle(n)
-	case "circulant":
-		k := int(math.Sqrt(float64(n)))
-		return gen.Circulant(n, []int{1, k})
-	case "rgg":
-		return gen.RandomGeometricConnected(r, n, 0)
-	case "margulis":
-		k := int(math.Sqrt(float64(n)))
-		return gen.Margulis(k)
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

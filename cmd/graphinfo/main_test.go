@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 )
 
@@ -40,6 +41,8 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 	}
 }
 
+// Every -graph kind graphinfo accepts builds a valid graph through
+// gen.ByName, and an unknown kind fails.
 func TestGraphinfoBuildGraph(t *testing.T) {
 	r := rand.New(rng.New(rng.KindXoshiro, 1))
 	kinds := []struct {
@@ -55,7 +58,7 @@ func TestGraphinfoBuildGraph(t *testing.T) {
 		{"margulis", 16},
 	}
 	for _, tc := range kinds {
-		g, err := buildGraph(tc.kind, tc.n, 4, 4, r)
+		g, err := gen.ByName(tc.kind, tc.n, 4, 4, r)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
@@ -66,13 +69,7 @@ func TestGraphinfoBuildGraph(t *testing.T) {
 			t.Errorf("%s: %v", tc.kind, err)
 		}
 	}
-	if _, err := buildGraph("nope", 10, 4, 4, r); err == nil {
+	if _, err := gen.ByName("nope", 10, 4, 4, r); err == nil {
 		t.Error("unknown kind should fail")
-	}
-}
-
-func TestMaxIntHelper(t *testing.T) {
-	if maxInt(3, 5) != 5 || maxInt(5, 3) != 5 || maxInt(-1, -2) != -1 {
-		t.Error("maxInt wrong")
 	}
 }

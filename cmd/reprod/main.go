@@ -107,7 +107,7 @@ func run(args []string) error {
 		return usagef("-cache-disk-bytes 0 would evict every spill; omit the flag for the default budget")
 	}
 
-	logf := func(string, ...any) {}
+	var logf func(string, ...any) // nil: the server logs nothing
 	if *verbose {
 		logf = log.Printf
 	}

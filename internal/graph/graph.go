@@ -111,14 +111,16 @@ func fromEdges(n int, edges []Edge) (*Graph, error) {
 		off[v+1] += off[v]
 	}
 	halves := make([]Half, off[n])
-	// cur[v] is the slot of vertex v's next half.
-	cur := slices.Clone(off[:n])
+	// off[v] serves as the slot of vertex v's next half, so after the
+	// fill it holds v's end, which is v+1's start: shift it back a slot.
 	for id, e := range edges {
-		halves[cur[e.U]] = Half{ID: uint32(id), To: uint32(e.V)}
-		cur[e.U]++
-		halves[cur[e.V]] = Half{ID: uint32(id), To: uint32(e.U)}
-		cur[e.V]++
+		halves[off[e.U]] = Half{ID: uint32(id), To: uint32(e.V)}
+		off[e.U]++
+		halves[off[e.V]] = Half{ID: uint32(id), To: uint32(e.U)}
+		off[e.V]++
 	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return &Graph{n: n, edges: edges, halves: halves, off: off}, nil
 }
 

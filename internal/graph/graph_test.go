@@ -498,6 +498,17 @@ func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
 			}
 		}
 	}
+	// A build allocates the edge copy, the offsets, the halves and the
+	// Graph, nothing more: the counting sort's cursor is the offsets.
+	edges := randomEdges(r, 12, 30)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewFromEdges(12, edges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4 {
+		t.Errorf("NewFromEdges made %.0f allocations, want 4", allocs)
+	}
 	// The first bad edge is reported, as the reference reports it.
 	bad := []Edge{{U: 0, V: 1}, {U: 1, V: 3}, {U: -1, V: 0}}
 	ref := refGraph{adj: make([][]Half, 3)}

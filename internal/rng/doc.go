@@ -15,7 +15,8 @@
 // dispatch and modulo-rejection divisions. Rand couples both views over
 // one shared state. Every experiment in the repository receives its
 // randomness through injection so that runs are reproducible from a
-// seed. NewStream derives independent child generators from a master
-// seed, which is how the simulation harness gives each parallel trial
-// its own generator without correlation between trials.
+// seed. New expands a master seed through SplitMix64 before seeding the
+// generator, and NewSource seeds one directly from a seed the caller
+// derived, which is how the simulation harness gives each parallel
+// trial its own generator without correlation between trials.
 package rng

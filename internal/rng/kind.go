@@ -5,10 +5,10 @@ import (
 	"math/rand"
 )
 
-// Kind selects which generator family a Stream produces.
+// Kind selects the generator family New and NewSource build.
 type Kind int
 
-// Generator families available from NewStream.
+// Generator families.
 const (
 	KindXoshiro Kind = iota + 1
 	KindMT19937
@@ -35,36 +35,6 @@ func ParseKind(name string) (Kind, error) {
 	return k, nil
 }
 
-// Stream derives statistically independent child generators from a single
-// master seed. Each call to Next returns a fresh generator whose seed is
-// drawn from a private SplitMix64 sequence, so parallel trials never
-// share or overlap state.
-//
-// Stream itself is not safe for concurrent use; derive all children
-// before fanning out, or guard Next externally.
-type Stream struct {
-	kind Kind
-	seq  *SplitMix64
-}
-
-// NewStream returns a Stream producing generators of the given kind,
-// derived from seed.
-func NewStream(kind Kind, seed uint64) *Stream {
-	return &Stream{kind: kind, seq: NewSplitMix64(seed)}
-}
-
-// Next returns the next independent child generator.
-func (st *Stream) Next() rand.Source64 {
-	return st.NextSource()
-}
-
-// NextSource returns the next independent child generator as a concrete
-// Source, exposing the fast bounded-int path alongside math/rand
-// interop.
-func (st *Stream) NextSource() Source {
-	return NewSource(st.kind, st.seq.Uint64())
-}
-
 // NewSource returns a concrete generator of the given kind seeded
 // directly with seed. Callers that derive their own seeds (e.g. the
 // simulation harness's deriveSeed) use this to build a generator per
@@ -86,8 +56,9 @@ func NewSource(kind Kind, seed uint64) Source {
 	}
 }
 
-// New returns a single generator of the given kind for callers that do
-// not need a stream.
+// New returns a generator of the given kind for the master seed seed:
+// the NewSource generator seeded with the first output of a SplitMix64
+// seeded with seed, so nearby master seeds give unrelated generators.
 func New(kind Kind, seed uint64) rand.Source64 {
-	return NewStream(kind, seed).Next()
+	return NewSource(kind, NewSplitMix64(seed).Uint64())
 }

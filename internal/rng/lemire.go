@@ -55,9 +55,10 @@ func intn[S Source](src S, n int) int {
 // gcshape and calls Uint64 through a dictionary, which blocks inlining
 // on the one generator every simulation hot loop uses. The concrete
 // body below inlines into devirtualized callers, and is draw-for-draw
-// identical to the generic path. (walk's fused cover loop goes one step
-// further: it hoists the state words into locals and writes this same
-// update and reduction out inline; see Xoshiro256.State.)
+// identical to the generic path. (walk's fused cover loops go one step
+// further: they hoist the state words into locals and run this same
+// update and reduction on them, with the fringe out of line as here;
+// see Xoshiro256.State.)
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	// The xoshiro update is fused in rather than calling Uint64: the
 	// generator's cost sits just above the compiler's inlining budget,

@@ -93,10 +93,11 @@ func TestXoshiroNonZeroState(t *testing.T) {
 	}
 }
 
+// New expands its master seed through SplitMix64, so adjacent master
+// seeds give generators whose outputs do not collide.
 func TestStreamIndependence(t *testing.T) {
-	st := NewStream(KindXoshiro, 1)
-	a := st.Next()
-	b := st.Next()
+	a := New(KindXoshiro, 1)
+	b := New(KindXoshiro, 2)
 	collisions := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -104,17 +105,24 @@ func TestStreamIndependence(t *testing.T) {
 		}
 	}
 	if collisions > 1 {
-		t.Fatalf("sibling streams collide on %d/1000 outputs", collisions)
+		t.Fatalf("generators from adjacent master seeds collide on %d/1000 outputs", collisions)
 	}
 }
 
+// New is deterministic in its seed and is exactly NewSource seeded with
+// the master seed's first SplitMix64 output.
 func TestStreamDeterminism(t *testing.T) {
 	for _, kind := range []Kind{KindXoshiro, KindMT19937, KindSplitMix} {
-		a := NewStream(kind, 5).Next()
-		b := NewStream(kind, 5).Next()
+		a := New(kind, 5)
+		b := New(kind, 5)
+		c := NewSource(kind, NewSplitMix64(5).Uint64())
 		for i := 0; i < 100; i++ {
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("kind %d: streams from equal seeds diverge", kind)
+			x := a.Uint64()
+			if x != b.Uint64() {
+				t.Fatalf("kind %d: generators from equal seeds diverge", kind)
+			}
+			if x != c.Uint64() {
+				t.Fatalf("kind %d: New differs from NewSource on the SplitMix64-expanded seed", kind)
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 package rng
 
 // SplitMix64 is Steele, Lea and Flood's 64-bit SplitMix generator. It is
-// used here primarily to expand a single master seed into independent
-// seeds for child generators (see NewStream), and is itself a perfectly
-// serviceable math/rand.Source64.
+// used here primarily to expand a master seed into the seed of another
+// generator (see New), and is itself a perfectly serviceable
+// math/rand.Source64.
 type SplitMix64 struct {
 	state uint64
 }

@@ -26,10 +26,11 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 }
 
 // State exposes the generator's four state words. Hot loops that cannot
-// afford a call per draw (walk's fused cover loop) hoist the words
-// into locals, replicate the xoshiro256** update inline, and write the
-// words back when the burst ends; the update they replicate is pinned
-// against this generator by TestStateInlineUpdateMatches. The pointer
+// afford a call per draw (walk's fused cover loops) hoist the words
+// into locals, advance them with their own copy of the xoshiro256**
+// update, and write the words back when the burst ends; the update is
+// pinned against this generator by TestStateInlineUpdateMatches here
+// and walk's TestFusedDrawMatchesUint64n. The pointer
 // aliases live state: interleaving draws through it with draws through
 // the methods is only coherent if every burst writes back first.
 func (x *Xoshiro256) State() *[4]uint64 { return &x.s }

@@ -101,6 +101,10 @@ type Server struct {
 	drainCtx context.Context
 	drain    context.CancelFunc
 
+	// logRequests is whether the caller gave Options.Logf: only then
+	// does a request build its log line.
+	logRequests bool
+
 	// runExperiment is the sweep entry point; tests substitute it to
 	// count and block runs without registering fake experiments.
 	runExperiment func(ctx context.Context, e sim.Experiment, cfg sim.ExpConfig) (*sim.Result, error)
@@ -116,6 +120,7 @@ var (
 
 // New builds a Server.
 func New(opts Options) *Server {
+	logRequests := opts.Logf != nil
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
@@ -128,6 +133,7 @@ func New(opts Options) *Server {
 			return e.Run(ctx, cfg, sim.RunOptions{})
 		},
 	}
+	s.logRequests = logRequests
 	s.cache = newResultCache(opts.CacheEntries, func() {
 		s.metrics.CacheEvictions.Add(1)
 		s.metrics.CacheEntries.Add(-1)
@@ -214,13 +220,17 @@ func parseRunRequest(r *http.Request) (*RunRequest, error) {
 	}
 	q := r.URL.Query()
 	req := &RunRequest{Exp: q.Get("exp"), Kind: q.Get("kind")}
-	for name, dst := range map[string]*int{"trials": &req.Trials, "scale": &req.Scale} {
-		if v := q.Get(name); v != "" {
+	// A fixed order: with both malformed, the error always names trials.
+	for _, p := range [...]struct {
+		name string
+		dst  *int
+	}{{"trials", &req.Trials}, {"scale", &req.Scale}} {
+		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return nil, fmt.Errorf("bad %s %q", name, v)
+				return nil, fmt.Errorf("bad %s %q", p.name, v)
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if v := q.Get("seed"); v != "" {
@@ -278,8 +288,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	status, source := s.serveRun(w, r)
 	s.metrics.CountRequest(status)
-	s.opts.Logf("reprod: %s %s client=%s status=%d cache=%s dur=%s",
-		r.Method, r.URL.RequestURI(), clientKey(r.RemoteAddr), status, source, time.Since(t0).Round(time.Microsecond))
+	if s.logRequests {
+		s.opts.Logf("reprod: %s %s client=%s status=%d cache=%s dur=%s",
+			r.Method, r.URL.RequestURI(), clientKey(r.RemoteAddr), status, source, time.Since(t0).Round(time.Microsecond))
+	}
 }
 
 // serveRun is the run path; it returns the HTTP status it wrote and

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -358,6 +359,51 @@ func TestValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: reject body %q is not an error JSON", c.query, body)
 		}
+	}
+}
+
+// A query with both trials and scale malformed is always refused for
+// its trials, whatever order the parser might visit them in.
+func TestMalformedTrialsAndScaleNameTrials(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	for i := 0; i < 20; i++ {
+		status, _, body := get(t, ts.URL+"/v1/run?exp=eq3&trials=x&scale=y")
+		if want := `bad trials \"x\"`; status != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Fatalf("request %d: status %d body %s, want 400 naming %s", i, status, bytes.TrimSpace(body), want)
+		}
+	}
+}
+
+// With Options.Logf set, each request logs one line in a fixed format;
+// without it, a request builds no line, so it allocates less than one
+// whose logger drops the line.
+func TestRequestLogLine(t *testing.T) {
+	serve := func(h http.Handler) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, benchRunURL, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	var lines []string
+	logged := New(Options{Logf: func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}}).Handler()
+	serve(logged)
+	serve(logged)
+	line := regexp.MustCompile(`^reprod: GET /v1/run\?exp=eq3&seed=7&trials=1 client=192\.0\.2\.1 status=200 cache=(miss|hit) dur=[0-9.]+[µm]?s$`)
+	if len(lines) != 2 || !line.MatchString(lines[0]) || !line.MatchString(lines[1]) {
+		t.Fatalf("log lines %q, want two matching %s", lines, line)
+	}
+
+	quiet := New(Options{}).Handler()
+	dropped := New(Options{Logf: func(string, ...any) {}}).Handler()
+	serve(quiet)
+	serve(dropped)
+	q := testing.AllocsPerRun(20, func() { serve(quiet) })
+	d := testing.AllocsPerRun(20, func() { serve(dropped) })
+	if q >= d {
+		t.Errorf("a hit allocates %.0f times with no logger, %.0f with one that drops the line; want fewer", q, d)
 	}
 }
 

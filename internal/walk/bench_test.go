@@ -170,6 +170,24 @@ func BenchmarkChoiceCover(b *testing.B) {
 	}
 }
 
+// BenchmarkStepDrivenCover measures the per-Step cover loop, which
+// rotor and the locally fair walks take (no fused loop fits them):
+// Reset plus a full vertex-and-edge Cover of a least-used-first walk
+// with reused scratch.
+func BenchmarkStepDrivenCover(b *testing.B) {
+	g := mustRegular(b, newRand(15), 5000, 4)
+	w := NewLeastUsedFirst(g, rng.NewXoshiro256(16), 0)
+	var sc CoverScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Reset(0)
+		if _, err := sc.Cover(w, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFrozenChurnCover measures one pcfcover trial at its largest
 // freeze rate: a censored vertex cover of a fresh overlay under
 // permanent edge failures at rate 0.25 per step (the fail coin of the

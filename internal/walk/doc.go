@@ -66,9 +66,13 @@
 // Exact blocks also let the cover drivers run a fresh static
 // Uniform-rule *EProcess in one fused loop (CoverScratch.Cover and
 // CoverScratch.VertexCoverSteps). The loop keeps the xoshiro256** state
-// in locals with the bounded draw written out inline, counts covered
-// edges with a bare counter (a blue step always covers a new edge, a
-// red step never does) and probes no seen-edge set. It takes the same
+// in locals, counts covered edges with a bare counter (a blue step
+// always covers a new edge, a red step never does) and probes no
+// seen-edge set. Both fused loops draw the same way at every site: the
+// inlined update xoshiroNext on the locals, one multiply, and only on a
+// product in Lemire's low fringe (probability bound/2⁶⁴) a call to the
+// out-of-line lemireFringe, the one rejection loop;
+// TestFusedDrawMatchesUint64n pins the pair against rng's Uint64n. It takes the same
 // steps per-Step driving takes and leaves the process in the same
 // state; golden_test.go and fused_test.go pin that.
 //
@@ -83,7 +87,8 @@
 // other source, a lazy Simple, Rotor, the locally fair walks, Weighted,
 // Biased, VProcess, a non-fusable EProcess) is driven one Step at a
 // time, and so is every process under EdgeCoverSteps and
-// VertexCoverCensored.
+// VertexCoverCensored. VertexCoverSteps, EdgeCoverSteps and Cover share
+// one per-Step loop, and one budget error.
 //
 // VertexCoverCensored drives walks on churning overlays, and its caller
 // may declare that the churn only removes edges. Such a run ends once

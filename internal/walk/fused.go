@@ -1,7 +1,6 @@
 package walk
 
 import (
-	"fmt"
 	mbits "math/bits"
 
 	"repro/internal/graph"
@@ -21,11 +20,10 @@ func (e *EProcess) fusable() bool {
 // the same pending blocks, the same swap-with-last deletions. The loop
 // owns the process state while it runs. The xoshiro256** words (when
 // the source is one, bare or inside an *rng.Rand) are hoisted into
-// locals and each draw is the generator's update plus Lemire's
-// reduction written out inline at each of the two draw sites: the loop
-// is register-bound, and this form measured faster than a shared draw
-// site or an inlined helper (rng's TestStateInlineUpdateMatches pins
-// the state layout this relies on).
+// locals, and each of the two draw sites is xoshiroNext on those
+// locals, one multiply, and the out-of-line lemireFringe on the rare
+// biased draw: the loop is register-bound, and no draw takes an
+// address or makes a call in the common case.
 // The crossed edge's twin is deleted on the arrival that follows, found
 // by its edge ID among the entries that arrival loads anyway; that is
 // the same deletion edgeArena.cross makes, one step later, with nothing
@@ -84,29 +82,12 @@ func (sc *CoverScratch) coverFused(e *EProcess, maxSteps int64, edges bool) (ct 
 			// half's swap-with-last; its twin goes on the next arrival.
 			var j int32
 			if st != nil {
+				var res uint64
+				res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
 				un := uint64(cnt)
-				res := mbits.RotateLeft64(s1*5, 7) * 9
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = mbits.RotateLeft64(s3, 45)
 				hi64, lo64 := mbits.Mul64(res, un)
 				if lo64 < un {
-					thresh := -un % un
-					for lo64 < thresh {
-						res = mbits.RotateLeft64(s1*5, 7) * 9
-						t = s1 << 17
-						s2 ^= s0
-						s3 ^= s1
-						s1 ^= s2
-						s0 ^= s3
-						s2 ^= t
-						s3 = mbits.RotateLeft64(s3, 45)
-						hi64, lo64 = mbits.Mul64(res, un)
-					}
+					hi64, s0, s1, s2, s3 = lemireFringe(un, hi64, lo64, s0, s1, s2, s3)
 				}
 				j = lo + int32(hi64)
 			} else {
@@ -132,29 +113,12 @@ func (sc *CoverScratch) coverFused(e *EProcess, maxSteps int64, edges bool) (ct 
 					// panics; any other source panics in its own Intn.
 					panic("rng: Intn with non-positive bound")
 				}
+				var res uint64
+				res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
 				un := uint64(deg)
-				res := mbits.RotateLeft64(s1*5, 7) * 9
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = mbits.RotateLeft64(s3, 45)
 				hi64, lo64 := mbits.Mul64(res, un)
 				if lo64 < un {
-					thresh := -un % un
-					for lo64 < thresh {
-						res = mbits.RotateLeft64(s1*5, 7) * 9
-						t = s1 << 17
-						s2 ^= s0
-						s3 ^= s1
-						s1 ^= s2
-						s0 ^= s3
-						s2 ^= t
-						s3 = mbits.RotateLeft64(s3, 45)
-						hi64, lo64 = mbits.Mul64(res, un)
-					}
+					hi64, s0, s1, s2, s3 = lemireFringe(un, hi64, lo64, s0, s1, s2, s3)
 				}
 				h = csr[lo+int32(hi64)]
 			} else {
@@ -245,9 +209,9 @@ func (sc *CoverScratch) coverFusedAny(p Process, maxSteps int64, edges bool) (ct
 // the same visit-count updates. visits is nil for the simple walk
 // (d = 1), which keeps none. The first sample is drawn ahead of the
 // d > 1 branch, so the simple walk's step runs none of the choice code.
-// The xoshiro256** words st points at live in locals, with the update
-// and Lemire's reduction written out at each of the three draw sites,
-// as in coverFused.
+// The xoshiro256** words st points at live in locals, and each of the
+// three draw sites is xoshiroNext, one multiply and the rare
+// lemireFringe, as in coverFused.
 //
 // The run stops when every vertex (and, when edges is set, every edge)
 // is covered, or after maxSteps steps. On return *cur, visits and the
@@ -271,58 +235,24 @@ func (sc *CoverScratch) coverChoice(g *graph.Graph, st *[4]uint64, halves []grap
 			// Isolated vertex: per-Step driving's Intn(0) panics.
 			panic("rng: Intn with non-positive bound")
 		}
+		var res uint64
+		res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
 		un := uint64(deg)
-		res := mbits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = mbits.RotateLeft64(s3, 45)
 		hi64, lo64 := mbits.Mul64(res, un)
 		if lo64 < un {
-			thresh := -un % un
-			for lo64 < thresh {
-				res = mbits.RotateLeft64(s1*5, 7) * 9
-				t = s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = mbits.RotateLeft64(s3, 45)
-				hi64, lo64 = mbits.Mul64(res, un)
-			}
+			hi64, s0, s1, s2, s3 = lemireFringe(un, hi64, lo64, s0, s1, s2, s3)
 		}
 		best := halves[lo+int32(hi64)]
 		if d > 1 {
 			bestVisits := visits[best.To]
 			ties := 1
 			for i := 1; i < d; i++ {
+				var res uint64
+				res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
 				un := uint64(deg)
-				res := mbits.RotateLeft64(s1*5, 7) * 9
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = mbits.RotateLeft64(s3, 45)
 				hi64, lo64 := mbits.Mul64(res, un)
 				if lo64 < un {
-					thresh := -un % un
-					for lo64 < thresh {
-						res = mbits.RotateLeft64(s1*5, 7) * 9
-						t = s1 << 17
-						s2 ^= s0
-						s3 ^= s1
-						s1 ^= s2
-						s0 ^= s3
-						s2 ^= t
-						s3 = mbits.RotateLeft64(s3, 45)
-						hi64, lo64 = mbits.Mul64(res, un)
-					}
+					hi64, s0, s1, s2, s3 = lemireFringe(un, hi64, lo64, s0, s1, s2, s3)
 				}
 				h := halves[lo+int32(hi64)]
 				switch vc := visits[h.To]; {
@@ -330,29 +260,12 @@ func (sc *CoverScratch) coverChoice(g *graph.Graph, st *[4]uint64, halves []grap
 					best, bestVisits, ties = h, vc, 1
 				case vc == bestVisits:
 					ties++
+					var res uint64
+					res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
 					un := uint64(ties)
-					res := mbits.RotateLeft64(s1*5, 7) * 9
-					t := s1 << 17
-					s2 ^= s0
-					s3 ^= s1
-					s1 ^= s2
-					s0 ^= s3
-					s2 ^= t
-					s3 = mbits.RotateLeft64(s3, 45)
 					hi64, lo64 := mbits.Mul64(res, un)
 					if lo64 < un {
-						thresh := -un % un
-						for lo64 < thresh {
-							res = mbits.RotateLeft64(s1*5, 7) * 9
-							t = s1 << 17
-							s2 ^= s0
-							s3 ^= s1
-							s1 ^= s2
-							s0 ^= s3
-							s2 ^= t
-							s3 = mbits.RotateLeft64(s3, 45)
-							hi64, lo64 = mbits.Mul64(res, un)
-						}
+						hi64, s0, s1, s2, s3 = lemireFringe(un, hi64, lo64, s0, s1, s2, s3)
 					}
 					if hi64 == 0 {
 						best = h
@@ -401,14 +314,41 @@ func xoshiroState(r Intner) *[4]uint64 {
 	return nil
 }
 
-// budgetError is the cover drivers' censoring error for a run stopped
-// at steps with leftV vertices (and, when edges is set, leftE edges)
-// still uncovered.
-func budgetError(edges bool, leftV, leftE int, steps int64) error {
-	if edges {
-		return fmt.Errorf("%w: %d vertices, %d edges uncovered after %d steps", ErrStepBudget, leftV, leftE, steps)
+// xoshiroNext is one xoshiro256** update on the state words s0..s3 held
+// in the caller's locals: it returns the output and the advanced words,
+// exactly what rng.Xoshiro256.Uint64 returns and leaves in its state
+// (TestFusedDrawMatchesUint64n pins it). It takes no address, so the
+// words stay in registers, and it inlines into each draw site.
+func xoshiroNext(s0, s1, s2, s3 uint64) (res, n0, n1, n2, n3 uint64) {
+	res = mbits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = mbits.RotateLeft64(s3, 45)
+	return res, s0, s1, s2, s3
+}
+
+// lemireFringe finishes Lemire's reduction into [0, un) of a draw whose
+// product with un is hi:lo and landed in the low fringe (lo < un),
+// drawing again from s0..s3 while lo stays below the rejection
+// threshold, as rng.Xoshiro256.Uint64n does. It returns the reduced
+// value and the advanced words. A draw reaches it with probability
+// un/2⁶⁴, so it stays out of line: the rejection loop is compiled once
+// rather than into each of the five draw sites, and the hot loops pay
+// a call only on the rare draw that needs it.
+//
+//go:noinline
+func lemireFringe(un, hi, lo, s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	thresh := -un % un
+	for lo < thresh {
+		var res uint64
+		res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		hi, lo = mbits.Mul64(res, un)
 	}
-	return fmt.Errorf("%w: %d vertices unvisited after %d steps", ErrStepBudget, leftV, steps)
+	return hi, s0, s1, s2, s3
 }
 
 // Batch names the retired lockstep multi-walk cover engine. The name

@@ -2,6 +2,8 @@ package walk
 
 import (
 	"fmt"
+	"math"
+	mbits "math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -545,6 +547,44 @@ func TestFusedCoverIsolatedPanics(t *testing.T) {
 			if got := catch(func() { sc.VertexCoverSteps(proc.make(g, src.make(1), 0), 0) }); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s: VertexCoverSteps panicked with %v, Step with %v", name, got, want)
 			}
+		}
+	}
+}
+
+// TestFusedDrawMatchesUint64n drives the fused loops' bounded draw
+// (xoshiroNext, one multiply, lemireFringe on a low-fringe product) on
+// the words an rng.Xoshiro256 hands out through State, against Uint64n
+// on an identically seeded twin, draw for draw, and checks the words
+// written back continue the twin's stream. Bounds just above 2⁶³ send
+// about half of all draws into the fringe and make half of those draw
+// again; simulation-sized bounds reach it with probability n/2⁶⁴.
+func TestFusedDrawMatchesUint64n(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 7, 1000, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<63 + 12345, math.MaxUint64} {
+		ref := rng.NewXoshiro256(42)
+		x := rng.NewXoshiro256(42)
+		st := x.State()
+		s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+		redraws := 0
+		for i := 0; i < 2000; i++ {
+			var res uint64
+			res, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+			hi, lo := mbits.Mul64(res, n)
+			if lo < n {
+				if lo < -n%n {
+					redraws++
+				}
+				hi, s0, s1, s2, s3 = lemireFringe(n, hi, lo, s0, s1, s2, s3)
+			}
+			if want := ref.Uint64n(n); hi != want {
+				t.Fatalf("bound %d, draw %d: fused draw gives %d, Uint64n gives %d", n, i, hi, want)
+			}
+		}
+		if n > 1<<63 && n < 1<<63+1<<32 && redraws == 0 {
+			t.Errorf("bound %d: no draw was rejected in the fringe", n)
+		}
+		st[0], st[1], st[2], st[3] = s0, s1, s2, s3
+		if got, want := x.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("bound %d, after write-back: Uint64 gives %#x, want %#x", n, got, want)
 		}
 	}
 }

@@ -87,33 +87,11 @@ func VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 // xoshiro256** source through coverChoice; every other process is
 // driven by Step.
 func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
-	g := p.Graph()
-	n := g.N()
 	if maxSteps <= 0 {
-		maxSteps = defaultBudget(n)
+		maxSteps = defaultBudget(p.Graph().N())
 	}
-	if _, steps, leftV, _, ok := sc.coverFusedAny(p, maxSteps, false); ok {
-		if leftV > 0 {
-			return steps, budgetError(false, leftV, 0, steps)
-		}
-		return steps, nil
-	}
-	seen := sc.vertexSeen(n)
-	seen.Set(p.Current())
-	remaining := n - 1
-	var steps int64
-	for remaining > 0 {
-		if steps >= maxSteps {
-			return steps, budgetError(false, remaining, 0, steps)
-		}
-		_, v := p.Step()
-		steps++
-		if !seen.Test(v) {
-			seen.Set(v)
-			remaining--
-		}
-	}
-	return steps, nil
+	_, steps, err := sc.cover(p, maxSteps, true, false)
+	return steps, err
 }
 
 // EdgeCoverSteps runs p until every edge of its graph has been
@@ -127,28 +105,13 @@ func EdgeCoverSteps(p Process, maxSteps int64) (int64, error) {
 }
 
 // EdgeCoverSteps is the scratch-reusing form of the package-level
-// function.
+// function. Every process is driven by Step.
 func (sc *CoverScratch) EdgeCoverSteps(p Process, maxSteps int64) (int64, error) {
-	g := p.Graph()
-	m := g.M()
 	if maxSteps <= 0 {
-		maxSteps = defaultBudget(g.N() + m)
+		maxSteps = defaultBudget(p.Graph().N() + p.Graph().M())
 	}
-	seen := sc.edgeSeen(m)
-	remaining := m
-	var steps int64
-	for remaining > 0 {
-		if steps >= maxSteps {
-			return steps, fmt.Errorf("%w: %d edges untraversed after %d steps", ErrStepBudget, remaining, steps)
-		}
-		e, _ := p.Step()
-		steps++
-		if e >= 0 && !seen.Test(e) { // e < 0 marks a lazy stay: no edge crossed
-			seen.Set(e)
-			remaining--
-		}
-	}
-	return steps, nil
+	_, steps, err := sc.cover(p, maxSteps, false, true)
+	return steps, err
 }
 
 // CoverTimes reports both cover times from a single trajectory: the
@@ -173,45 +136,80 @@ func Cover(p Process, maxSteps int64) (CoverTimes, error) {
 // coverFused, and every *Choice and non-lazy *Simple on an xoshiro256**
 // source through coverChoice; every other process is driven by Step.
 func (sc *CoverScratch) Cover(p Process, maxSteps int64) (CoverTimes, error) {
-	g := p.Graph()
-	n, m := g.N(), g.M()
 	if maxSteps <= 0 {
-		maxSteps = defaultBudget(n + m)
+		maxSteps = defaultBudget(p.Graph().N() + p.Graph().M())
 	}
-	if ct, steps, leftV, leftE, ok := sc.coverFusedAny(p, maxSteps, true); ok {
-		if leftV|leftE != 0 {
-			return ct, budgetError(true, leftV, leftE, steps)
-		}
-		return ct, nil
-	}
-	seenV := sc.vertexSeen(n)
-	seenV.Set(p.Current())
-	seenE := sc.edgeSeen(m)
-	leftV, leftE := n-1, m
+	ct, _, err := sc.cover(p, maxSteps, true, true)
+	return ct, err
+}
+
+// cover is the three drivers' shared run: it runs p until every vertex
+// (when vertices is set) and every edge (when edges is set) is covered,
+// or for at most maxSteps steps, and returns the cover times reached,
+// the steps taken and, for a run the budget stopped, budgetError. A
+// vertex run goes to the fused loop that fits p, if any; otherwise
+// coverSteps drives p one Step at a time.
+func (sc *CoverScratch) cover(p Process, maxSteps int64, vertices, edges bool) (CoverTimes, int64, error) {
 	var ct CoverTimes
 	var steps int64
-	for leftV > 0 || leftE > 0 {
-		if steps >= maxSteps {
-			return ct, budgetError(true, leftV, leftE, steps)
-		}
+	var leftV, leftE int
+	fused := false
+	if vertices {
+		ct, steps, leftV, leftE, fused = sc.coverFusedAny(p, maxSteps, edges)
+	}
+	if !fused {
+		ct, steps, leftV, leftE = sc.coverSteps(p, maxSteps, vertices, edges)
+	}
+	if leftV|leftE != 0 {
+		return ct, steps, budgetError(vertices, edges, leftV, leftE, steps)
+	}
+	return ct, steps, nil
+}
+
+// coverSteps is cover's per-Step loop: it drives p one Step at a time
+// and returns, beside the cover times and steps, what is left uncovered
+// when it stops.
+func (sc *CoverScratch) coverSteps(p Process, maxSteps int64, vertices, edges bool) (ct CoverTimes, steps int64, leftV, leftE int) {
+	g := p.Graph()
+	if vertices {
+		sc.vertexSeen(g.N()).Set(p.Current())
+		leftV = g.N() - 1
+	}
+	if edges {
+		sc.edgeSeen(g.M())
+		leftE = g.M()
+	}
+	seenV, seenE := &sc.seenV, &sc.seenE
+	for leftV|leftE != 0 && steps < maxSteps {
 		e, v := p.Step()
 		steps++
 		if leftV > 0 && !seenV.Test(v) {
 			seenV.Set(v)
-			leftV--
-			if leftV == 0 {
+			if leftV--; leftV == 0 {
 				ct.Vertex = steps
 			}
 		}
-		if leftE > 0 && e >= 0 && !seenE.Test(e) { // e < 0 marks a lazy stay
+		if leftE > 0 && e >= 0 && !seenE.Test(e) { // e < 0 marks a lazy stay: no edge crossed
 			seenE.Set(e)
-			leftE--
-			if leftE == 0 {
+			if leftE--; leftE == 0 {
 				ct.Edge = steps
 			}
 		}
 	}
-	return ct, nil
+	return ct, steps, leftV, leftE
+}
+
+// budgetError is the cover drivers' censoring error for a run stopped
+// at steps with leftV vertices (when vertices is set) and leftE edges
+// (when edges is set) still uncovered.
+func budgetError(vertices, edges bool, leftV, leftE int, steps int64) error {
+	switch {
+	case !edges:
+		return fmt.Errorf("%w: %d vertices unvisited after %d steps", ErrStepBudget, leftV, steps)
+	case !vertices:
+		return fmt.Errorf("%w: %d edges untraversed after %d steps", ErrStepBudget, leftE, steps)
+	}
+	return fmt.Errorf("%w: %d vertices, %d edges uncovered after %d steps", ErrStepBudget, leftV, leftE, steps)
 }
 
 // CoverOutcome is the result of a censored cover run: the steps taken

@@ -1,12 +1,15 @@
 package walk
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -483,23 +486,60 @@ func TestHitStepsSelf(t *testing.T) {
 	}
 }
 
+// TestStepBudgetErrors: a cover driver stopped by its budget returns
+// the steps it took and an ErrStepBudget error counting what is left,
+// on a per-Step process and on the fused ones. The counts come from a
+// twin of the process driven by hand for the same number of steps.
 func TestStepBudgetErrors(t *testing.T) {
+	const budget = 5
 	g := mustCycle(t, 50)
+	procs := []struct {
+		name string
+		make func() Process
+	}{
+		{"per-step simple", func() Process { return NewSimple(g, newRand(37), 0) }},
+		{"fused eprocess", func() Process { return NewEProcess(g, rng.NewXoshiro256(37), nil, 0) }},
+		{"fused choice", func() Process { return NewChoice(g, rng.NewXoshiro256(37), 2, 0) }},
+	}
+	for _, proc := range procs {
+		twin := proc.make()
+		seenV, seenE := map[int]bool{twin.Current(): true}, map[int]bool{}
+		for i := 0; i < budget; i++ {
+			e, v := twin.Step()
+			seenV[v], seenE[e] = true, true
+		}
+		leftV, leftE := g.N()-len(seenV), g.M()-len(seenE)
+		drivers := []struct {
+			name string
+			run  func(Process) (int64, error)
+			want string
+		}{
+			{"VertexCoverSteps", func(p Process) (int64, error) { return VertexCoverSteps(p, budget) },
+				fmt.Sprintf("%d vertices unvisited after %d steps", leftV, budget)},
+			{"EdgeCoverSteps", func(p Process) (int64, error) { return EdgeCoverSteps(p, budget) },
+				fmt.Sprintf("%d edges untraversed after %d steps", leftE, budget)},
+			{"Cover", func(p Process) (int64, error) {
+				ct, err := Cover(p, budget)
+				if ct != (CoverTimes{}) {
+					t.Errorf("%s: Cover reports cover times %+v within %d steps of a 50-cycle", proc.name, ct, budget)
+				}
+				return budget, err
+			}, fmt.Sprintf("%d vertices, %d edges uncovered after %d steps", leftV, leftE, budget)},
+		}
+		for _, d := range drivers {
+			steps, err := d.run(proc.make())
+			if !errors.Is(err, ErrStepBudget) {
+				t.Errorf("%s %s: err = %v, want ErrStepBudget", proc.name, d.name, err)
+				continue
+			}
+			if want := ErrStepBudget.Error() + ": " + d.want; err.Error() != want || steps != budget {
+				t.Errorf("%s %s: (%d, %q), want (%d, %q)", proc.name, d.name, steps, err, budget, want)
+			}
+		}
+	}
 	w := NewSimple(g, newRand(37), 0)
-	if _, err := VertexCoverSteps(w, 5); err == nil {
-		t.Error("tiny budget should fail vertex cover")
-	}
-	w.Reset(0)
-	if _, err := EdgeCoverSteps(w, 5); err == nil {
-		t.Error("tiny budget should fail edge cover")
-	}
-	w.Reset(0)
-	if _, err := Cover(w, 5); err == nil {
-		t.Error("tiny budget should fail cover")
-	}
-	w.Reset(0)
-	if _, err := HitSteps(w, 25, 3); err == nil {
-		t.Error("tiny budget should fail hit")
+	if _, err := HitSteps(w, 25, 3); !errors.Is(err, ErrStepBudget) {
+		t.Errorf("tiny budget: HitSteps err = %v, want ErrStepBudget", err)
 	}
 }
 
