@@ -544,6 +544,35 @@ func TestMaximalBlueSubgraph(t *testing.T) {
 	}
 }
 
+func TestBluePhaseLengths(t *testing.T) {
+	g, err := gen.RandomRegularSW(newRand(78), 80, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens, err := BluePhaseLengths(walk.NewEProcess(g, newRand(79), nil, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lens) == 0 {
+		t.Fatal("no phases recorded")
+	}
+	var total int64
+	for _, l := range lens {
+		if l <= 0 {
+			t.Errorf("non-positive phase length %d", l)
+		}
+		total += l
+	}
+	if total != int64(g.M()) {
+		t.Errorf("phase lengths sum to %d, want m = %d", total, g.M())
+	}
+	// The first blue phase dominates on an even-degree expander
+	// (Euler-like sweep before any fragmentation).
+	if lens[0] < int64(g.M())/4 {
+		t.Errorf("first phase %d surprisingly small vs m = %d", lens[0], g.M())
+	}
+}
+
 func TestStarCensusEvenDegreeZero(t *testing.T) {
 	g, err := gen.RandomRegularSW(newRand(17), 60, 4)
 	if err != nil {

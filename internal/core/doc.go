@@ -19,7 +19,10 @@
 //     Theorem 3, equations (2)–(4), Radzik's Theorem 5 lower bound and
 //     Feige's SRW lower bound, so experiments can print measured values
 //     next to the bound the paper predicts.
-//   - Invariant checking (invariants.go): an instrumented E-process run
-//     that verifies Observations 10, 11 and 12 online and reports the
-//     phase decomposition.
+//   - Online analyses (invariants.go): instrumented E-process runs that
+//     verify Observations 10, 11 and 12 (VerifiedRun), count isolated
+//     blue stars at red-phase entries (StarCensusRun) and measure the
+//     blue-phase lengths the proof of Lemma 15 predicts
+//     (BluePhaseLengths). Each is one observer on walk's cover loop,
+//     CoverScratch.Drive, not a step loop of its own.
 package core

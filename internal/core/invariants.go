@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bits"
 	"repro/internal/walk"
 )
 
@@ -22,7 +23,8 @@ var ErrInvariant = errors.New("core: E-process invariant violated")
 //	Observation 12 — blue transitions never exceed m.
 //
 // It returns the cover times and final phase statistics. The checks
-// require an even-degree graph; VerifiedRun refuses others.
+// require an even-degree graph; VerifiedRun refuses others. maxSteps <= 0
+// means a budget of (n+m)·100000 steps.
 func VerifiedRun(e *walk.EProcess, maxSteps int64) (walk.CoverTimes, walk.Stats, error) {
 	g := e.Graph()
 	if !g.IsEvenDegree() {
@@ -32,24 +34,10 @@ func VerifiedRun(e *walk.EProcess, maxSteps int64) (walk.CoverTimes, walk.Stats,
 	if maxSteps <= 0 {
 		maxSteps = int64(n+m) * 100000
 	}
-	seenV := make([]bool, n)
-	seenV[e.Current()] = true
-	seenE := make([]bool, m)
-	leftV, leftE := n-1, m
-
-	var ct walk.CoverTimes
-	var steps int64
-	bluePhaseStart := -1
-
-	for leftV > 0 || leftE > 0 {
-		if steps >= maxSteps {
-			return ct, e.Stats(), fmt.Errorf("%w: step budget exhausted (%d vertices, %d edges left)",
-				walk.ErrStepBudget, leftV, leftE)
-		}
-		before := e.Current()
-		id, v := e.Step()
-		steps++
-
+	cur, bluePhaseStart := e.Current(), -1
+	check := func(_, v int) error {
+		before := cur
+		cur = v
 		switch e.Phase() {
 		case walk.PhaseBlue:
 			if bluePhaseStart == -1 {
@@ -58,8 +46,7 @@ func VerifiedRun(e *walk.EProcess, maxSteps int64) (walk.CoverTimes, walk.Stats,
 			if e.BlueDegree(v) == 0 {
 				// Blue phase complete: Observation 10.
 				if v != bluePhaseStart {
-					return ct, e.Stats(), fmt.Errorf(
-						"%w: blue phase started at %d ended at %d (Observation 10)",
+					return fmt.Errorf("%w: blue phase started at %d ended at %d (Observation 10)",
 						ErrInvariant, bluePhaseStart, v)
 				}
 				bluePhaseStart = -1
@@ -68,38 +55,24 @@ func VerifiedRun(e *walk.EProcess, maxSteps int64) (walk.CoverTimes, walk.Stats,
 				// O(n) per phase, so check the two endpoints plus the
 				// neighbours of v.
 				if err := checkEvenBlue(e, v); err != nil {
-					return ct, e.Stats(), err
+					return err
 				}
 			}
 		case walk.PhaseRed:
 			if bluePhaseStart != -1 {
-				return ct, e.Stats(), fmt.Errorf(
-					"%w: red step at %d while blue phase from %d unfinished (Observation 10)",
+				return fmt.Errorf("%w: red step at %d while blue phase from %d unfinished (Observation 10)",
 					ErrInvariant, before, bluePhaseStart)
 			}
 		}
-
 		if st := e.Stats(); st.BlueSteps > int64(m) {
-			return ct, st, fmt.Errorf("%w: %d blue steps exceed m=%d (Observation 12)",
+			return fmt.Errorf("%w: %d blue steps exceed m=%d (Observation 12)",
 				ErrInvariant, st.BlueSteps, m)
 		}
-
-		if leftV > 0 && !seenV[v] {
-			seenV[v] = true
-			leftV--
-			if leftV == 0 {
-				ct.Vertex = steps
-			}
-		}
-		if leftE > 0 && !seenE[id] {
-			seenE[id] = true
-			leftE--
-			if leftE == 0 {
-				ct.Edge = steps
-			}
-		}
+		return nil
 	}
-	return ct, e.Stats(), nil
+	var sc walk.CoverScratch
+	ct, _, err := sc.Drive(e, maxSteps, true, true, check)
+	return ct, e.Stats(), err
 }
 
 func checkEvenBlue(e *walk.EProcess, v int) error {
@@ -170,56 +143,67 @@ type StarStats struct {
 // StarCensusRun runs an E-process to edge cover, measuring the
 // isolated-blue-star population at every entry into a red phase. On
 // even-degree graphs blue components are even-degree subgraphs, so
-// stars cannot occur and both counters must be 0.
+// stars cannot occur and both counters must be 0. maxSteps <= 0 means
+// a budget of (n+m)·100000 steps. Cover.Vertex is 0 on a graph with an
+// isolated vertex, which no walk visits; EverCenters is counted only
+// for a run that reaches edge cover.
 func StarCensusRun(e *walk.EProcess, maxSteps int64) (StarStats, error) {
 	g := e.Graph()
-	m := g.M()
 	if maxSteps <= 0 {
-		maxSteps = int64(g.N()+m) * 100000
+		maxSteps = int64(g.N()+g.M()) * 100000
 	}
-	seenE := make([]bool, m)
-	leftE := m
-	leftV := g.N() - 1
-	seenV := make([]bool, g.N())
-	seenV[e.Current()] = true
-
 	var st StarStats
-	ever := make(map[int]bool)
-	var steps int64
+	var ever bits.Set
+	ever.Reset(g.N())
 	lastPhase := walk.Phase(0)
-	for leftE > 0 {
-		if steps >= maxSteps {
-			return st, fmt.Errorf("%w after %d steps", walk.ErrStepBudget, steps)
-		}
-		id, v := e.Step()
-		steps++
+	census := func(_, _ int) error {
 		if p := e.Phase(); p != lastPhase {
 			if p == walk.PhaseRed {
 				centers := IsolatedStarCenters(e)
-				if len(centers) > st.Peak {
-					st.Peak = len(centers)
-				}
+				st.Peak = max(st.Peak, len(centers))
 				for _, c := range centers {
-					ever[c] = true
+					ever.Set(c)
 				}
 			}
 			lastPhase = p
 		}
-		if leftV > 0 && !seenV[v] {
-			seenV[v] = true
-			leftV--
-			if leftV == 0 {
-				st.Cover.Vertex = steps
-			}
-		}
-		if !seenE[id] {
-			seenE[id] = true
-			leftE--
-			if leftE == 0 {
-				st.Cover.Edge = steps
-			}
-		}
+		return nil
 	}
-	st.EverCenters = len(ever)
+	// Without an isolated vertex every vertex is covered by the time
+	// every edge is, so the run stops at edge cover either way.
+	var sc walk.CoverScratch
+	var err error
+	if st.Cover, _, err = sc.Drive(e, maxSteps, g.MinDegree() > 0, true, census); err != nil {
+		return st, err
+	}
+	st.EverCenters = ever.Count()
 	return st, nil
+}
+
+// BluePhaseLengths runs an E-process to edge cover and returns the
+// lengths of its blue phases (maximal runs of blue steps), in order,
+// with those of the run so far when the budget stops it. maxSteps <= 0
+// means walk's default budget over n+m, as for walk.EdgeCoverSteps.
+// The structural prediction from the proof of Lemma 15 is that the
+// first phase is macroscopic (Euler-like on an even-degree graph: a
+// constant fraction of m) and later phases shrink as the blue
+// territory fragments.
+func BluePhaseLengths(e *walk.EProcess, maxSteps int64) ([]int64, error) {
+	var lens []int64
+	var run int64
+	count := func(_, _ int) error {
+		if e.Phase() == walk.PhaseBlue {
+			run++
+		} else if run > 0 {
+			lens = append(lens, run)
+			run = 0
+		}
+		return nil
+	}
+	var sc walk.CoverScratch
+	_, _, err := sc.Drive(e, maxSteps, false, true, count)
+	if run > 0 {
+		lens = append(lens, run)
+	}
+	return lens, err
 }

@@ -24,46 +24,14 @@ func RandomRegular(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
 	}
-	const maxAttempts = 10000
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := pairingAttempt(r, n, deg)
-		if ok && g.IsConnected() {
-			return g, nil
-		}
+	degrees := make([]int, n)
+	for v := range degrees {
+		degrees[v] = deg
+	}
+	if g := configurationModel(r, degrees, n*deg, 10000); g != nil {
+		return g, nil
 	}
 	return nil, fmt.Errorf("gen: pairing model failed after retries (n=%d, r=%d)", n, deg)
-}
-
-// pairingAttempt runs one round of the configuration model: pair up
-// n·deg half-edge points uniformly, reject on loop or parallel edge.
-func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
-	points := make([]int, n*deg)
-	for i := range points {
-		points[i] = i / deg
-	}
-	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-	edges := make([]graph.Edge, 0, n*deg/2)
-	seen := make(map[[2]int]bool, n*deg/2)
-	for i := 0; i < len(points); i += 2 {
-		u, v := points[i], points[i+1]
-		if u == v {
-			return nil, false
-		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
-		}
-		if seen[key] {
-			return nil, false
-		}
-		seen[key] = true
-		edges = append(edges, graph.Edge{U: u, V: v})
-	}
-	g, err := graph.NewFromEdges(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g, true
 }
 
 // RandomRegularSW returns a random simple connected r-regular graph
@@ -277,9 +245,22 @@ func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	const maxAttempts = 20000
+	if g := configurationModel(r, degrees, total, 20000); g != nil {
+		return g, nil
+	}
+	return nil, fmt.Errorf("gen: degree-sequence model failed after retries (n=%d)", n)
+}
+
+// configurationModel runs up to maxAttempts rounds of the configuration
+// model on the given degree sequence (total = its sum): pair up the
+// half-edge points uniformly, and reject the round on a loop, a
+// parallel edge or a disconnected result. It returns the first accepted
+// graph, or nil when every round was rejected.
+func configurationModel(r *rand.Rand, degrees []int, total, maxAttempts int) *graph.Graph {
+	n := len(degrees)
 	points := make([]int, 0, total)
 	edges := make([]graph.Edge, 0, total/2)
+attempts:
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		points = points[:0]
 		for v, d := range degrees {
@@ -289,35 +270,23 @@ func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
 		}
 		r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
 		edges = edges[:0]
-		ok := true
 		seen := make(map[[2]int]bool, total/2)
-		for i := 0; i < len(points) && ok; i += 2 {
+		for i := 0; i < len(points); i += 2 {
 			u, v := points[i], points[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			key := [2]int{u, v}
-			if u > v {
-				key = [2]int{v, u}
-			}
-			if seen[key] {
-				ok = false
-				break
+			key := [2]int{min(u, v), max(u, v)}
+			if u == v || seen[key] {
+				continue attempts
 			}
 			seen[key] = true
 			edges = append(edges, graph.Edge{U: u, V: v})
-		}
-		if !ok {
-			continue
 		}
 		g, err := graph.NewFromEdges(n, edges)
 		if err != nil {
 			panic(err)
 		}
 		if g.IsConnected() {
-			return g, nil
+			return g
 		}
 	}
-	return nil, fmt.Errorf("gen: degree-sequence model failed after retries (n=%d)", n)
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/walk"
@@ -44,12 +45,10 @@ func phaseStructurePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Phase
 			Salt:  Salt(saltPHASES, uint64(deg)),
 			Graph: regularPointGraph(nn, deg),
 			Arms: []Arm{{Name: "eprocess-phases", Run: func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (Measurement, error) {
-				e := walk.NewEProcess(g, r, nil, 0)
-				e.RecordPhases(true)
-				if _, err := sc.EdgeCoverSteps(e, maxSteps); err != nil {
+				lens, err := core.BluePhaseLengths(walk.NewEProcess(g, r, nil, 0), maxSteps)
+				if err != nil {
 					return Measurement{}, err
 				}
-				lens := e.BluePhaseLengths()
 				if len(lens) == 0 {
 					return Measurement{}, nil
 				}

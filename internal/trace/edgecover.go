@@ -1,26 +1,14 @@
 package trace
 
-import (
-	"fmt"
-
-	"repro/internal/walk"
-)
+import "repro/internal/walk"
 
 // RunUntilEdgeCover drives p until every edge has been traversed (or
 // the budget runs out) and returns the recording. Lazy stays (edge ID
-// −1) are recorded as visits without traversals.
+// −1) are recorded as visits without traversals. maxSteps <= 0 means a
+// budget of (n+m)·10⁶ steps.
 func RunUntilEdgeCover(p walk.Process, maxSteps int64) (*Recorder, error) {
-	g := p.Graph()
 	if maxSteps <= 0 {
-		maxSteps = int64(g.N()+g.M()) * 1000000
+		maxSteps = int64(p.Graph().N()+p.Graph().M()) * 1000000
 	}
-	r := NewRecorder(p)
-	for r.edgesSeen < g.M() {
-		if r.Steps >= maxSteps {
-			return r, fmt.Errorf("%w: %d edges untraversed", walk.ErrStepBudget, g.M()-r.edgesSeen)
-		}
-		e, v := p.Step()
-		r.Observe(e, v)
-	}
-	return r, nil
+	return record(p, maxSteps, false, true)
 }

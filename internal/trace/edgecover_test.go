@@ -17,13 +17,13 @@ func TestRunUntilEdgeCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.edgesSeen != g.M() {
-		t.Fatalf("edges seen = %d, want %d", r.edgesSeen, g.M())
+	if recorded(r.FirstTraversal) != g.M() {
+		t.Fatalf("edges seen = %d, want %d", recorded(r.FirstTraversal), g.M())
 	}
 	// Every vertex must have been visited too (edge cover ⊃ vertex
 	// cover on graphs without isolated vertices).
-	if r.verticesSeen != g.N() {
-		t.Errorf("vertices seen = %d, want %d", r.verticesSeen, g.N())
+	if recorded(r.FirstVisit) != g.N() {
+		t.Errorf("vertices seen = %d, want %d", recorded(r.FirstVisit), g.N())
 	}
 }
 

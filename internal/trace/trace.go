@@ -9,7 +9,6 @@ package trace
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -29,9 +28,6 @@ type Recorder struct {
 	Visits []int64
 	// Steps is the number of recorded steps.
 	Steps int64
-
-	verticesSeen int
-	edgesSeen    int
 }
 
 // NewRecorder returns a Recorder for a walk of p's graph starting at
@@ -52,7 +48,6 @@ func NewRecorder(p walk.Process) *Recorder {
 	start := p.Current()
 	r.FirstVisit[start] = 0
 	r.Visits[start] = 1
-	r.verticesSeen = 1
 	return r
 }
 
@@ -61,11 +56,9 @@ func (r *Recorder) Observe(edgeID, vertex int) {
 	r.Steps++
 	if edgeID >= 0 && r.FirstTraversal[edgeID] == -1 {
 		r.FirstTraversal[edgeID] = r.Steps
-		r.edgesSeen++
 	}
 	if r.FirstVisit[vertex] == -1 {
 		r.FirstVisit[vertex] = r.Steps
-		r.verticesSeen++
 	}
 	r.Visits[vertex]++
 }
@@ -81,21 +74,25 @@ func Run(p walk.Process, steps int64) *Recorder {
 }
 
 // RunUntilVertexCover drives p until all vertices are visited (or the
-// budget runs out) and returns the recording.
+// budget runs out) and returns the recording. maxSteps <= 0 means a
+// budget of n·10⁶ steps.
 func RunUntilVertexCover(p walk.Process, maxSteps int64) (*Recorder, error) {
-	g := p.Graph()
 	if maxSteps <= 0 {
-		maxSteps = int64(g.N()) * 1000000
+		maxSteps = int64(p.Graph().N()) * 1000000
 	}
+	return record(p, maxSteps, true, false)
+}
+
+// record drives p through walk's cover loop toward vertex and/or edge
+// cover, observing every step into a fresh Recorder.
+func record(p walk.Process, maxSteps int64, vertices, edges bool) (*Recorder, error) {
 	r := NewRecorder(p)
-	for r.verticesSeen < g.N() {
-		if r.Steps >= maxSteps {
-			return r, fmt.Errorf("%w: %d vertices unvisited", walk.ErrStepBudget, g.N()-r.verticesSeen)
-		}
-		e, v := p.Step()
+	var sc walk.CoverScratch
+	_, _, err := sc.Drive(p, maxSteps, vertices, edges, func(e, v int) error {
 		r.Observe(e, v)
-	}
-	return r, nil
+		return nil
+	})
+	return r, err
 }
 
 // VertexCoverageCurve returns, for each fraction f in fractions

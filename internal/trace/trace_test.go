@@ -10,6 +10,17 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// recorded counts the vertices or edges a recording has a first time for.
+func recorded(first []int64) int {
+	n := 0
+	for _, t := range first {
+		if t >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRecorderBasics(t *testing.T) {
 	g, err := gen.Cycle(6)
 	if err != nil {
@@ -20,13 +31,13 @@ func TestRecorderBasics(t *testing.T) {
 	if r.FirstVisit[2] != 0 || r.Visits[2] != 1 {
 		t.Error("start vertex not pre-recorded")
 	}
-	if r.verticesSeen != 1 || r.edgesSeen != 0 {
+	if recorded(r.FirstVisit) != 1 || recorded(r.FirstTraversal) != 0 {
 		t.Error("fresh recorder counts wrong")
 	}
 	e, v := p.Step()
 	r.Observe(e, v)
-	if r.Steps != 1 || r.verticesSeen != 2 || r.edgesSeen != 1 {
-		t.Errorf("after one step: steps=%d seenV=%d seenE=%d", r.Steps, r.verticesSeen, r.edgesSeen)
+	if r.Steps != 1 || recorded(r.FirstVisit) != 2 || recorded(r.FirstTraversal) != 1 {
+		t.Errorf("after one step: steps=%d seenV=%d seenE=%d", r.Steps, recorded(r.FirstVisit), recorded(r.FirstTraversal))
 	}
 	if r.FirstVisit[v] != 1 || r.FirstTraversal[e] != 1 {
 		t.Error("first-visit bookkeeping wrong")
@@ -43,7 +54,7 @@ func TestRunUntilVertexCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.verticesSeen != g.N() {
+	if recorded(r.FirstVisit) != g.N() {
 		t.Fatal("cover incomplete")
 	}
 	cover := int64(0)

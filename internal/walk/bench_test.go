@@ -188,6 +188,25 @@ func BenchmarkStepDrivenCover(b *testing.B) {
 	}
 }
 
+// BenchmarkDriveObserved measures the observed cover loop the online
+// analyses run on: Reset plus a full vertex-and-edge Drive of a fresh
+// Uniform E-process with a no-op observer, which keeps it off the fused
+// loop, with reused scratch.
+func BenchmarkDriveObserved(b *testing.B) {
+	g := mustRegular(b, newRand(9), 5000, 4)
+	e := NewEProcess(g, rng.NewXoshiro256(11), nil, 0)
+	var sc CoverScratch
+	each := func(int, int) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset(0)
+		if _, _, err := sc.Drive(e, 0, true, true, each); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFrozenChurnCover measures one pcfcover trial at its largest
 // freeze rate: a censored vertex cover of a fresh overlay under
 // permanent edge failures at rate 0.25 per step (the fail coin of the

@@ -26,6 +26,11 @@
 // reporting the edge traversed, so that the generic drivers
 // (VertexCoverSteps, EdgeCoverSteps, Cover) can measure vertex and
 // edge cover times for any of them without knowing their internals.
+// The three are thin calls of one cover loop, CoverScratch.Drive, which
+// also takes an observer called after every step: the online analyses
+// of internal/core and internal/trace (invariant checks, star censuses,
+// blue-phase lengths, first-visit recordings) run on it instead of
+// stepping the process themselves.
 //
 // # Memory discipline
 //
@@ -86,9 +91,10 @@
 // per-Step driving. Every other process (a Simple or Choice on any
 // other source, a lazy Simple, Rotor, the locally fair walks, Weighted,
 // Biased, VProcess, a non-fusable EProcess) is driven one Step at a
-// time, and so is every process under EdgeCoverSteps and
-// VertexCoverCensored. VertexCoverSteps, EdgeCoverSteps and Cover share
-// one per-Step loop, and one budget error.
+// time, and so is every process under EdgeCoverSteps,
+// VertexCoverCensored and an observed Drive: a fused loop never calls
+// an observer. Drive has one per-Step loop, one default budget and one
+// budget error for all of them.
 //
 // VertexCoverCensored drives walks on churning overlays, and its caller
 // may declare that the churn only removes edges. Such a run ends once

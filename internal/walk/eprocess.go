@@ -60,6 +60,11 @@ func (s Stats) Total() int64 { return s.RedSteps + s.BlueSteps }
 // Built by NewEProcessOn, the process walks a graph.Overlay instead: it
 // reads each vertex's CSR block through the overlay's removed-edge mask
 // on every step, so edges may be removed and restored between steps.
+//
+// Of its trajectory the process keeps only Stats and the colour of its
+// last step (Phase). Analyses that need more, such as blue-phase
+// lengths or the paper's structural invariants, observe it step by
+// step through CoverScratch.Drive (see internal/core).
 type EProcess struct {
 	g    *graph.Graph
 	ri   Intner
@@ -94,11 +99,6 @@ type EProcess struct {
 
 	stats Stats
 	phase Phase
-
-	// Optional phase-length recording (RecordPhases).
-	recordPhases bool
-	phaseLens    []int64
-	curPhaseLen  int64
 }
 
 var _ Process = (*EProcess)(nil)
@@ -145,8 +145,6 @@ func (e *EProcess) init(start int) {
 	}
 	e.stats = Stats{}
 	e.phase = 0
-	e.phaseLens = nil
-	e.curPhaseLen = 0
 	e.rule.Reset(e.g)
 }
 
@@ -202,24 +200,6 @@ func (e *EProcess) UnvisitedEdgeIDs() []int {
 // Stats returns the phase statistics accumulated so far.
 func (e *EProcess) Stats() Stats { return e.stats }
 
-// RecordPhases enables per-blue-phase length recording (disabled by
-// default to keep the hot path allocation-free). Call before stepping.
-func (e *EProcess) RecordPhases(on bool) { e.recordPhases = on }
-
-// BluePhaseLengths returns the lengths of completed blue phases, in
-// order, when recording is enabled. The structural prediction from the
-// proof of Lemma 15 is that the first phase is macroscopic (Euler-like
-// on an even-degree graph: a constant fraction of m) and later phases
-// shrink as the blue territory fragments.
-func (e *EProcess) BluePhaseLengths() []int64 {
-	out := make([]int64, len(e.phaseLens), len(e.phaseLens)+1)
-	copy(out, e.phaseLens)
-	if e.curPhaseLen > 0 {
-		out = append(out, e.curPhaseLen) // phase still open at query time
-	}
-	return out
-}
-
 // Phase returns the colour of the most recent step (0 before any step).
 func (e *EProcess) Phase() Phase { return e.phase }
 
@@ -266,9 +246,6 @@ func (e *EProcess) blueStep(h graph.Half) (int, int) {
 		e.stats.BluePhases++
 		e.phase = PhaseBlue
 	}
-	if e.recordPhases {
-		e.curPhaseLen++
-	}
 	return int(h.ID), e.cur
 }
 
@@ -288,10 +265,6 @@ func (e *EProcess) redMark() {
 	if e.phase != PhaseRed {
 		e.stats.RedPhases++
 		e.phase = PhaseRed
-		if e.recordPhases && e.curPhaseLen > 0 {
-			e.phaseLens = append(e.phaseLens, e.curPhaseLen)
-			e.curPhaseLen = 0
-		}
 	}
 }
 

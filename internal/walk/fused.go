@@ -9,10 +9,10 @@ import (
 
 // fusable reports whether the cover drivers may run e through
 // coverFused: a fresh (no step taken since construction or Reset),
-// static-graph, Uniform-rule process that is not recording phases.
-// Every other E-process is driven one Step at a time.
+// static-graph, Uniform-rule process. Every other E-process is driven
+// one Step at a time.
 func (e *EProcess) fusable() bool {
-	return e.fastUniform && e.ov == nil && !e.recordPhases && e.stats.Total() == 0
+	return e.fastUniform && e.ov == nil && e.stats.Total() == 0
 }
 
 // coverFused runs a fusable E-process toward cover in one loop, taking

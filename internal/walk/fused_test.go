@@ -184,7 +184,7 @@ func TestFusedCoverMatchesStepDriving(t *testing.T) {
 }
 
 // TestFusedCoverOnlyForFreshUniform: an E-process that has already
-// stepped, records phases or follows another rule, a lazy simple walk,
+// stepped or follows another rule, a lazy simple walk,
 // and a simple walk or RWC(d) on a source that is not an xoshiro256**,
 // are driven per Step, so their cover drivers' results are the per-Step
 // ones (the trace hook, which only the fused loops call, stays silent).
@@ -192,11 +192,8 @@ func TestFusedCoverOnlyForFreshUniform(t *testing.T) {
 	g := mustRegular(t, newRand(8), 60, 4)
 	stepped := NewEProcess(g, rng.NewXoshiro256(1), nil, 0)
 	stepped.Step()
-	phases := NewEProcess(g, rng.NewXoshiro256(1), nil, 0)
-	phases.RecordPhases(true)
 	procs := map[string]Process{
 		"stepped":      stepped,
-		"phases":       phases,
 		"round-robin":  NewEProcess(g, rng.NewXoshiro256(1), &RoundRobin{}, 0),
 		"generic-rule": NewEProcess(g, rng.NewXoshiro256(1), uniformViaInterface{}, 0),
 		"lazy-simple":  NewLazy(g, rng.NewXoshiro256(1), 0),

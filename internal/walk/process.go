@@ -82,15 +82,9 @@ func VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
 }
 
 // VertexCoverSteps is the scratch-reusing form of the package-level
-// function. A fresh static Uniform-rule *EProcess runs through the fused
-// cover loop coverFused, and every *Choice and non-lazy *Simple on an
-// xoshiro256** source through coverChoice; every other process is
-// driven by Step.
+// function: Drive over vertices alone, with no observer.
 func (sc *CoverScratch) VertexCoverSteps(p Process, maxSteps int64) (int64, error) {
-	if maxSteps <= 0 {
-		maxSteps = defaultBudget(p.Graph().N())
-	}
-	_, steps, err := sc.cover(p, maxSteps, true, false)
+	_, steps, err := sc.Drive(p, maxSteps, true, false, nil)
 	return steps, err
 }
 
@@ -105,12 +99,10 @@ func EdgeCoverSteps(p Process, maxSteps int64) (int64, error) {
 }
 
 // EdgeCoverSteps is the scratch-reusing form of the package-level
-// function. Every process is driven by Step.
+// function: Drive over edges alone, with no observer. Every process is
+// driven by Step.
 func (sc *CoverScratch) EdgeCoverSteps(p Process, maxSteps int64) (int64, error) {
-	if maxSteps <= 0 {
-		maxSteps = defaultBudget(p.Graph().N() + p.Graph().M())
-	}
-	_, steps, err := sc.cover(p, maxSteps, false, true)
+	_, steps, err := sc.Drive(p, maxSteps, false, true, nil)
 	return steps, err
 }
 
@@ -131,45 +123,60 @@ func Cover(p Process, maxSteps int64) (CoverTimes, error) {
 	return sc.Cover(p, maxSteps)
 }
 
-// Cover is the scratch-reusing form of the package-level function. A
-// fresh static Uniform-rule *EProcess runs through the fused cover loop
-// coverFused, and every *Choice and non-lazy *Simple on an xoshiro256**
-// source through coverChoice; every other process is driven by Step.
+// Cover is the scratch-reusing form of the package-level function:
+// Drive over vertices and edges, with no observer.
 func (sc *CoverScratch) Cover(p Process, maxSteps int64) (CoverTimes, error) {
-	if maxSteps <= 0 {
-		maxSteps = defaultBudget(p.Graph().N() + p.Graph().M())
-	}
-	ct, _, err := sc.cover(p, maxSteps, true, true)
+	ct, _, err := sc.Drive(p, maxSteps, true, true, nil)
 	return ct, err
 }
 
-// cover is the three drivers' shared run: it runs p until every vertex
-// (when vertices is set) and every edge (when edges is set) is covered,
-// or for at most maxSteps steps, and returns the cover times reached,
-// the steps taken and, for a run the budget stopped, budgetError. A
-// vertex run goes to the fused loop that fits p, if any; otherwise
-// coverSteps drives p one Step at a time.
-func (sc *CoverScratch) cover(p Process, maxSteps int64, vertices, edges bool) (CoverTimes, int64, error) {
+// Drive is the cover loop behind VertexCoverSteps, EdgeCoverSteps and
+// Cover, and behind every online analysis that watches a walk until it
+// covers. It runs p until every vertex (when vertices is set) and every
+// edge (when edges is set) is covered, or for at most maxSteps steps,
+// and returns the cover times reached and the steps taken. maxSteps <= 0
+// means the default budget, 10000·size·(floor(log2 size)+1) with size n
+// for a vertices-only run and n+m otherwise. A run the budget stops
+// returns an error wrapping ErrStepBudget.
+//
+// each, when non-nil, observes the run: it is called after every Step
+// with the step's edge ID and new vertex, before the step counts toward
+// cover, and the process may be inspected from it. An error from each
+// stops the run after that step and is returned as is. A run with an
+// observer is always driven one Step at a time. With each nil, a vertex
+// run goes to the fused loop that fits p, if any: a fresh static
+// Uniform-rule *EProcess takes coverFused, and every *Choice and
+// non-lazy *Simple on an xoshiro256** source takes coverChoice.
+func (sc *CoverScratch) Drive(p Process, maxSteps int64, vertices, edges bool, each func(edgeID, vertex int) error) (CoverTimes, int64, error) {
+	if maxSteps <= 0 {
+		size := p.Graph().N()
+		if edges {
+			size += p.Graph().M()
+		}
+		maxSteps = defaultBudget(size)
+	}
 	var ct CoverTimes
 	var steps int64
 	var leftV, leftE int
+	var err error
 	fused := false
-	if vertices {
+	if vertices && each == nil {
 		ct, steps, leftV, leftE, fused = sc.coverFusedAny(p, maxSteps, edges)
 	}
 	if !fused {
-		ct, steps, leftV, leftE = sc.coverSteps(p, maxSteps, vertices, edges)
+		ct, steps, leftV, leftE, err = sc.coverSteps(p, maxSteps, vertices, edges, each)
 	}
-	if leftV|leftE != 0 {
-		return ct, steps, budgetError(vertices, edges, leftV, leftE, steps)
+	if err == nil && leftV|leftE != 0 {
+		err = budgetError(vertices, edges, leftV, leftE, steps)
 	}
-	return ct, steps, nil
+	return ct, steps, err
 }
 
-// coverSteps is cover's per-Step loop: it drives p one Step at a time
-// and returns, beside the cover times and steps, what is left uncovered
-// when it stops.
-func (sc *CoverScratch) coverSteps(p Process, maxSteps int64, vertices, edges bool) (ct CoverTimes, steps int64, leftV, leftE int) {
+// coverSteps is Drive's per-Step loop: it drives p one Step at a time,
+// calling each (if non-nil) after every Step, and returns, beside the
+// cover times and steps, what is left uncovered when it stops and the
+// observer's error, if any.
+func (sc *CoverScratch) coverSteps(p Process, maxSteps int64, vertices, edges bool, each func(edgeID, vertex int) error) (ct CoverTimes, steps int64, leftV, leftE int, err error) {
 	g := p.Graph()
 	if vertices {
 		sc.vertexSeen(g.N()).Set(p.Current())
@@ -183,6 +190,11 @@ func (sc *CoverScratch) coverSteps(p Process, maxSteps int64, vertices, edges bo
 	for leftV|leftE != 0 && steps < maxSteps {
 		e, v := p.Step()
 		steps++
+		if each != nil {
+			if err = each(e, v); err != nil {
+				return ct, steps, leftV, leftE, err
+			}
+		}
 		if leftV > 0 && !seenV.Test(v) {
 			seenV.Set(v)
 			if leftV--; leftV == 0 {
@@ -196,7 +208,7 @@ func (sc *CoverScratch) coverSteps(p Process, maxSteps int64, vertices, edges bo
 			}
 		}
 	}
-	return ct, steps, leftV, leftE
+	return ct, steps, leftV, leftE, nil
 }
 
 // budgetError is the cover drivers' censoring error for a run stopped

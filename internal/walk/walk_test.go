@@ -597,46 +597,6 @@ func TestProcessDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBluePhaseLengths(t *testing.T) {
-	g := mustRegular(t, newRand(78), 80, 4)
-	e := NewEProcess(g, newRand(79), nil, 0)
-	e.RecordPhases(true)
-	if _, err := EdgeCoverSteps(e, 0); err != nil {
-		t.Fatal(err)
-	}
-	lens := e.BluePhaseLengths()
-	if len(lens) == 0 {
-		t.Fatal("no phases recorded")
-	}
-	var total int64
-	for _, l := range lens {
-		if l <= 0 {
-			t.Errorf("non-positive phase length %d", l)
-		}
-		total += l
-	}
-	if total != int64(g.M()) {
-		t.Errorf("phase lengths sum to %d, want m = %d", total, g.M())
-	}
-	// The first blue phase dominates on an even-degree expander
-	// (Euler-like sweep before any fragmentation).
-	if lens[0] < int64(g.M())/4 {
-		t.Errorf("first phase %d surprisingly small vs m = %d", lens[0], g.M())
-	}
-	// Reset clears recordings.
-	e.Reset(0)
-	if len(e.BluePhaseLengths()) != 0 {
-		t.Error("reset did not clear phase lengths")
-	}
-	// Open-phase flush: take a few blue steps, query mid-phase.
-	e.RecordPhases(true)
-	e.Step()
-	e.Step()
-	if lens := e.BluePhaseLengths(); len(lens) != 1 || lens[0] != 2 {
-		t.Errorf("mid-phase lengths = %v, want [2]", lens)
-	}
-}
-
 type brokenRule struct{}
 
 func (brokenRule) Name() string                            { return "broken" }
